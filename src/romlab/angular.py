@@ -15,7 +15,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import defaults
-from .errors import AlphaUnbounded, DeltaOutOfRange, OddN
+from .errors import AlphaUnbounded, DeltaOutOfRange, OddN, ReferenceNotConverged
+from .medium import _frozen_array
 
 DEFAULT_ALPHA_MAX = defaults.ALPHA_MAX
 
@@ -53,12 +54,6 @@ def uniform_stream(master_seed: int, sample_index: int, count: int) -> np.ndarra
     return _keyed_uniforms(base, np.arange(count, dtype=np.uint64))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class VelocityPartition:
     """Mirror-symmetric cells covering [-1, -delta) and (delta, 1].
@@ -84,14 +79,6 @@ class VelocityPartition:
     @property
     def m(self) -> int:
         return self.lower.size // 2
-
-    @property
-    def half_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(negative-half edges, positive-half edges), each ascending, m+1 long."""
-        m = self.m
-        neg = np.append(self.lower[:m], self.upper[m - 1])
-        pos = np.append(self.lower[m:], self.upper[-1])
-        return neg, pos
 
 
 def build_partition(
@@ -137,7 +124,8 @@ def build_partition(
             f"max rescaled weight {amax:.6g} exceeds the cap {alpha_max}"
         )
     return VelocityPartition(
-        float(delta), _frozen(lower), _frozen(upper), _frozen(weights), _frozen(alpha), layout
+        float(delta), _frozen_array(lower), _frozen_array(upper), _frozen_array(weights),
+        _frozen_array(alpha), layout,
     )
 
 
@@ -170,7 +158,7 @@ def dom_quadrature(partition: VelocityPartition, rule: str = "midpoint", order: 
     if rule == "midpoint":
         mus = 0.5 * (partition.lower + partition.upper)
         return QuadratureSet(
-            _frozen(mus),
+            _frozen_array(mus),
             partition.weights,
             partition.delta,
             f"dom-midpoint(n={partition.n},delta={partition.delta})",
@@ -179,8 +167,8 @@ def dom_quadrature(partition: VelocityPartition, rule: str = "midpoint", order: 
         k = partition.m if order is None else int(order)
         mus, weights = composite_gauss(partition.delta, k)
         return QuadratureSet(
-            _frozen(mus),
-            _frozen(weights),
+            _frozen_array(mus),
+            _frozen_array(weights),
             partition.delta,
             f"dom-gauss(order={k},delta={partition.delta})",
         )
@@ -207,10 +195,32 @@ def reference_quadrature(delta: float, nodes_per_half: int) -> QuadratureSet:
     """High-order composite Gauss set standing in for the exact direction average."""
     mus, weights = composite_gauss(delta, nodes_per_half)
     return QuadratureSet(
-        _frozen(mus),
-        _frozen(weights),
+        _frozen_array(mus),
+        _frozen_array(weights),
         float(delta),
         f"reference-gauss(N={nodes_per_half},delta={delta})",
+    )
+
+
+def certify_by_doubling(evaluate, distance, delta, nodes, max_nodes, target, what):
+    """Refine a reference-quadrature value by doubling until it certifies.
+
+    ``evaluate`` maps a reference quadrature to a value and ``distance``
+    measures two successive values.  The nodes per half-interval double
+    from ``nodes`` until a doubling moves the value by at most ``target``;
+    returns (that value, its nodes per half, the gap).  Raises
+    ReferenceNotConverged if no doubling within ``max_nodes`` certifies.
+    """
+    current = evaluate(reference_quadrature(delta, nodes))
+    while 2 * nodes <= max_nodes:
+        nodes *= 2
+        refined = evaluate(reference_quadrature(delta, nodes))
+        gap = distance(refined, current)
+        current = refined
+        if gap <= target:
+            return current, nodes, gap
+    raise ReferenceNotConverged(
+        f"{what} moved by more than {target:.3g} per doubling up to {max_nodes} nodes/half"
     )
 
 
@@ -229,7 +239,7 @@ def rom_sample(partition: VelocityPartition, master_seed: int, sample_index: int
     pos_mu = pos_lo + u * (pos_hi - pos_lo)
     mus = np.concatenate([-pos_mu[::-1], pos_mu])
     return QuadratureSet(
-        _frozen(mus),
+        _frozen_array(mus),
         partition.weights,
         partition.delta,
         f"rom(seed={master_seed},index={sample_index},n={n},delta={partition.delta})",

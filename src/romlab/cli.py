@@ -11,7 +11,8 @@ Commands
     Writes the result table CSV, a summary JSON with slope fits and
     timings, and a manifest.
 
-Exit codes: 0 success, 1 usage/config error, 2 non-converged computation.
+Exit codes: 0 success, 1 usage/config error, 2 non-converged computation
+(an iteration cap, or a reference that failed to certify).
 
 Result CSVs are byte-identical for identical config and seed at any
 ``--jobs`` level; to keep that guarantee the wall_time_s column is
@@ -23,9 +24,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .config import (
     load_config,
     study_config,
 )
-from .errors import ConfigError, ReferenceNotConverged, RomlabError
+from .errors import NoConvergence, ReferenceNotConverged, RomlabError
 from .experiments import (
     ErrorRow,
     ErrorTable,
@@ -59,47 +61,51 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def error_table_to_csv(table: ErrorTable) -> str:
-    """Serialize an error table; deterministic (timings zeroed)."""
-    lines = ["n,estimate,se,samples,flagged,wall_time_s"]
+_CELL_FORMATS = {int: str, float: _fmt, bool: lambda flag: "true" if flag else "false"}
+_CELL_PARSERS = {int: int, float: float, bool: lambda text: text == "true"}
+
+
+def _row_fields(row_type) -> list[tuple[str, type]]:
+    hints = get_type_hints(row_type)
+    return [(f.name, hints[f.name]) for f in fields(row_type)]
+
+
+def _header(row_type) -> str:
+    names = [name for name, _ in _row_fields(row_type)]
+    return ",".join(name + "_s" if name == "wall_time" else name for name in names)
+
+
+def table_to_csv(table: ErrorTable | RegularizationTable) -> str:
+    """Serialize a study table, one column per row field; deterministic.
+
+    The wall_time field goes to a wall_time_s column that always reads 0.
+    """
+    row_type = ErrorRow if isinstance(table, ErrorTable) else RegularizationRow
+    columns = _row_fields(row_type)
+    lines = [_header(row_type)]
     for r in table.rows:
-        flag = "true" if r.flagged else "false"
-        lines.append(f"{r.n},{_fmt(r.estimate)},{_fmt(r.se)},{r.samples},{flag},0")
+        lines.append(",".join(
+            "0" if name == "wall_time" else _CELL_FORMATS[kind](getattr(r, name))
+            for name, kind in columns
+        ))
     return "\n".join(lines) + "\n"
 
 
-def parse_error_table_csv(text: str, kind: str = "parsed") -> ErrorTable:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != "n,estimate,se,samples,flagged,wall_time_s":
-        raise ValueError(f"unexpected header: {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        n, est, se, samples, flag, wall = ln.split(",")
-        rows.append(
-            ErrorRow(int(n), float(est), float(se), int(samples), flag == "true", float(wall))
-        )
-    return ErrorTable(kind, tuple(rows))
+def parse_table_csv(text: str, kind: str = "parsed") -> ErrorTable | RegularizationTable:
+    """Read table_to_csv output back; the header picks the table type.
 
-
-def regularization_to_csv(table: RegularizationTable) -> str:
-    lines = ["delta,error,f_norm,bound,satisfied,wall_time_s"]
-    for r in table.rows:
-        sat = "true" if r.satisfied else "false"
-        lines.append(f"{_fmt(r.delta)},{_fmt(r.error)},{_fmt(r.f_norm)},{_fmt(r.bound)},{sat},0")
-    return "\n".join(lines) + "\n"
-
-
-def parse_regularization_csv(text: str) -> RegularizationTable:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != "delta,error,f_norm,bound,satisfied,wall_time_s":
-        raise ValueError(f"unexpected header: {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        delta, err, fn, bound, sat, wall = ln.split(",")
-        rows.append(
-            RegularizationRow(float(delta), float(err), float(fn), float(bound), sat == "true", float(wall))
-        )
-    return RegularizationTable(tuple(rows))
+    ``kind`` labels a parsed error table.
+    """
+    header, *lines = [ln for ln in text.strip().splitlines() if ln]
+    for row_type in (ErrorRow, RegularizationRow):
+        if header == _header(row_type):
+            kinds = [k for _, k in _row_fields(row_type)]
+            rows = tuple(
+                row_type(*(_CELL_PARSERS[k](cell) for k, cell in zip(kinds, ln.split(","))))
+                for ln in lines
+            )
+            return ErrorTable(kind, rows) if row_type is ErrorRow else RegularizationTable(rows)
+    raise ValueError(f"unexpected header: {header!r}")
 
 
 def flux_to_csv(values: np.ndarray, edges: np.ndarray) -> str:
@@ -136,14 +142,11 @@ def _fail(message: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if cfg.quadrature is not None:
-            build_quadrature(cfg)
-        partitions = {n: build_partition(n, cfg.delta) for n in cfg.study["n_list"]}
-        sc = study_config(cfg)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    cfg = load_config(args.config)
+    if cfg.quadrature is not None:
+        build_quadrature(cfg)
+    partitions = {n: build_partition(n, cfg.delta) for n in cfg.study["n_list"]}
+    sc = study_config(cfg)
     alpha_max = max(float(p.alpha.max()) for p in partitions.values())
     print(f"config ok: {args.config}")
     print(f"lambda = {cfg.medium.lam:.6g}")
@@ -158,11 +161,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     started = _utcnow()
-    try:
-        cfg = load_config(args.config)
-        quad = build_quadrature(cfg, seed=args.seed)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    cfg = load_config(args.config)
+    quad = build_quadrature(cfg, seed=args.seed)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         return _fail(f"output directory {out.parent} does not exist")
@@ -240,10 +240,7 @@ def _stats_table(cfg: LoadedConfig, kind: str, seed: int, jobs: int) -> ErrorTab
 
 def _cmd_study(args) -> int:
     started = _utcnow()
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    cfg = load_config(args.config)
     out_dir = Path(args.out)
     if out_dir.exists():
         if not out_dir.is_dir():
@@ -254,30 +251,24 @@ def _cmd_study(args) -> int:
     seed = cfg.seed if args.seed is None else args.seed
 
     t0 = time.perf_counter()
-    try:
-        if args.study in ("single-run", "bias", "dom"):
-            sc = study_config(cfg, seed=args.seed)
-            if args.study == "single-run":
-                table = single_run_error_study(sc, jobs=args.jobs)
-            elif args.study == "bias":
-                table = bias_study(sc, jobs=args.jobs)
-            else:
-                table = dom_error_study(sc, cfg.study["dom_rule"])
-        elif args.study in ("delta-t", "delta-b"):
-            table = _stats_table(cfg, args.study, seed, args.jobs)
+    if args.study in ("single-run", "bias", "dom"):
+        sc = study_config(cfg, seed=args.seed)
+        if args.study == "single-run":
+            table = single_run_error_study(sc, jobs=args.jobs)
+        elif args.study == "bias":
+            table = bias_study(sc, jobs=args.jobs)
         else:
-            table = regularization_study(
-                cfg.medium,
-                cfg.boundary,
-                cfg.study["delta_list"],
-                cfg.study["reference_delta"],
-                ref_nodes=cfg.study["ref_nodes"],
-            )
-    except ConfigError as exc:
-        return _fail(str(exc))
-    except ReferenceNotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            table = dom_error_study(sc, cfg.study["dom_rule"])
+    elif args.study in ("delta-t", "delta-b"):
+        table = _stats_table(cfg, args.study, seed, args.jobs)
+    else:
+        table = regularization_study(
+            cfg.medium,
+            cfg.boundary,
+            cfg.study["delta_list"],
+            cfg.study["reference_delta"],
+            ref_nodes=cfg.study["ref_nodes"],
+        )
     elapsed = time.perf_counter() - t0
 
     csv_path = out_dir / f"{args.study}.csv"
@@ -288,13 +279,11 @@ def _cmd_study(args) -> int:
         "master_seed": seed,
         "elapsed_s": elapsed,
     }
+    csv_path.write_text(table_to_csv(table))
+    summary["rows"] = [asdict(r) for r in table.rows]
     if isinstance(table, RegularizationTable):
-        csv_path.write_text(regularization_to_csv(table))
-        summary["rows"] = [asdict(r) for r in table.rows]
         summary["all_satisfied"] = all(r.satisfied for r in table.rows)
     else:
-        csv_path.write_text(error_table_to_csv(table))
-        summary["rows"] = [asdict(r) for r in table.rows]
         try:
             fit = fit_slope(table)
             summary["slope_fit"] = asdict(fit)
@@ -358,6 +347,9 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_study(args)
+    except (NoConvergence, ReferenceNotConverged) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except RomlabError as exc:
         return _fail(str(exc))
 

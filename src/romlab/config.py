@@ -318,7 +318,7 @@ def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
     An explicitly configured solver tolerance must respect the study cap; a
     defaulted one is tightened automatically.
     """
-    cap = 1e-3 * max(cfg.study["n_list"]) ** -3
+    cap = defaults.SOLVER_TOL_COEFF * max(cfg.study["n_list"]) ** -3
     tol = cfg.solver_tol if cfg.tol_explicit else min(cfg.solver_tol, cap)
     try:
         return StudyConfig(

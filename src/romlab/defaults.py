@@ -16,13 +16,11 @@ _DOC = json.loads(
 
 LAMBDA_MAX: float = _DOC["lambda_max"]
 ALPHA_MAX: float = _DOC["alpha_max"]
-DELTA: float = _DOC["delta"]
 SPATIAL_CELLS: int = _DOC["spatial_cells"]
 TAU_TAYLOR: float = _DOC["tau_taylor_threshold"]
 EXP_PRODUCT_GUARD: float = _DOC["exp_product_guard"]
 POWER_ITER_REL_TOL: float = _DOC["power_iteration"]["rel_tol"]
 POWER_ITER_MAX_ITER: int = _DOC["power_iteration"]["max_iter"]
-SOLVER_TOL: float = _DOC["solver"]["tol"]
 SOLVER_MAX_ITER: int = _DOC["solver"]["max_iter"]
 REF_INITIAL_NODES: int = _DOC["reference"]["initial_nodes_per_half"]
 REF_MAX_NODES: int = _DOC["reference"]["max_nodes_per_half"]
@@ -32,6 +30,7 @@ REF_TARGET_COEFF: float = _DOC["study"]["ref_target_coeff"]
 BIAS_SE_FRACTION: float = _DOC["study"]["bias_se_fraction"]
 BIAS_INITIAL_SAMPLES: int = _DOC["study"]["bias_initial_samples"]
 REGULARIZATION_TARGET: float = _DOC["study"]["regularization_target"]
+REGULARIZATION_SOLVER_TOL: float = _DOC["regularization_solver_tol"]
 
 
 def document() -> dict:

@@ -16,8 +16,14 @@ import numpy as np
 
 from . import defaults
 from ._parallel import indexed_map
-from .angular import build_partition, dom_quadrature, reference_quadrature, rom_sample
-from .errors import ConfigError, PureAbsorber, ReferenceNotConverged, TooFewPoints
+from .angular import (
+    build_partition,
+    certify_by_doubling,
+    dom_quadrature,
+    reference_quadrature,
+    rom_sample,
+)
+from .errors import ConfigError, NoConvergence, PureAbsorber, TooFewPoints
 from .medium import (
     BoundarySpec,
     ConstantBoundary,
@@ -96,11 +102,8 @@ class StudyConfig:
     master_seed: int
     solver_tol: float | None = None
     ref_nodes: int = defaults.REF_INITIAL_NODES
-    ref_max_nodes: int = defaults.REF_MAX_NODES
     ref_target: float | None = None
     max_iter: int = defaults.SOLVER_MAX_ITER
-    layout: str = "uniform"
-    ratio: float = 1.0
 
     def __post_init__(self):
         n_list = tuple(int(n) for n in self.n_list)
@@ -130,6 +133,15 @@ class StudyConfig:
         return max(self.n_list)
 
 
+def _unit_slab(ncells, sigma_s, q, left_inflow, **study) -> StudyConfig:
+    """Study on [0, 1] with sigma_t = 1, uniform sigma_s and q, inflow on the left only."""
+    grid = SpatialGrid.uniform(0.0, 1.0, ncells)
+    ones = np.ones(ncells)
+    medium = make_medium(grid, ones, sigma_s * ones, q * ones)
+    boundary = BoundarySpec(ConstantBoundary(left_inflow), ConstantBoundary(0.0))
+    return StudyConfig(medium=medium, boundary=boundary, **study)
+
+
 def benchmark_config(
     n_list=(8, 16, 32, 64, 128),
     sample_count: int = 64,
@@ -146,18 +158,9 @@ def benchmark_config(
     studied n range, exposing the 3/2-order rates for both deterministic
     midpoint sets and single random runs.
     """
-    grid = SpatialGrid.uniform(0.0, 1.0, ncells)
-    ones = np.ones(ncells)
-    medium = make_medium(grid, ones, 0.5 * ones, 0.0 * ones)
-    boundary = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-    return StudyConfig(
-        medium=medium,
-        boundary=boundary,
-        delta=delta,
-        n_list=tuple(n_list),
-        sample_count=sample_count,
-        master_seed=master_seed,
-        **overrides,
+    return _unit_slab(
+        ncells, 0.5, 0.0, 1.0,
+        delta=delta, n_list=n_list, sample_count=sample_count, master_seed=master_seed, **overrides,
     )
 
 
@@ -177,56 +180,39 @@ def bias_benchmark_config(
     so the cubic bias decay is resolvable above the Monte-Carlo noise floor
     at desk-scale sample counts.
     """
-    grid = SpatialGrid.uniform(0.0, 1.0, ncells)
-    ones = np.ones(ncells)
-    medium = make_medium(grid, ones, 0.9 * ones, ones)
-    boundary = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
-    return StudyConfig(
-        medium=medium,
-        boundary=boundary,
-        delta=delta,
-        n_list=tuple(n_list),
-        sample_count=sample_count,
-        master_seed=master_seed,
-        **overrides,
+    return _unit_slab(
+        ncells, 0.9, 1.0, 0.0,
+        delta=delta, n_list=n_list, sample_count=sample_count, master_seed=master_seed, **overrides,
     )
 
 
-def _certified_solve(
-    medium, boundary, delta, nodes, max_nodes, target, tol, max_iter
-) -> tuple[ScalarFlux, int, float]:
-    """Reference-quadrature solve, nodes doubled until the change certifies.
-
-    Returns (flux, nodes used, certified gap); raises ReferenceNotConverged
-    if the gap stays above ``target`` at ``max_nodes`` per half-interval.
-    """
-    quad = reference_quadrature(delta, nodes)
+def _solved(medium, boundary, quad, tol, max_iter) -> np.ndarray:
+    """Flux values of a converged solve; raises NoConvergence at max_iter."""
     phi, report = solve(medium, boundary, quad, tol, max_iter)
     if not report.converged:
-        raise ReferenceNotConverged("reference solve hit the iteration cap")
-    while 2 * nodes <= max_nodes:
-        nodes *= 2
-        quad = reference_quadrature(delta, nodes)
-        refined, report = solve(medium, boundary, quad, tol, max_iter)
-        if not report.converged:
-            raise ReferenceNotConverged("reference solve hit the iteration cap")
-        gap = weighted_norm_of(refined.values - phi.values, medium)
-        phi = refined
-        if gap <= target:
-            return phi, nodes, gap
-    raise ReferenceNotConverged(
-        f"reference gap above {target:.3g} at {max_nodes} nodes/half"
+        raise NoConvergence(f"{quad.provenance}: solve hit the cap of {max_iter} iterations")
+    return phi.values
+
+
+def _certified_solve(medium, boundary, delta, nodes, target, tol, max_iter):
+    """Reference-quadrature flux values, nodes doubled until the change certifies.
+
+    Returns (values, nodes used, certified gap); see certify_by_doubling.
+    """
+    return certify_by_doubling(
+        lambda quad: _solved(medium, boundary, quad, tol, max_iter),
+        lambda a, b: weighted_norm_of(a - b, medium),
+        delta, nodes, defaults.REF_MAX_NODES, target, "reference flux",
     )
 
 
-def _certified_reference(config: StudyConfig) -> tuple[ScalarFlux, int, float]:
-    """Reference flux with a doubling certificate on the quadrature order."""
+def _certified_reference(config: StudyConfig) -> tuple[np.ndarray, int, float]:
+    """Reference flux values with a doubling certificate on the quadrature order."""
     return _certified_solve(
         config.medium,
         config.boundary,
         config.delta,
         config.ref_nodes,
-        config.ref_max_nodes,
         config.ref_target,
         config.solver_tol,
         config.max_iter,
@@ -235,8 +221,8 @@ def _certified_reference(config: StudyConfig) -> tuple[ScalarFlux, int, float]:
 
 def reference_solution(config: StudyConfig) -> ScalarFlux:
     """Certified high-order quadrature solve on the study's spatial mesh."""
-    phi, _, _ = _certified_reference(config)
-    return phi
+    values, _, _ = _certified_reference(config)
+    return ScalarFlux(values, config.medium.grid)
 
 
 def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
@@ -247,16 +233,12 @@ def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     rows = []
     for n in config.n_list:
         start = time.perf_counter()
-        partition = build_partition(n, config.delta, config.layout, config.ratio)
+        partition = build_partition(n, config.delta)
 
         def one(i: int) -> float:
             quad = rom_sample(partition, config.master_seed, i)
-            phi, report = solve(
-                config.medium, config.boundary, quad, config.solver_tol, config.max_iter
-            )
-            if not report.converged:
-                raise ReferenceNotConverged(f"sample {i} hit the iteration cap")
-            return weighted_norm_of(phi.values - ref.values, config.medium)
+            phi = _solved(config.medium, config.boundary, quad, config.solver_tol, config.max_iter)
+            return weighted_norm_of(phi - ref, config.medium)
 
         errors = np.array(indexed_map(one, config.sample_count, jobs))
         rows.append(
@@ -305,17 +287,12 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
     rows = []
     for n in config.n_list:
         start = time.perf_counter()
-        partition = build_partition(n, config.delta, config.layout, config.ratio)
+        partition = build_partition(n, config.delta)
         cap = int(np.ceil(config.sample_count * (config.n_max / n) ** row_cap_power))
 
         def one(i: int) -> np.ndarray:
             quad = rom_sample(partition, config.master_seed, i)
-            phi, report = solve(
-                config.medium, config.boundary, quad, config.solver_tol, config.max_iter
-            )
-            if not report.converged:
-                raise ReferenceNotConverged(f"sample {i} hit the iteration cap")
-            return phi.values
+            return _solved(config.medium, config.boundary, quad, config.solver_tol, config.max_iter)
 
         count = min(initial, cap)
         phis = np.empty((0, config.medium.ncells))
@@ -323,8 +300,8 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
             done = phis.shape[0]
             block = indexed_map(lambda i: one(done + i), count - done, jobs)
             phis = np.vstack([phis, np.stack(block)])
-            estimate = weighted_norm_of(phis.mean(axis=0) - ref.values, config.medium)
-            se = _jackknife_norm_se(phis, ref.values, weights)
+            estimate = weighted_norm_of(phis.mean(axis=0) - ref, config.medium)
+            se = _jackknife_norm_se(phis, ref, weights)
             if se <= fraction * estimate or count >= cap:
                 break
             count = min(2 * count, cap)
@@ -349,17 +326,13 @@ def dom_error_study(config: StudyConfig, rule: str = "midpoint") -> ErrorTable:
     rows = []
     for n in config.n_list:
         start = time.perf_counter()
-        partition = build_partition(n, config.delta, config.layout, config.ratio)
+        partition = build_partition(n, config.delta)
         quad = dom_quadrature(partition, rule)
-        phi, report = solve(
-            config.medium, config.boundary, quad, config.solver_tol, config.max_iter
-        )
-        if not report.converged:
-            raise ReferenceNotConverged(f"n={n} hit the iteration cap")
+        phi = _solved(config.medium, config.boundary, quad, config.solver_tol, config.max_iter)
         rows.append(
             ErrorRow(
                 n=n,
-                estimate=weighted_norm_of(phi.values - ref.values, config.medium),
+                estimate=weighted_norm_of(phi - ref, config.medium),
                 se=0.0,
                 samples=1,
                 flagged=False,
@@ -391,10 +364,7 @@ def regularization_study(
     delta_list,
     reference_delta: float,
     target: float | None = None,
-    solver_tol: float = 1e-11,
     ref_nodes: int = defaults.REF_INITIAL_NODES,
-    ref_max_nodes: int = defaults.REF_MAX_NODES,
-    max_iter: int = defaults.SOLVER_MAX_ITER,
 ) -> RegularizationTable:
     """Truncation error against the stability bound, per truncation level.
 
@@ -402,7 +372,8 @@ def regularization_study(
     one.  For each delta the measured flux difference is checked against
     ||f|| / (1 - lambda) plus the certification allowance, where f is the
     consistency error of the truncated direction average evaluated on the
-    reference angular flux.
+    reference angular flux.  Every solve uses the fixed tolerance
+    defaults.REGULARIZATION_SOLVER_TOL and the default iteration cap.
     """
     delta_list = [float(d) for d in delta_list]
     if reference_delta >= min(delta_list):
@@ -413,10 +384,10 @@ def regularization_study(
         target = defaults.REGULARIZATION_TARGET
 
     ref_flux, ref_nodes_used, ref_gap = _certified_solve(
-        medium, boundary, reference_delta, ref_nodes, ref_max_nodes, target,
-        solver_tol, max_iter,
+        medium, boundary, reference_delta, ref_nodes, target,
+        defaults.REGULARIZATION_SOLVER_TOL, defaults.SOLVER_MAX_ITER,
     )
-    frozen_source = medium.sigma_s * ref_flux.values + medium.q
+    frozen_source = medium.sigma_s * ref_flux + medium.q
 
     def direction_average(delta: float, nodes: int) -> np.ndarray:
         quad = reference_quadrature(delta, nodes)
@@ -430,13 +401,13 @@ def regularization_study(
     for delta in delta_list:
         start = time.perf_counter()
         phi_d, nodes_d, gap_d = _certified_solve(
-            medium, boundary, delta, ref_nodes, ref_max_nodes, target,
-            solver_tol, max_iter,
+            medium, boundary, delta, ref_nodes, target,
+            defaults.REGULARIZATION_SOLVER_TOL, defaults.SOLVER_MAX_ITER,
         )
-        error = weighted_norm_of(phi_d.values - ref_flux.values, medium)
+        error = weighted_norm_of(phi_d - ref_flux, medium)
         f = direction_average(delta, nodes_d) - i_ref
         f_norm = weighted_norm_of(f, medium)
-        allowance = ref_gap + gap_d + 4 * solver_tol
+        allowance = ref_gap + gap_d + 4 * defaults.REGULARIZATION_SOLVER_TOL
         bound = f_norm / (1.0 - medium.lam) + allowance
         rows.append(
             RegularizationRow(

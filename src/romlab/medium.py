@@ -67,10 +67,6 @@ class SpatialGrid:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
     def same_as(self, other: "SpatialGrid") -> bool:
         return self is other or np.array_equal(self.edges, other.edges)
 
@@ -146,7 +142,7 @@ def weighted_l2_norm(flux: ScalarFlux, medium: MediumProfile) -> float:
     """Exact L2(sigma_t) norm of the piecewise-constant flux."""
     if not flux.grid.same_as(medium.grid):
         raise GridMismatch("flux and medium live on different grids")
-    return float(np.sqrt(np.sum(flux.values**2 * medium.cell_weights)))
+    return weighted_norm_of(flux.values, medium)
 
 
 def weighted_norm_of(values: np.ndarray, medium: MediumProfile) -> float:

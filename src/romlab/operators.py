@@ -19,11 +19,11 @@ from ._parallel import indexed_map
 from .angular import (
     QuadratureSet,
     VelocityPartition,
-    reference_quadrature,
+    certify_by_doubling,
     rom_sample,
     uniform_stream,
 )
-from .errors import NoConvergence, PureAbsorber, ReferenceNotConverged, ZeroMu
+from .errors import NoConvergence, PureAbsorber
 from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
 from .sweep import averaged_response_matrix, transmission_averages
 
@@ -62,8 +62,6 @@ def transport_matrix(medium: MediumProfile, mu: float) -> DenseOperator:
     Column j is the zero-inflow sweep of the unit cell-average source
     sigma_r * e_j, exact by linearity of the sweep.
     """
-    if mu == 0:
-        raise ZeroMu("transport operator undefined at mu = 0")
     if medium.lam == 0:
         raise PureAbsorber("transport matrix needs lambda > 0")
     entries = averaged_response_matrix(medium, [mu], [1.0], medium.sigma_r)
@@ -72,47 +70,35 @@ def transport_matrix(medium: MediumProfile, mu: float) -> DenseOperator:
 
 def iteration_matrix(medium: MediumProfile, quad: QuadratureSet) -> DenseOperator:
     """Quadrature average of the transport matrices over the ordinate set."""
-    if np.any(quad.mus == 0):
-        raise ZeroMu("quadrature contains mu = 0")
     if medium.lam == 0:
         raise PureAbsorber("iteration matrix needs lambda > 0")
     entries = averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
     return DenseOperator(entries, medium.cell_weights, f"T[{quad.provenance}]")
 
 
+def _entry_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
 def reference_iteration_matrix(
     medium: MediumProfile,
     delta: float,
     initial_nodes: int = defaults.REF_INITIAL_NODES,
-    entry_tol: float = defaults.REF_ENTRY_TOL,
-    max_nodes: int = defaults.REF_MAX_NODES,
 ) -> tuple[DenseOperator, int]:
     """Continuum iteration matrix via a composite Gauss rule, refined to cert.
 
-    Doubles the nodes per half-interval until successive matrices agree
-    entrywise below entry_tol; raises ReferenceNotConverged past max_nodes.
+    Doubles the nodes per half-interval from ``initial_nodes`` until
+    successive matrices agree entrywise to defaults.REF_ENTRY_TOL; raises
+    ReferenceNotConverged past defaults.REF_MAX_NODES.
     """
     if medium.lam == 0:
         raise PureAbsorber("iteration matrix needs lambda > 0")
-    nodes = initial_nodes
-    quad = reference_quadrature(delta, nodes)
-    current = averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
-    while 2 * nodes <= max_nodes:
-        nodes *= 2
-        quad = reference_quadrature(delta, nodes)
-        refined = averaged_response_matrix(
-            medium, quad.mus, quad.weights, medium.sigma_r
-        )
-        gap = float(np.max(np.abs(refined - current)))
-        current = refined
-        if gap < entry_tol:
-            return (
-                DenseOperator(current, medium.cell_weights, f"T_ref(N={nodes})"),
-                nodes,
-            )
-    raise ReferenceNotConverged(
-        f"iteration matrix not entrywise-converged below {entry_tol} at {max_nodes} nodes/half"
+    entries, nodes, _ = certify_by_doubling(
+        lambda quad: averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r),
+        _entry_gap, delta, initial_nodes, defaults.REF_MAX_NODES, defaults.REF_ENTRY_TOL,
+        "iteration matrix",
     )
+    return DenseOperator(entries, medium.cell_weights, f"T_ref(N={nodes})"), nodes
 
 
 def weighted_operator_norm(
@@ -177,12 +163,15 @@ class DeltaStats:
     entry_se: np.ndarray
 
 
-def _collect_stats(n: int, norms: np.ndarray, entries: np.ndarray) -> DeltaStats:
+def _collect_stats(n: int, results: list) -> DeltaStats:
+    """Statistics of per-sample (norm, deviation) pairs, in sample order."""
+    norms = np.array([r[0] for r in results])
+    entries = np.stack([r[1] for r in results])
     count = norms.size
     sq = norms**2
     entry_mean = entries.mean(axis=0)
     entry_var = entries.var(axis=0, ddof=1)
-    stats = DeltaStats(
+    return DeltaStats(
         n=n,
         samples=count,
         mean_norm=float(norms.mean()),
@@ -193,7 +182,6 @@ def _collect_stats(n: int, norms: np.ndarray, entries: np.ndarray) -> DeltaStats
         entry_mean=entry_mean,
         entry_se=np.sqrt(entry_var / count),
     )
-    return stats
 
 
 def iteration_deviation_stats(
@@ -221,10 +209,7 @@ def iteration_deviation_stats(
         norm = weighted_operator_norm(DenseOperator(delta, weight, f"dT[{i}]"))
         return norm, delta
 
-    results = indexed_map(one, sample_count, jobs)
-    norms = np.array([r[0] for r in results])
-    deltas = np.stack([r[1] for r in results])
-    return _collect_stats(partition.n, norms, deltas)
+    return _collect_stats(partition.n, indexed_map(one, sample_count, jobs))
 
 
 def boundary_deviation_stats(
@@ -234,14 +219,13 @@ def boundary_deviation_stats(
     master_seed: int,
     sample_count: int,
     ref_nodes: int = defaults.REF_INITIAL_NODES,
-    entry_tol: float = defaults.REF_ENTRY_TOL,
-    max_nodes: int = defaults.REF_MAX_NODES,
     jobs: int = 1,
 ) -> DeltaStats:
     """Norm statistics of the sampled boundary-propagation quadrature error.
 
     Per sample, the deviation is the ordinate-weighted boundary profile
-    minus its certified reference average; statistics are over the
+    minus its reference average, certified entrywise to
+    defaults.REF_ENTRY_TOL from ``ref_nodes``; statistics are over the
     L2(sigma_t) norms, with elementwise means kept for the mean-zero check.
     """
     if sample_count < 2:
@@ -252,26 +236,14 @@ def boundary_deviation_stats(
         profiles = transmission_averages(medium, quad.mus)
         return (quad.weights * values) @ profiles
 
-    nodes = ref_nodes
-    b_ref = averaged_profile(reference_quadrature(partition.delta, nodes))
-    while True:
-        if 2 * nodes > max_nodes:
-            raise ReferenceNotConverged(
-                f"boundary average not converged below {entry_tol} at {max_nodes} nodes/half"
-            )
-        nodes *= 2
-        refined = averaged_profile(reference_quadrature(partition.delta, nodes))
-        gap = float(np.max(np.abs(refined - b_ref)))
-        b_ref = refined
-        if gap < entry_tol:
-            break
+    b_ref, _, _ = certify_by_doubling(
+        averaged_profile, _entry_gap, partition.delta, ref_nodes, defaults.REF_MAX_NODES,
+        defaults.REF_ENTRY_TOL, "boundary average",
+    )
 
     def one(i: int):
         quad = rom_sample(partition, master_seed, i)
         delta = averaged_profile(quad) - b_ref
         return weighted_norm_of(delta, medium), delta
 
-    results = indexed_map(one, sample_count, jobs)
-    norms = np.array([r[0] for r in results])
-    deltas = np.stack([r[1] for r in results])
-    return _collect_stats(partition.n, norms, deltas)
+    return _collect_stats(partition.n, indexed_map(one, sample_count, jobs))

@@ -132,14 +132,6 @@ def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> S
 # ---------------------------------------------------------------------------
 
 
-def _upwind_arrays(medium: MediumProfile, positive: bool):
-    sigma = medium.sigma_t
-    h = medium.grid.widths
-    if positive:
-        return sigma, h
-    return sigma[::-1], h[::-1]
-
-
 def _half_factors(sigma_up, h_up, mu_abs):
     """Per-ordinate factors in upwind cell order for one sign group.
 
@@ -154,6 +146,21 @@ def _half_factors(sigma_up, h_up, mu_abs):
     return tau, E, G, c, centry
 
 
+def _sign_groups(medium: MediumProfile, mus: np.ndarray):
+    """Yield (selection, flip, factors) per nonempty sign group, mu > 0 first.
+
+    ``flip`` puts a per-cell array in the group's upwind order and maps an
+    upwind result back (identity for mu > 0, reversal for mu < 0);
+    ``factors`` are the group's _half_factors.
+    """
+    if np.any(mus == 0):
+        raise ZeroMu("transport sweep undefined at mu = 0")
+    for sel, flip in ((mus > 0, slice(None)), (mus < 0, slice(None, None, -1))):
+        if np.any(sel):
+            sigma_up, h_up = medium.sigma_t[flip], medium.grid.widths[flip]
+            yield sel, flip, _half_factors(sigma_up, h_up, np.abs(mus[sel]))
+
+
 def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
     """Sweeps of one source vector at many ordinates.
 
@@ -161,8 +168,6 @@ def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
     of ``mus``.  Equivalent to stacking sweep_direction results.
     """
     mus = np.asarray(mus, dtype=float)
-    if np.any(mus == 0):
-        raise ZeroMu("transport sweep undefined at mu = 0")
     inflows = np.broadcast_to(np.asarray(inflows, dtype=float), mus.shape)
     s = np.asarray(cell_source, dtype=float)
     m = medium.ncells
@@ -170,25 +175,17 @@ def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
         raise LengthMismatch(f"cell_source has length {s.size}, grid has {m} cells")
     avg = np.empty((mus.size, m))
     edges = np.empty((mus.size, m + 1))
-    for positive in (True, False):
-        sel = mus > 0 if positive else mus < 0
-        if not np.any(sel):
-            continue
-        sigma_up, h_up = _upwind_arrays(medium, positive)
-        s_up = s if positive else s[::-1]
-        a_up, e_up = _swept_half(sigma_up, h_up, s_up, np.abs(mus[sel]), inflows[sel])
-        if positive:
-            avg[sel] = a_up
-            edges[sel] = e_up
-        else:
-            avg[sel] = a_up[:, ::-1]
-            edges[sel] = e_up[:, ::-1]
+    for sel, flip, factors in _sign_groups(medium, mus):
+        sat_up = (s / medium.sigma_t)[flip]
+        a_up, e_up = _swept_half(factors, sat_up, inflows[sel])
+        avg[sel] = a_up[:, flip]
+        edges[sel] = e_up[:, flip]
+        del factors  # free this group's (L, M) factors before the next group's are built
     return avg, edges
 
 
-def _swept_half(sigma_up, h_up, s_up, mu_abs, inflow):
-    tau, E, G, c, centry = _half_factors(sigma_up, h_up, mu_abs)
-    sat = s_up / sigma_up
+def _swept_half(factors, sat, inflow):
+    tau, E, G, c, centry = factors
     if c[:, -1].max(initial=0.0) <= _EXP_GUARD:
         w = sat[None, :] * (-np.expm1(-tau)) * np.exp(c)
         cs = np.cumsum(w, axis=1)
@@ -215,17 +212,9 @@ def _swept_half(sigma_up, h_up, s_up, mu_abs, inflow):
 def transmission_averages(medium: MediumProfile, mus) -> np.ndarray:
     """(L, M) cell averages of the unit-inflow, zero-source sweep per ordinate."""
     mus = np.asarray(mus, dtype=float)
-    if np.any(mus == 0):
-        raise ZeroMu("transport sweep undefined at mu = 0")
     out = np.empty((mus.size, medium.ncells))
-    for positive in (True, False):
-        sel = mus > 0 if positive else mus < 0
-        if not np.any(sel):
-            continue
-        sigma_up, h_up = _upwind_arrays(medium, positive)
-        _, _, G, _, centry = _half_factors(sigma_up, h_up, np.abs(mus[sel]))
-        a_up = np.exp(-centry) * G
-        out[sel] = a_up if positive else a_up[:, ::-1]
+    for sel, flip, (_, _, G, _, centry) in _sign_groups(medium, mus):
+        out[sel] = (np.exp(-centry) * G)[:, flip]
     return out
 
 
@@ -238,27 +227,21 @@ def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) ->
     ordinate pass weights = [1.0].
     """
     mus = np.asarray(mus, dtype=float)
-    if np.any(mus == 0):
-        raise ZeroMu("transport sweep undefined at mu = 0")
     w = np.asarray(quad_weights, dtype=float)
     scale = np.asarray(scale, dtype=float)
     m = medium.ncells
     if scale.shape != (m,):
         raise LengthMismatch(f"scale has length {scale.size}, grid has {m} cells")
     out = np.zeros((m, m))
-    for positive in (True, False):
-        sel = mus > 0 if positive else mus < 0
-        if not np.any(sel):
-            continue
-        sigma_up, h_up = _upwind_arrays(medium, positive)
-        r_up = (scale / medium.sigma_t) if positive else (scale / medium.sigma_t)[::-1]
-        b_up = _response_half(sigma_up, h_up, r_up, np.abs(mus[sel]), w[sel])
-        out += b_up if positive else b_up[::-1, ::-1]
+    for sel, flip, factors in _sign_groups(medium, mus):
+        b_up = _response_half(factors, (scale / medium.sigma_t)[flip], w[sel])
+        out += b_up[flip, flip]
+        del factors  # free this group's (L, M) factors before the next group's are built
     return out
 
 
-def _response_half(sigma_up, h_up, r_up, mu_abs, w):
-    tau, E, G, c, centry = _half_factors(sigma_up, h_up, mu_abs)
+def _response_half(factors, r_up, w):
+    tau, E, G, c, centry = factors
     m = tau.shape[1]
     one_minus_e = -np.expm1(-tau)
     diag = r_up * (w.sum() - w @ G)

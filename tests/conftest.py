@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from romlab import SpatialGrid, make_medium
+
+# Property tests draw the same examples on every run and never fail on timing.
+settings.register_profile("romlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("romlab")
 
 
 def random_grid(rng, ncells):

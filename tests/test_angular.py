@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from romlab import (
     AlphaUnbounded,
     DeltaOutOfRange,
     OddN,
+    ReferenceNotConverged,
     build_partition,
     composite_gauss,
     dom_quadrature,
@@ -12,6 +15,7 @@ from romlab import (
     rom_sample,
     uniform_stream,
 )
+from romlab.angular import certify_by_doubling
 
 
 class TestPartition:
@@ -171,3 +175,58 @@ class TestRomSample:
         part = build_partition(8, 0.05)
         quad = rom_sample(part, 5, 0)
         np.testing.assert_array_equal(quad.weights, part.weights)
+
+
+class TestCertifyByDoubling:
+    @settings(max_examples=40)
+    @given(
+        coeff=st.floats(1e-6, 1e3),
+        power=st.floats(0.5, 4.0),
+        start=st.sampled_from([1, 2, 4, 8]),
+        max_nodes=st.sampled_from([4, 16, 64, 256]),
+        target=st.floats(1e-12, 1e-1),
+    )
+    def test_certified_gap_within_target(self, coeff, power, start, max_nodes, target):
+        # a value converging like (nodes per half)^-power
+        def at(nodes):
+            return coeff * float(nodes) ** -power
+
+        def evaluate(quad):
+            return at(quad.n // 2)
+
+        gaps = {}
+        nodes = start
+        while 2 * nodes <= max_nodes:
+            nodes *= 2
+            gaps[nodes] = abs(at(nodes) - at(nodes // 2))
+        certified = [n for n, gap in gaps.items() if gap <= target]
+        if not certified:
+            with pytest.raises(ReferenceNotConverged):
+                certify_by_doubling(
+                    evaluate, lambda a, b: abs(a - b), 0.05, start, max_nodes, target, "value"
+                )
+            return
+        value, nodes, gap = certify_by_doubling(
+            evaluate, lambda a, b: abs(a - b), 0.05, start, max_nodes, target, "value"
+        )
+        assert gap <= target
+        assert nodes == certified[0]
+        assert (value, gap) == (at(nodes), gaps[nodes])
+
+    def test_gap_equal_to_target_certifies(self):
+        value, nodes, gap = certify_by_doubling(
+            lambda quad: quad.n, lambda a, b: 0.5, 0.05, 4, 64, 0.5, "value"
+        )
+        assert (value, nodes, gap) == (16, 8, 0.5)
+
+    @pytest.mark.parametrize("start, max_nodes", [(4, 64), (4, 4), (8, 4)])
+    def test_unreachable_target_raises(self, start, max_nodes):
+        calls = []
+
+        def evaluate(quad):
+            calls.append(quad.n // 2)
+            return (-1.0) ** len(calls)
+
+        with pytest.raises(ReferenceNotConverged, match="value"):
+            certify_by_doubling(evaluate, lambda a, b: abs(a - b), 0.05, start, max_nodes, 1.0, "value")
+        assert max(calls) <= max(start, max_nodes)

@@ -2,15 +2,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from romlab.cli import (
-    error_table_to_csv,
-    flux_to_csv,
-    main,
-    parse_error_table_csv,
-    parse_regularization_csv,
-    regularization_to_csv,
-)
+from romlab.cli import flux_to_csv, main, parse_table_csv, table_to_csv
 from romlab.experiments import (
     ErrorRow,
     ErrorTable,
@@ -139,7 +133,7 @@ class TestStudy:
         out = tmp_path / "study"
         rc = main(["study", "--config", str(cfg), "--study", "delta-b", "--out", str(out)])
         assert rc == 0
-        table = parse_error_table_csv((out / "delta-b.csv").read_text())
+        table = parse_table_csv((out / "delta-b.csv").read_text())
         assert [r.n for r in table.rows] == [4, 8]
         summary = json.loads((out / "delta-b_summary.json").read_text())
         assert summary["study"] == "delta-b"
@@ -199,8 +193,16 @@ class TestStudy:
             ["study", "--config", str(cfg), "--study", "regularization", "--out", str(out)]
         )
         assert rc == 0
-        table = parse_regularization_csv((out / "regularization.csv").read_text())
+        table = parse_table_csv((out / "regularization.csv").read_text())
+        assert isinstance(table, RegularizationTable)
         assert all(r.satisfied for r in table.rows)
+
+    @pytest.mark.parametrize("study", ["single-run", "dom"])
+    def test_iteration_cap_exit_code(self, tmp_path, capsys, study):
+        cfg = write_config(tmp_path, solver={"max_iter": 1})
+        rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "iteration" in capsys.readouterr().err
 
     def test_bad_jobs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -216,13 +218,16 @@ class TestRoundTrip:
             ErrorRow(16, 9.87654321e-5, 1.1e-6, 128, True, 1.5),
         )
         table = ErrorTable("single-run", rows)
-        text = error_table_to_csv(table)
-        parsed = parse_error_table_csv(text, "single-run")
+        text = table_to_csv(table)
+        assert text.splitlines()[0] == "n,estimate,se,samples,flagged,wall_time_s"
+        assert text.splitlines()[2] == "16,9.8765432099999994e-05,1.1000000000000001e-06,128,true,0"
+        parsed = parse_table_csv(text, "single-run")
+        assert parsed.kind == "single-run"
         for a, b in zip(rows, parsed.rows):
             assert (a.n, a.estimate, a.se, a.samples, a.flagged) == (
                 b.n, b.estimate, b.se, b.samples, b.flagged,
             )
-        assert error_table_to_csv(parsed) == text
+        assert table_to_csv(parsed) == text
 
     def test_regularization_table(self):
         rows = (
@@ -230,13 +235,15 @@ class TestRoundTrip:
             RegularizationRow(0.1, 6.5e-3, 4.9e-3, 9.8e-3, True, 0.8),
         )
         table = RegularizationTable(rows)
-        text = regularization_to_csv(table)
-        parsed = parse_regularization_csv(text)
+        text = table_to_csv(table)
+        assert text.splitlines()[0] == "delta,error,f_norm,bound,satisfied,wall_time_s"
+        assert text.splitlines()[1] == "0.20000000000000001,0.014999999999999999,0.010999999999999999,0.021999999999999999,true,0"
+        parsed = parse_table_csv(text)
         for a, b in zip(rows, parsed.rows):
             assert (a.delta, a.error, a.f_norm, a.bound, a.satisfied) == (
                 b.delta, b.error, b.f_norm, b.bound, b.satisfied,
             )
-        assert regularization_to_csv(parsed) == text
+        assert table_to_csv(parsed) == text
 
     def test_flux_csv_lossless(self):
         values = np.array([0.1234567890123456789, 2.0 / 3.0, 1e-300])

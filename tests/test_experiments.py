@@ -8,6 +8,7 @@ from romlab import (
     ConstantBoundary,
     ErrorRow,
     ErrorTable,
+    NoConvergence,
     PureAbsorber,
     SpatialGrid,
     StudyConfig,
@@ -88,6 +89,14 @@ class TestStudyConfig:
     def test_n_list_must_increase(self):
         with pytest.raises(ConfigError):
             small_config(n_list=(8, 8, 16))
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("study", [single_run_error_study, bias_study, dom_error_study])
+    def test_study_raises_no_convergence(self, study):
+        cfg = small_config(sample_count=16, max_iter=1)
+        with pytest.raises(NoConvergence):
+            study(cfg)
 
 
 class TestReferenceSolution:
