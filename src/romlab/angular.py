@@ -70,7 +70,6 @@ class VelocityPartition:
     upper: np.ndarray
     weights: np.ndarray
     alpha: np.ndarray
-    layout: str
 
     @property
     def n(self) -> int:
@@ -125,7 +124,7 @@ def build_partition(
         )
     return VelocityPartition(
         float(delta), _frozen_array(lower), _frozen_array(upper), _frozen_array(weights),
-        _frozen_array(alpha), layout,
+        _frozen_array(alpha),
     )
 
 

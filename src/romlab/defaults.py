@@ -19,8 +19,7 @@ ALPHA_MAX: float = _DOC["alpha_max"]
 SPATIAL_CELLS: int = _DOC["spatial_cells"]
 TAU_TAYLOR: float = _DOC["tau_taylor_threshold"]
 EXP_PRODUCT_GUARD: float = _DOC["exp_product_guard"]
-POWER_ITER_REL_TOL: float = _DOC["power_iteration"]["rel_tol"]
-POWER_ITER_MAX_ITER: int = _DOC["power_iteration"]["max_iter"]
+SOLVER_TOL: float = _DOC["solver"]["tol"]
 SOLVER_MAX_ITER: int = _DOC["solver"]["max_iter"]
 REF_INITIAL_NODES: int = _DOC["reference"]["initial_nodes_per_half"]
 REF_MAX_NODES: int = _DOC["reference"]["max_nodes_per_half"]

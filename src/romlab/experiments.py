@@ -90,8 +90,8 @@ class StudyConfig:
     The solver tolerance must sit at least three orders below the cubic
     velocity-error scale of the largest n, so measured errors are purely
     velocity discretization; None derives the cap value.  ``ref_target``
-    is the certification gap for the reference solution, defaulting to one
-    hundredth of that same scale.
+    is the certification gap for the reference solution, one hundredth of
+    that same scale.
     """
 
     medium: MediumProfile
@@ -102,7 +102,6 @@ class StudyConfig:
     master_seed: int
     solver_tol: float | None = None
     ref_nodes: int = defaults.REF_INITIAL_NODES
-    ref_target: float | None = None
     max_iter: int = defaults.SOLVER_MAX_ITER
 
     def __post_init__(self):
@@ -119,18 +118,16 @@ class StudyConfig:
                 f"solver error below the velocity errors measured, got {tol:.3g}",
             )
         object.__setattr__(self, "solver_tol", tol)
-        target = (
-            defaults.REF_TARGET_COEFF * max(n_list) ** -3
-            if self.ref_target is None
-            else float(self.ref_target)
-        )
-        object.__setattr__(self, "ref_target", target)
         if self.sample_count < 1:
             raise ConfigError("/study/samples", "must be at least 1")
 
     @property
     def n_max(self) -> int:
         return max(self.n_list)
+
+    @property
+    def ref_target(self) -> float:
+        return defaults.REF_TARGET_COEFF * self.n_max**-3
 
 
 def _unit_slab(ncells, sigma_s, q, left_inflow, **study) -> StudyConfig:
@@ -363,7 +360,6 @@ def regularization_study(
     boundary: BoundarySpec,
     delta_list,
     reference_delta: float,
-    target: float | None = None,
     ref_nodes: int = defaults.REF_INITIAL_NODES,
 ) -> RegularizationTable:
     """Truncation error against the stability bound, per truncation level.
@@ -373,18 +369,18 @@ def regularization_study(
     ||f|| / (1 - lambda) plus the certification allowance, where f is the
     consistency error of the truncated direction average evaluated on the
     reference angular flux.  Every solve uses the fixed tolerance
-    defaults.REGULARIZATION_SOLVER_TOL and the default iteration cap.
+    defaults.REGULARIZATION_SOLVER_TOL and the default iteration cap, and
+    each certified solve refines its quadrature to a gap of
+    defaults.REGULARIZATION_TARGET.
     """
     delta_list = [float(d) for d in delta_list]
     if reference_delta >= min(delta_list):
         raise ValueError("reference_delta must be below every studied delta")
     if medium.lam == 0:
         raise PureAbsorber("regularization bound needs lambda > 0")
-    if target is None:
-        target = defaults.REGULARIZATION_TARGET
 
     ref_flux, ref_nodes_used, ref_gap = _certified_solve(
-        medium, boundary, reference_delta, ref_nodes, target,
+        medium, boundary, reference_delta, ref_nodes, defaults.REGULARIZATION_TARGET,
         defaults.REGULARIZATION_SOLVER_TOL, defaults.SOLVER_MAX_ITER,
     )
     frozen_source = medium.sigma_s * ref_flux + medium.q
@@ -401,7 +397,7 @@ def regularization_study(
     for delta in delta_list:
         start = time.perf_counter()
         phi_d, nodes_d, gap_d = _certified_solve(
-            medium, boundary, delta, ref_nodes, target,
+            medium, boundary, delta, ref_nodes, defaults.REGULARIZATION_TARGET,
             defaults.REGULARIZATION_SOLVER_TOL, defaults.SOLVER_MAX_ITER,
         )
         error = weighted_norm_of(phi_d - ref_flux, medium)

@@ -21,9 +21,8 @@ from .angular import (
     VelocityPartition,
     certify_by_doubling,
     rom_sample,
-    uniform_stream,
 )
-from .errors import NoConvergence, PureAbsorber
+from .errors import PureAbsorber
 from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
 from .sweep import averaged_response_matrix, transmission_averages
 
@@ -34,7 +33,6 @@ class DenseOperator:
 
     entries: np.ndarray
     weight: np.ndarray
-    label: str
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -65,7 +63,7 @@ def transport_matrix(medium: MediumProfile, mu: float) -> DenseOperator:
     if medium.lam == 0:
         raise PureAbsorber("transport matrix needs lambda > 0")
     entries = averaged_response_matrix(medium, [mu], [1.0], medium.sigma_r)
-    return DenseOperator(entries, medium.cell_weights, f"A(mu={mu})")
+    return DenseOperator(entries, medium.cell_weights)
 
 
 def iteration_matrix(medium: MediumProfile, quad: QuadratureSet) -> DenseOperator:
@@ -73,7 +71,7 @@ def iteration_matrix(medium: MediumProfile, quad: QuadratureSet) -> DenseOperato
     if medium.lam == 0:
         raise PureAbsorber("iteration matrix needs lambda > 0")
     entries = averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
-    return DenseOperator(entries, medium.cell_weights, f"T[{quad.provenance}]")
+    return DenseOperator(entries, medium.cell_weights)
 
 
 def _entry_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -98,39 +96,18 @@ def reference_iteration_matrix(
         _entry_gap, delta, initial_nodes, defaults.REF_MAX_NODES, defaults.REF_ENTRY_TOL,
         "iteration matrix",
     )
-    return DenseOperator(entries, medium.cell_weights, f"T_ref(N={nodes})"), nodes
+    return DenseOperator(entries, medium.cell_weights), nodes
 
 
-def weighted_operator_norm(
-    op: DenseOperator,
-    rel_tol: float = defaults.POWER_ITER_REL_TOL,
-    max_iter: int = defaults.POWER_ITER_MAX_ITER,
-) -> float:
-    """Largest singular value of D^{1/2} entries D^{-1/2} by power iteration.
-
-    Iterates the Gram matrix with a fixed pseudo-random start vector until
-    the eigenvalue estimate is stationary to rel_tol; deterministic for a
-    given matrix on every platform.
-    """
+def _weighted_frame(op: DenseOperator) -> np.ndarray:
+    """D^{1/2} entries D^{-1/2}: the weighted norm of op is its spectral norm."""
     d = np.sqrt(op.weight)
-    a = op.entries * (d[:, None] / d[None, :])
-    gram = a.T @ a
-    m = gram.shape[0]
-    v = uniform_stream(0x5EED0FA2, 0, m) - 0.5
-    v /= np.linalg.norm(v)
-    estimate = -1.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - estimate) <= rel_tol * nw:
-            return float(np.sqrt(nw))
-        estimate = nw
-    raise NoConvergence(
-        f"power iteration not stationary to {rel_tol} within {max_iter} steps"
-    )
+    return op.entries * (d[:, None] / d[None, :])
+
+
+def weighted_operator_norm(op: DenseOperator) -> float:
+    """Largest singular value of D^{1/2} entries D^{-1/2}, exact (LAPACK SVD)."""
+    return float(np.linalg.norm(_weighted_frame(op), 2))
 
 
 def gram_trace(medium: MediumProfile, mu: float) -> float:
@@ -139,9 +116,7 @@ def gram_trace(medium: MediumProfile, mu: float) -> float:
     Equals the squared Hilbert-Schmidt norm: sum_ij entries_ij^2 * D_i / D_j.
     Bounded by |x_R - x_L| / |mu| * max(sigma_t)^2 * max(1/sigma_t).
     """
-    op = transport_matrix(medium, mu)
-    d = op.weight
-    return float(np.sum(op.entries**2 * (d[:, None] / d[None, :])))
+    return float(np.sum(_weighted_frame(transport_matrix(medium, mu)) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +181,7 @@ def iteration_deviation_stats(
         quad = rom_sample(partition, master_seed, i)
         t = averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
         delta = t - ref_op.entries
-        norm = weighted_operator_norm(DenseOperator(delta, weight, f"dT[{i}]"))
+        norm = weighted_operator_norm(DenseOperator(delta, weight))
         return norm, delta
 
     return _collect_stats(partition.n, indexed_map(one, sample_count, jobs))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import defaults
 from .angular import QuadratureSet
 from .errors import ZeroMu
 from .medium import (
@@ -28,6 +29,8 @@ from .sweep import AngularFlux, averaged_response_matrix, batched_sweep
 # Above this many ordinates the per-iteration sweep is cheaper than
 # precomputing the dense iteration matrix once.
 _MATRIX_PATH_MAX_ORDINATES = 256
+# Trailing residual ratios averaged into the reported contraction estimate.
+_CONTRACTION_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,10 @@ class SolveReport:
     stop_threshold: float
 
 
-def _contraction_estimate(residuals: list[float], window: int = 5) -> float:
+def _contraction_estimate(residuals: list[float]) -> float:
     """Geometric mean of the trailing successive-residual ratios."""
-    pairs = list(zip(residuals[-(window + 1) : -1], residuals[-window:]))
-    ratios = [b / a for a, b in pairs if a > 0]
+    tail = residuals[-(_CONTRACTION_WINDOW + 1) :]
+    ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
     if not ratios:
         return 0.0
     return float(np.prod(ratios) ** (1.0 / len(ratios)))
@@ -54,8 +57,8 @@ def solve(
     medium: MediumProfile,
     boundary: BoundarySpec,
     quad: QuadratureSet,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
+    tol: float = defaults.SOLVER_TOL,
+    max_iter: int = defaults.SOLVER_MAX_ITER,
 ) -> tuple[ScalarFlux, SolveReport]:
     """Iterate phi <- sum_l w_l sweep(sigma_s phi + q, inflow_l) from phi = 0.
 

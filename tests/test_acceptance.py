@@ -130,9 +130,7 @@ def test_criterion_2_operator_norm_bounds():
         mu = rng.choice([-1, 1]) * rng.uniform(0.1, 0.95)
         a = transport_matrix(medium, mu)
         b = transport_matrix(medium, mu + h)
-        fd = weighted_operator_norm(
-            DenseOperator(b.entries - a.entries, a.weight, "fd")
-        ) / h
+        fd = weighted_operator_norm(DenseOperator(b.entries - a.entries, a.weight)) / h
         bound = (1.0 / abs(mu)) * (1.0 + np.max(medium.sigma_t / medium.sigma_r)) + 0.1
         lip_ok = lip_ok and fd <= bound
         cases += 1

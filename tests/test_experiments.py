@@ -317,9 +317,7 @@ class TestRegularizationStudy:
 
     def test_error_vanishes_as_delta_approaches_reference(self):
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        table = regularization_study(
-            self._medium(), bc, [0.1, 0.025], 0.0125, target=1e-9
-        )
+        table = regularization_study(self._medium(), bc, [0.1, 0.025], 0.0125)
         assert table.rows[-1].error < table.rows[0].error / 3
 
     def test_requires_scattering(self):

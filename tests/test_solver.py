@@ -56,6 +56,10 @@ class TestSolve:
         _, report = solve(medium, ZERO_BC, quad, tol=1e-11)
         assert report.contraction_estimate <= 0.55
         assert report.converged
+        # fewer residuals than the averaging window
+        for k in (2, 3, 4, 5):
+            _, report = solve(medium, ZERO_BC, quad, max_iter=k)
+            assert 0.0 < report.contraction_estimate <= 0.55
 
     def test_monotone_iterates(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 12)
