@@ -24,7 +24,7 @@ from .medium import (
     inflow_values,
     weighted_norm_of,
 )
-from .sweep import AngularFlux, averaged_response_matrix, batched_sweep
+from .sweep import AngularFlux, _response_matrix, _sweep_averages, _sweep_factors, batched_sweep
 
 # Above this many ordinates the per-iteration sweep is cheaper than
 # precomputing the dense iteration matrix once.
@@ -65,7 +65,8 @@ def solve(
     Stops once the iterate difference drops below tol * (1 - lam) / lam with
     lam = max(scattering ratio, 0.1), which guarantees the returned flux is
     within tol of the exact discrete fixed point.  On hitting max_iter the
-    best iterate is returned with converged = False.
+    best iterate is returned with converged = False.  The sweep factors are
+    built once per solve; iterations sweep cell averages, never edge values.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -77,11 +78,11 @@ def solve(
     weights = quad.weights
     inflows = inflow_values(boundary, mus)
 
-    const_avg, _ = batched_sweep(medium, mus, medium.q, inflows)
-    const = weights @ const_avg
+    factors = list(_sweep_factors(medium, mus))
+    const = weights @ _sweep_averages(factors, medium, medium.q, inflows, None)
     use_matrix = quad.n <= _MATRIX_PATH_MAX_ORDINATES
     if use_matrix:
-        scatter = averaged_response_matrix(medium, mus, weights, medium.sigma_s)
+        scatter = _response_matrix(factors, medium, weights, medium.sigma_s)
 
     phi = np.zeros(medium.ncells)
     residuals: list[float] = []
@@ -92,10 +93,8 @@ def solve(
         if use_matrix:
             phi_next = scatter @ phi + const
         else:
-            avg, _ = batched_sweep(
-                medium, mus, medium.sigma_s * phi + medium.q, inflows
-            )
-            phi_next = weights @ avg
+            source = medium.sigma_s * phi + medium.q
+            phi_next = weights @ _sweep_averages(factors, medium, source, inflows, None)
         final_residual = weighted_norm_of(phi_next - phi, medium)
         residuals.append(final_residual)
         phi = phi_next

@@ -10,12 +10,14 @@ tau = sigma_t * h / |mu| and saturation value sat = s / sigma_t:
 marched in the upwind direction.  ``sweep_direction`` is the plain scalar
 march and serves as the reference route; the batched helpers below compute
 the same quantities for many ordinates at once via cumulative optical
-depths and are cross-checked against the march in the test suite.
+depths and are cross-checked against the march in the test suite.  Their
+exponentials are built once per solve and shared by all of its sweeps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,37 +130,50 @@ def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> S
 
 
 # ---------------------------------------------------------------------------
-# Batch layer: many ordinates at once via cumulative optical depth.
+# Batch layer: many ordinates at once via cumulative optical depth.  The
+# exponentials depend on the medium and the ordinates, never on the source:
+# one factor set per (medium, ordinates) serves every sweep over that pair.
 # ---------------------------------------------------------------------------
 
 
-def _half_factors(sigma_up, h_up, mu_abs):
-    """Per-ordinate factors in upwind cell order for one sign group.
+class _Half(NamedTuple):
+    """Source-independent factors of one sign group, in upwind cell order.
 
-    Returns (tau, E, G, c, centry): optical depths, transmissions, escape
-    factors, cumulative depth through cell i, and depth to its entry edge.
+    ``flip`` maps per-cell arrays to upwind order and back.  ``decay`` is
+    exp(-depth) from the upwind boundary to each of the M + 1 edges.  Thin
+    groups (depths within the exp-product guard) carry ``exp_c`` for the
+    cumulative-sum path, thick groups the transmissions ``E`` for the march.
     """
+
+    sel: np.ndarray
+    flip: slice
+    G: np.ndarray
+    one_minus_e: np.ndarray
+    decay: np.ndarray
+    exp_c: np.ndarray | None
+    E: np.ndarray | None
+
+
+def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
     tau = sigma_up[None, :] * h_up[None, :] / mu_abs[:, None]
-    E = np.exp(-tau)
-    G = _escape_factor(tau)
     c = np.cumsum(tau, axis=1)
-    centry = np.concatenate([np.zeros((tau.shape[0], 1)), c[:, :-1]], axis=1)
-    return tau, E, G, c, centry
+    decay = np.exp(-np.concatenate([np.zeros((tau.shape[0], 1)), c], axis=1))
+    thin = c[:, -1].max(initial=0.0) <= _EXP_GUARD
+    return _Half(sel, flip, _escape_factor(tau), -np.expm1(-tau), decay,
+                 np.exp(c) if thin else None, None if thin else np.exp(-tau))
 
 
-def _sign_groups(medium: MediumProfile, mus: np.ndarray):
-    """Yield (selection, flip, factors) per nonempty sign group, mu > 0 first.
+def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
+    """Yield the _Half of each nonempty sign group of ``mus``, mu > 0 first.
 
-    ``flip`` puts a per-cell array in the group's upwind order and maps an
-    upwind result back (identity for mu > 0, reversal for mu < 0);
-    ``factors`` are the group's _half_factors.
+    The public kernels consume it lazily, one group's factors at a time.
     """
     if np.any(mus == 0):
         raise ZeroMu("transport sweep undefined at mu = 0")
     for sel, flip in ((mus > 0, slice(None)), (mus < 0, slice(None, None, -1))):
         if np.any(sel):
             sigma_up, h_up = medium.sigma_t[flip], medium.grid.widths[flip]
-            yield sel, flip, _half_factors(sigma_up, h_up, np.abs(mus[sel]))
+            yield _half_factors(sel, flip, sigma_up, h_up, np.abs(mus[sel]))
 
 
 def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
@@ -173,38 +188,45 @@ def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
     m = medium.ncells
     if s.shape != (m,):
         raise LengthMismatch(f"cell_source has length {s.size}, grid has {m} cells")
-    avg = np.empty((mus.size, m))
     edges = np.empty((mus.size, m + 1))
-    for sel, flip, factors in _sign_groups(medium, mus):
-        sat_up = (s / medium.sigma_t)[flip]
-        a_up, e_up = _swept_half(factors, sat_up, inflows[sel])
-        avg[sel] = a_up[:, flip]
-        edges[sel] = e_up[:, flip]
-        del factors  # free this group's (L, M) factors before the next group's are built
-    return avg, edges
+    return _sweep_averages(_sweep_factors(medium, mus), medium, s, inflows, edges), edges
 
 
-def _swept_half(factors, sat, inflow):
-    tau, E, G, c, centry = factors
-    if c[:, -1].max(initial=0.0) <= _EXP_GUARD:
-        w = sat[None, :] * (-np.expm1(-tau)) * np.exp(c)
-        cs = np.cumsum(w, axis=1)
-        cs_prev = np.concatenate([np.zeros((tau.shape[0], 1)), cs[:, :-1]], axis=1)
-        psi_in = np.exp(-centry) * (inflow[:, None] + cs_prev)
-        avg = sat[None, :] + (psi_in - sat[None, :]) * G
-        edges = np.concatenate(
-            [inflow[:, None], np.exp(-c) * (inflow[:, None] + cs)], axis=1
-        )
+def _sweep_averages(factors, medium: MediumProfile, cell_source, inflows, edges) -> np.ndarray:
+    """(L, M) cell averages of one source's sweeps over a factor set; also
+    fills ``edges`` (L, M+1) with the edge values unless it is None.
+    """
+    sat = cell_source / medium.sigma_t
+    avg = np.empty((inflows.size, medium.ncells))
+    for f in factors:
+        a_up, e_up = _swept_half(f, sat[f.flip], inflows[f.sel])
+        avg[f.sel] = a_up[:, f.flip]
+        if edges is not None:
+            edges[f.sel] = e_up[:, f.flip]
+        del f, a_up, e_up  # free this group's arrays before the next group's are built
+    return avg
+
+
+def _swept_half(f: _Half, sat, inflow):
+    if f.exp_c is not None:
+        # edge values decay * (inflow + emission accumulated up to the edge)
+        edges = np.zeros((inflow.size, sat.size + 1))
+        np.cumsum(sat[None, :] * f.one_minus_e * f.exp_c, axis=1, out=edges[:, 1:])
+        edges += inflow[:, None]
+        edges *= f.decay
+        avg = edges[:, :-1] - sat[None, :]
+        avg *= f.G
+        avg += sat[None, :]
         return avg, edges
     # optically thick fallback: march cells, vectorized over ordinates
-    L, m = tau.shape
+    L, m = f.G.shape
     avg = np.empty((L, m))
     edges = np.empty((L, m + 1))
     psi = inflow.astype(float).copy()
     edges[:, 0] = psi
     for i in range(m):
-        avg[:, i] = sat[i] + (psi - sat[i]) * G[:, i]
-        psi = sat[i] + (psi - sat[i]) * E[:, i]
+        avg[:, i] = sat[i] + (psi - sat[i]) * f.G[:, i]
+        psi = sat[i] + (psi - sat[i]) * f.E[:, i]
         edges[:, i + 1] = psi
     return avg, edges
 
@@ -213,8 +235,8 @@ def transmission_averages(medium: MediumProfile, mus) -> np.ndarray:
     """(L, M) cell averages of the unit-inflow, zero-source sweep per ordinate."""
     mus = np.asarray(mus, dtype=float)
     out = np.empty((mus.size, medium.ncells))
-    for sel, flip, (_, _, G, _, centry) in _sign_groups(medium, mus):
-        out[sel] = (np.exp(-centry) * G)[:, flip]
+    for f in _sweep_factors(medium, mus):
+        out[f.sel] = (f.decay[:, :-1] * f.G)[:, f.flip]
     return out
 
 
@@ -232,35 +254,37 @@ def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) ->
     m = medium.ncells
     if scale.shape != (m,):
         raise LengthMismatch(f"scale has length {scale.size}, grid has {m} cells")
-    out = np.zeros((m, m))
-    for sel, flip, factors in _sign_groups(medium, mus):
-        b_up = _response_half(factors, (scale / medium.sigma_t)[flip], w[sel])
-        out += b_up[flip, flip]
-        del factors  # free this group's (L, M) factors before the next group's are built
+    return _response_matrix(_sweep_factors(medium, mus), medium, w, scale)
+
+
+def _response_matrix(factors, medium: MediumProfile, w, scale) -> np.ndarray:
+    """averaged_response_matrix over a factor set."""
+    r = scale / medium.sigma_t
+    out = np.zeros((medium.ncells, medium.ncells))
+    for f in factors:
+        out += _response_half(f, r[f.flip], w[f.sel])[f.flip, f.flip]
+        del f  # free this group's factors before the next group's are built
     return out
 
 
-def _response_half(factors, r_up, w):
-    tau, E, G, c, centry = factors
-    m = tau.shape[1]
-    one_minus_e = -np.expm1(-tau)
-    diag = r_up * (w.sum() - w @ G)
-    if c[:, -1].max(initial=0.0) <= _EXP_GUARD:
-        u = G * np.exp(-centry)
-        v = r_up[None, :] * one_minus_e * np.exp(c)
+def _response_half(f: _Half, r_up, w):
+    L, m = f.G.shape
+    diag = r_up * (w.sum() - w @ f.G)
+    if f.exp_c is not None:
+        u = f.G * f.decay[:, :-1]
+        v = r_up[None, :] * f.one_minus_e * f.exp_c
         full = (w[:, None] * u).T @ v
         b = np.tril(full, k=-1)
     else:
         # thick media: march unit-source columns, vectorized over ordinates
-        L = tau.shape[0]
         b = np.zeros((m, m))
         psi = np.zeros((L, m))
         for i in range(m):
-            avg = psi * G[:, i : i + 1]
-            avg[:, i] += r_up[i] * (1.0 - G[:, i])
+            avg = psi * f.G[:, i : i + 1]
+            avg[:, i] += r_up[i] * (1.0 - f.G[:, i])
             b[i, :] = w @ avg
-            psi = psi * E[:, i : i + 1]
-            psi[:, i] += r_up[i] * one_minus_e[:, i]
+            psi = psi * f.E[:, i : i + 1]
+            psi[:, i] += r_up[i] * f.one_minus_e[:, i]
         np.fill_diagonal(b, 0.0)
     np.fill_diagonal(b, diag)
     return b

@@ -1,4 +1,5 @@
-"""Property tests of the batched sweep kernels against the scalar march.
+"""Property tests of the batched sweep kernels against the scalar march,
+of the reuse of one sweep factor set, and of the weighted-adjoint identities.
 
 Media are drawn thin (every cumulative optical depth below the exp-product
 guard, so the cumulative-sum path runs) or thick (an ordinate just above
@@ -8,12 +9,30 @@ hair above the truncation delta.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from romlab import SpatialGrid, make_medium, sweep_direction
+from romlab import (
+    BoundarySpec,
+    ConstantBoundary,
+    QuadratureSet,
+    SpatialGrid,
+    make_medium,
+    reference_quadrature,
+    solve,
+    sweep_direction,
+)
 from romlab.defaults import EXP_PRODUCT_GUARD
-from romlab.sweep import averaged_response_matrix, batched_sweep, transmission_averages
+from romlab.medium import inflow_values, weighted_norm_of
+from romlab.operators import gram_trace, iteration_matrix, transport_matrix
+from romlab.sweep import (
+    _response_matrix,
+    _sweep_averages,
+    _sweep_factors,
+    averaged_response_matrix,
+    batched_sweep,
+    transmission_averages,
+)
 
 DELTA = 0.05
 # sigma_t ranges: thin keeps sigma_t / delta below the guard on the unit slab,
@@ -99,3 +118,84 @@ def test_response_matrix_matches_march(regime, data):
         for mu, w in zip(mus, weights):
             expected[:, j] += w * sweep_direction(medium, mu, unit, 0.0).cell_avg
     _close(out, expected)
+
+
+@pytest.mark.parametrize("regime", ["thin", "thick"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_factor_set_reuse_is_bitwise(regime, data):
+    # three sources and a response matrix through one factor set give the
+    # same bits as fresh public calls, so no kernel alters the shared factors
+    medium, mus, weights, inflows = data.draw(cases(regime))
+    _check_regime(medium, mus, regime)
+    factors = list(_sweep_factors(medium, mus))
+    for source in (medium.q, medium.sigma_s, 2.0 * medium.q + 0.5):
+        edges = np.empty((mus.size, medium.ncells + 1))
+        avg = _sweep_averages(factors, medium, source, inflows, edges)
+        fresh_avg, fresh_edges = batched_sweep(medium, mus, source, inflows)
+        assert np.array_equal(avg, fresh_avg) and np.array_equal(edges, fresh_edges)
+        assert np.array_equal(_sweep_averages(factors, medium, source, inflows, None), fresh_avg)
+    scale = medium.sigma_t * 0.5
+    assert np.array_equal(
+        _response_matrix(factors, medium, weights, scale),
+        averaged_response_matrix(medium, mus, weights, scale),
+    )
+
+
+def _public_sweep_loop(medium, boundary, quad, tol):
+    """Source iteration that sweeps sigma_s * phi + q with batched_sweep each time."""
+    lam_hat = max(medium.lam, 0.1)
+    threshold = tol * (1.0 - lam_hat) / lam_hat
+    inflows = inflow_values(boundary, quad.mus)
+    phi = np.zeros(medium.ncells)
+    for k in range(1, 100_000):
+        avg, _ = batched_sweep(medium, quad.mus, medium.sigma_s * phi + medium.q, inflows)
+        phi_next = quad.weights @ avg
+        residual = weighted_norm_of(phi_next - phi, medium)
+        phi = phi_next
+        if residual <= threshold:
+            return phi, k
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("regime", ["thin", "thick"])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_sweep_path_solve_matches_public_sweep_loop(regime, data):
+    medium, _, _, inflows = data.draw(cases(regime))
+    quad = reference_quadrature(DELTA, 160)  # 320 ordinates: the solver's sweep path
+    _check_regime(medium, quad.mus, regime)
+    boundary = BoundarySpec(ConstantBoundary(inflows[0]), ConstantBoundary(inflows[-1]))
+    phi, report = solve(medium, boundary, quad, tol=1e-9)
+    expected, iterations = _public_sweep_loop(medium, boundary, quad, 1e-9)
+    assert report.iterations == iterations
+    assert np.array_equal(phi.values, expected)
+
+
+def _weighted_dot(weight, a, b):
+    return float(np.sum(weight * a * b))
+
+
+@pytest.mark.parametrize("regime", ["thin", "thick"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_weighted_adjoint_and_gram_trace(regime, data):
+    medium, mus, weights, _ = data.draw(cases(regime))
+    _check_regime(medium, mus, regime)
+    assume(medium.lam > 0)
+    m = medium.ncells
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    y = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    quad = QuadratureSet(mus, weights, DELTA, "drawn")
+    for op in (transport_matrix(medium, mus[0]), iteration_matrix(medium, quad)):
+        d = op.weight
+        size = _weighted_dot(d, np.abs(op.entries) @ np.abs(x), np.abs(y))
+        lhs = _weighted_dot(d, op.entries @ x, y)
+        rhs = _weighted_dot(d, x, op.adjoint_entries() @ y)
+        assert abs(lhs - rhs) <= 1e-13 * size
+    # the single-direction operator at the ordinate nearest delta: in the
+    # thick regime this runs the response kernel's cell-march fallback
+    op = transport_matrix(medium, mus[0])
+    assert gram_trace(medium, mus[0]) == pytest.approx(
+        np.trace(op.adjoint_entries() @ op.entries), rel=1e-12
+    )
