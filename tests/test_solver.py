@@ -168,33 +168,6 @@ class TestSolve:
             solver_mod._MATRIX_PATH_MAX_ORDINATES = old
         assert weighted_norm_of(phi_big.values - phi_small.values, medium) <= 1e-11
 
-
-class TestErrorBound:
-    # solve's stopping rule promises weighted_norm(phi - phi*) <= tol for the
-    # exact discrete fixed point phi* = (I - S)^-1 c; tol stays far above the
-    # rounding of the dense solve, even at lambda = 0.99
-    TOL = 1e-8
-
-    @pytest.mark.parametrize("lam", [0.5, 0.99])
-    @pytest.mark.parametrize("regime, sigma_range", [("thin", (0.5, 2.0)), ("thick", (600.0, 1200.0))])
-    @pytest.mark.parametrize("path", ["matrix", "sweep"])
-    def test_within_tol_of_exact_fixed_point(self, rng, lam, regime, sigma_range, path):
-        grid = SpatialGrid.uniform(0.0, 1.0, 10)
-        sigma_t = rng.uniform(*sigma_range, 10)
-        medium = make_medium(grid, sigma_t, lam * sigma_t, rng.uniform(0.5, 1.5, 10))
-        bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.5))
-        if path == "matrix":
-            quad = rom_sample(build_partition(8, 0.05), 5, 0)
-        else:
-            quad = reference_quadrature(0.05, 160)  # 320 ordinates
-        phi, report = solve(medium, bc, quad, tol=self.TOL)
-        assert report.converged
-        mus, w = quad.mus, quad.weights
-        scatter = averaged_response_matrix(medium, mus, w, medium.sigma_s)
-        const = w @ batched_sweep(medium, mus, medium.q, inflow_values(bc, mus))[0]
-        exact = np.linalg.solve(np.eye(medium.ncells) - scatter, const)
-        assert weighted_norm_of(phi.values - exact, medium) <= self.TOL
-
     def test_sweep_path_memory_guard(self):
         # tracemalloc peak of a second solve at commit dc2587c (numpy 2.4.6),
         # where every source iteration rebuilt the sweep factors and edges:
@@ -210,6 +183,33 @@ class TestErrorBound:
         finally:
             tracemalloc.stop()
         assert peak <= parent_peak
+
+
+class TestErrorBound:
+    # solve's stopping rule promises weighted_norm(phi - phi*) <= tol for the
+    # exact discrete fixed point phi* = (I - S)^-1 c; tol stays far above the
+    # rounding of the dense solve, even at lambda = 0.99
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("lam", [0.5, 0.99])
+    @pytest.mark.parametrize("sigma_range", [(0.5, 2.0), (600.0, 1200.0)], ids=["thin", "thick"])
+    @pytest.mark.parametrize("path", ["matrix", "sweep"])
+    def test_within_tol_of_exact_fixed_point(self, rng, lam, sigma_range, path):
+        grid = SpatialGrid.uniform(0.0, 1.0, 10)
+        sigma_t = rng.uniform(*sigma_range, 10)
+        medium = make_medium(grid, sigma_t, lam * sigma_t, rng.uniform(0.5, 1.5, 10))
+        bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.5))
+        if path == "matrix":
+            quad = rom_sample(build_partition(8, 0.05), 5, 0)
+        else:
+            quad = reference_quadrature(0.05, 160)  # 320 ordinates
+        phi, report = solve(medium, bc, quad, tol=self.TOL)
+        assert report.converged
+        mus, w = quad.mus, quad.weights
+        scatter = averaged_response_matrix(medium, mus, w, medium.sigma_s)
+        const = w @ batched_sweep(medium, mus, medium.q, inflow_values(bc, mus))[0]
+        exact = np.linalg.solve(np.eye(medium.ncells) - scatter, const)
+        assert weighted_norm_of(phi.values - exact, medium) <= self.TOL
 
 
 class TestAngularFluxes:
