@@ -157,10 +157,21 @@ class _Half(NamedTuple):
 def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
     tau = sigma_up[None, :] * h_up[None, :] / mu_abs[:, None]
     c = np.cumsum(tau, axis=1)
-    decay = np.exp(-np.concatenate([np.zeros((tau.shape[0], 1)), c], axis=1))
     thin = c[:, -1].max(initial=0.0) <= _EXP_GUARD
-    return _Half(sel, flip, _escape_factor(tau), -np.expm1(-tau), decay,
-                 np.exp(c) if thin else None, None if thin else np.exp(-tau))
+    # One allocation holds the kept factors: as four arrays with freed
+    # temporaries between them they fragment the heap, and a process's
+    # peak memory then varies from run to run.
+    L, m = tau.shape
+    block = np.empty(L * (4 * m + 1))
+    decay = block[: L * (m + 1)].reshape(L, m + 1)
+    G, one_minus_e, exp_c_or_e = block[L * (m + 1) :].reshape(3, L, m)
+    G[...] = _escape_factor(tau)
+    np.negative(np.expm1(-tau), out=one_minus_e)
+    np.concatenate([np.zeros((L, 1)), c], axis=1, out=decay)
+    np.exp(np.negative(decay, out=decay), out=decay)
+    np.exp(c if thin else -tau, out=exp_c_or_e)
+    return _Half(sel, flip, G, one_minus_e, decay,
+                 exp_c_or_e if thin else None, None if thin else exp_c_or_e)
 
 
 def _sweep_factors(medium: MediumProfile, mus: np.ndarray):

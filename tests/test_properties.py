@@ -142,6 +142,25 @@ def test_factor_set_reuse_is_bitwise(regime, data):
     )
 
 
+
+@pytest.mark.parametrize("regime", ["thin", "thick"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_factor_set_is_one_allocation_per_group(regime, data):
+    # a solve keeps its factors through every iteration; as four separate
+    # arrays with freed temporaries between them they fragmented the heap,
+    # and peak memory varied from run to run
+    medium, mus, _, _ = data.draw(cases(regime))
+    _check_regime(medium, mus, regime)
+    for f in _sweep_factors(medium, mus):
+        arrays = [a for a in (f.G, f.one_minus_e, f.decay, f.exp_c, f.E) if a is not None]
+        assert len(arrays) == 4 and all(a.flags.c_contiguous for a in arrays)
+        block = arrays[0].base
+        assert block is not None and all(a.base is block for a in arrays)
+        assert block.nbytes == sum(a.nbytes for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
 def _public_sweep_loop(medium, boundary, quad, tol):
     """Source iteration that sweeps sigma_s * phi + q with batched_sweep each time."""
     lam_hat = max(medium.lam, 0.1)
