@@ -47,6 +47,7 @@ from .experiments import (
     ErrorTable,
     RegularizationRow,
     RegularizationTable,
+    _error_rows,
     bias_study,
     dom_error_study,
     fit_slope,
@@ -91,10 +92,10 @@ def table_to_csv(table: ErrorTable | RegularizationTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table_csv(text: str, kind: str = "parsed") -> ErrorTable | RegularizationTable:
+def parse_table_csv(text: str) -> ErrorTable | RegularizationTable:
     """Read table_to_csv output back; the header picks the table type.
 
-    ``kind`` labels a parsed error table.
+    A parsed error table is labelled "parsed".
     """
     header, *lines = [ln for ln in text.strip().splitlines() if ln]
     for row_type in (ErrorRow, RegularizationRow):
@@ -104,7 +105,7 @@ def parse_table_csv(text: str, kind: str = "parsed") -> ErrorTable | Regularizat
                 row_type(*(_CELL_PARSERS[k](cell) for k, cell in zip(kinds, ln.split(","))))
                 for ln in lines
             )
-            return ErrorTable(kind, rows) if row_type is ErrorRow else RegularizationTable(rows)
+            return ErrorTable("parsed", rows) if row_type is ErrorRow else RegularizationTable(rows)
     raise ValueError(f"unexpected header: {header!r}")
 
 
@@ -169,22 +170,8 @@ def _cmd_solve(args) -> int:
     phi, report = solve(cfg.medium, cfg.boundary, quad, cfg.solver_tol, cfg.max_iter)
     out.write_text(flux_to_csv(phi.values, cfg.medium.grid.edges))
     report_path = out.with_suffix(".report.json")
-    report_path.write_text(
-        json.dumps(
-            {
-                "converged": report.converged,
-                "iterations": report.iterations,
-                "final_residual": report.final_residual,
-                "contraction_estimate": report.contraction_estimate,
-                "stop_threshold": report.stop_threshold,
-                "lambda": cfg.medium.lam,
-                "quadrature": quad.provenance,
-                "ordinates": quad.n,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    record = {**asdict(report), "lambda": cfg.medium.lam, "quadrature": quad.provenance, "ordinates": quad.n}
+    report_path.write_text(json.dumps(record, indent=2) + "\n")
     manifest_path = out.with_suffix(".manifest.json")
     _write_manifest(
         manifest_path,
@@ -211,10 +198,8 @@ def _cmd_solve(args) -> int:
 
 def _stats_table(cfg: LoadedConfig, kind: str, seed: int, jobs: int) -> ErrorTable:
     """delta-t / delta-b studies: mean squared deviation norm per n."""
-    rows = []
-    for n in cfg.study["n_list"]:
-        start = time.perf_counter()
-        partition = build_partition(n, cfg.delta)
+
+    def measure(partition):
         if kind == "delta-t":
             stats = iteration_deviation_stats(
                 cfg.medium, partition, seed, cfg.study["samples"],
@@ -225,17 +210,9 @@ def _stats_table(cfg: LoadedConfig, kind: str, seed: int, jobs: int) -> ErrorTab
                 cfg.medium, cfg.boundary, partition, seed, cfg.study["samples"],
                 ref_nodes=cfg.study["ref_nodes"], jobs=jobs,
             )
-        rows.append(
-            ErrorRow(
-                n=n,
-                estimate=stats.mean_sq_norm,
-                se=stats.se_mean_sq,
-                samples=stats.samples,
-                flagged=False,
-                wall_time=time.perf_counter() - start,
-            )
-        )
-    return ErrorTable(kind, tuple(rows))
+        return stats.mean_sq_norm, stats.se_mean_sq, stats.samples, False
+
+    return ErrorTable(kind, _error_rows(cfg.study["n_list"], cfg.delta, measure))
 
 
 def _cmd_study(args) -> int:

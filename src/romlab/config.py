@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     LambdaAtLeastOne,
     NonPositiveSigmaT,
-    RomlabError,
 )
 from .experiments import StudyConfig
 from .medium import (
@@ -64,11 +63,9 @@ def _require_object(value, path: str) -> dict:
     return value
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
+def _get(obj: dict, key: str, path: str):
     if key not in obj:
-        if required:
-            raise ConfigError(f"{path}/{key}", "missing required field")
-        return default
+        raise ConfigError(f"{path}/{key}", "missing required field")
     return obj[key]
 
 
@@ -82,6 +79,13 @@ def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigError(path, "must be an integer")
     return int(value)
+
+
+def _positive(value, path: str) -> int:
+    n = _integer(value, path)
+    if n < 1:
+        raise ConfigError(path, "must be at least 1")
+    return n
 
 
 def _per_cell(value, cells: int, path: str) -> np.ndarray:
@@ -103,15 +107,13 @@ def _build_grid(section: dict, path: str) -> SpatialGrid:
             raise ConfigError(f"{path}/edges", str(exc)) from exc
     x_left = _number(_get(section, "x_left", path), f"{path}/x_left")
     x_right = _number(_get(section, "x_right", path), f"{path}/x_right")
-    cells = _integer(_get(section, "cells", path), f"{path}/cells")
     if x_right <= x_left:
         raise ConfigError(f"{path}/x_right", "must exceed x_left")
-    if cells < 1:
-        raise ConfigError(f"{path}/cells", "must be at least 1")
+    cells = _positive(_get(section, "cells", path), f"{path}/cells")
     return SpatialGrid.uniform(x_left, x_right, cells)
 
 
-def _build_medium(section: dict, lambda_max: float) -> MediumProfile:
+def _build_medium(section: dict) -> MediumProfile:
     section = _require_object(section, "/medium")
     grid = _build_grid(_require_object(_get(section, "grid", "/medium"), "/medium/grid"), "/medium/grid")
     cells = grid.ncells
@@ -123,13 +125,13 @@ def _build_medium(section: dict, lambda_max: float) -> MediumProfile:
     if np.any(q < 0):
         raise ConfigError("/medium/q", "entries must be nonnegative")
     try:
-        return make_medium(grid, sigma_t, sigma_s, q, lambda_max=lambda_max)
+        return make_medium(grid, sigma_t, sigma_s, q)
     except NonPositiveSigmaT as exc:
         raise ConfigError("/medium/sigma_t", str(exc)) from exc
     except LambdaAtLeastOne as exc:
         raise ConfigError(
             "/medium/sigma_s",
-            f"scattering ratio must stay below {lambda_max}: {exc}",
+            f"scattering ratio must stay below {defaults.LAMBDA_MAX}: {exc}",
         ) from exc
 
 
@@ -201,13 +203,9 @@ def load_config(path: str | Path) -> LoadedConfig:
         "study": doc["study"],
     }
     merged = _merge(merged, user)
-    if "medium" not in merged:
-        raise ConfigError("/medium", "missing required field")
-    if "boundary" not in merged:
-        raise ConfigError("/boundary", "missing required field")
 
-    medium = _build_medium(merged["medium"], doc["lambda_max"])
-    bsec = _require_object(merged["boundary"], "/boundary")
+    medium = _build_medium(_get(merged, "medium", ""))
+    bsec = _require_object(_get(merged, "boundary", ""), "/boundary")
     boundary = BoundarySpec(
         _build_boundary_side(_get(bsec, "left", "/boundary"), "/boundary/left"),
         _build_boundary_side(_get(bsec, "right", "/boundary"), "/boundary/right"),
@@ -219,9 +217,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     tol = _number(_get(solver, "tol", "/solver"), "/solver/tol")
     if tol <= 0:
         raise ConfigError("/solver/tol", "must be positive")
-    max_iter = _integer(_get(solver, "max_iter", "/solver"), "/solver/max_iter")
-    if max_iter < 1:
-        raise ConfigError("/solver/max_iter", "must be at least 1")
+    max_iter = _positive(_get(solver, "max_iter", "/solver"), "/solver/max_iter")
 
     quadrature = merged.get("quadrature")
     if quadrature is not None:
@@ -230,9 +226,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         if kind not in _QUAD_KINDS:
             raise ConfigError("/quadrature/kind", f"must be one of {', '.join(_QUAD_KINDS)}")
         if kind == "reference":
-            nodes = _integer(_get(quadrature, "nodes_per_half", "/quadrature"), "/quadrature/nodes_per_half")
-            if nodes < 1:
-                raise ConfigError("/quadrature/nodes_per_half", "must be at least 1")
+            _positive(_get(quadrature, "nodes_per_half", "/quadrature"), "/quadrature/nodes_per_half")
         else:
             _validate_even_n(_integer(_get(quadrature, "n", "/quadrature"), "/quadrature/n"), "/quadrature/n")
             if kind == "rom":
@@ -240,9 +234,7 @@ def load_config(path: str | Path) -> LoadedConfig:
                 if idx < 0:
                     raise ConfigError("/quadrature/sample_index", "must be nonnegative")
             if kind == "gauss" and "order" in quadrature:
-                order = _integer(quadrature["order"], "/quadrature/order")
-                if order < 1:
-                    raise ConfigError("/quadrature/order", "must be at least 1")
+                _positive(quadrature["order"], "/quadrature/order")
 
     study = _require_object(merged["study"], "/study")
     n_list = _get(study, "n_list", "/study")
@@ -253,12 +245,8 @@ def load_config(path: str | Path) -> LoadedConfig:
         _validate_even_n(n, f"/study/n_list/{i}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("/study/n_list", "must be strictly increasing")
-    samples = _integer(_get(study, "samples", "/study"), "/study/samples")
-    if samples < 1:
-        raise ConfigError("/study/samples", "must be at least 1")
-    ref_nodes = _integer(study.get("ref_nodes", doc["reference"]["initial_nodes_per_half"]), "/study/ref_nodes")
-    if ref_nodes < 1:
-        raise ConfigError("/study/ref_nodes", "must be at least 1")
+    samples = _positive(_get(study, "samples", "/study"), "/study/samples")
+    ref_nodes = _positive(study.get("ref_nodes", doc["reference"]["initial_nodes_per_half"]), "/study/ref_nodes")
     rule = study.get("dom_rule", "midpoint")
     if rule not in ("midpoint", "gauss"):
         raise ConfigError("/study/dom_rule", "must be midpoint or gauss")
@@ -320,19 +308,14 @@ def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
     """
     cap = defaults.SOLVER_TOL_COEFF * max(cfg.study["n_list"]) ** -3
     tol = cfg.solver_tol if cfg.tol_explicit else min(cfg.solver_tol, cap)
-    try:
-        return StudyConfig(
-            medium=cfg.medium,
-            boundary=cfg.boundary,
-            delta=cfg.delta,
-            n_list=tuple(cfg.study["n_list"]),
-            sample_count=cfg.study["samples"],
-            master_seed=cfg.seed if seed is None else seed,
-            solver_tol=tol,
-            ref_nodes=cfg.study["ref_nodes"],
-            max_iter=cfg.max_iter,
-        )
-    except ConfigError:
-        raise
-    except RomlabError as exc:
-        raise ConfigError("/study", str(exc)) from exc
+    return StudyConfig(
+        medium=cfg.medium,
+        boundary=cfg.boundary,
+        delta=cfg.delta,
+        n_list=tuple(cfg.study["n_list"]),
+        sample_count=cfg.study["samples"],
+        master_seed=cfg.seed if seed is None else seed,
+        solver_tol=tol,
+        ref_nodes=cfg.study["ref_nodes"],
+        max_iter=cfg.max_iter,
+    )

@@ -35,7 +35,7 @@ from .medium import (
     weighted_norm_of,
 )
 from .solver import solve
-from .sweep import batched_sweep
+from .sweep import _sweep_averages, _sweep_factors
 
 
 @dataclass(frozen=True)
@@ -222,33 +222,35 @@ def reference_solution(config: StudyConfig) -> ScalarFlux:
     return ScalarFlux(values, config.medium.grid)
 
 
+def _error_rows(n_list, delta: float, measure) -> tuple[ErrorRow, ...]:
+    """One ErrorRow per n from ``measure(partition) -> (estimate, se, samples, flagged)``.
+
+    The row's wall time spans the partition build and the measurement.
+    """
+    rows = []
+    for n in n_list:
+        start = time.perf_counter()
+        estimate, se, samples, flagged = measure(build_partition(n, delta))
+        rows.append(ErrorRow(n, estimate, se, samples, flagged, time.perf_counter() - start))
+    return tuple(rows)
+
+
 def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     """Mean single-sample error against the certified reference, per n."""
     if config.sample_count < 16:
         raise ConfigError("/study/samples", "single-run study needs at least 16 samples")
     ref, _, _ = _certified_reference(config)
-    rows = []
-    for n in config.n_list:
-        start = time.perf_counter()
-        partition = build_partition(n, config.delta)
 
+    def measure(partition):
         def one(i: int) -> float:
             quad = rom_sample(partition, config.master_seed, i)
             phi = _solved(config.medium, config.boundary, quad, config.solver_tol, config.max_iter)
             return weighted_norm_of(phi - ref, config.medium)
 
         errors = np.array(indexed_map(one, config.sample_count, jobs))
-        rows.append(
-            ErrorRow(
-                n=n,
-                estimate=float(errors.mean()),
-                se=float(errors.std(ddof=1) / np.sqrt(errors.size)),
-                samples=errors.size,
-                flagged=False,
-                wall_time=time.perf_counter() - start,
-            )
-        )
-    return ErrorTable("single-run", tuple(rows))
+        return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(errors.size)), errors.size, False
+
+    return ErrorTable("single-run", _error_rows(config.n_list, config.delta, measure))
 
 
 def _jackknife_norm_se(phis: np.ndarray, ref: np.ndarray, weights: np.ndarray) -> float:
@@ -281,11 +283,9 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
     weights = config.medium.cell_weights
     initial = defaults.BIAS_INITIAL_SAMPLES
     fraction = defaults.BIAS_SE_FRACTION
-    rows = []
-    for n in config.n_list:
-        start = time.perf_counter()
-        partition = build_partition(n, config.delta)
-        cap = int(np.ceil(config.sample_count * (config.n_max / n) ** row_cap_power))
+
+    def measure(partition):
+        cap = int(np.ceil(config.sample_count * (config.n_max / partition.n) ** row_cap_power))
 
         def one(i: int) -> np.ndarray:
             quad = rom_sample(partition, config.master_seed, i)
@@ -302,17 +302,9 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
             if se <= fraction * estimate or count >= cap:
                 break
             count = min(2 * count, cap)
-        rows.append(
-            ErrorRow(
-                n=n,
-                estimate=estimate,
-                se=se,
-                samples=count,
-                flagged=bool(se > fraction * estimate),
-                wall_time=time.perf_counter() - start,
-            )
-        )
-    return ErrorTable("bias", tuple(rows))
+        return estimate, se, count, bool(se > fraction * estimate)
+
+    return ErrorTable("bias", _error_rows(config.n_list, config.delta, measure))
 
 
 def dom_error_study(config: StudyConfig, rule: str = "midpoint") -> ErrorTable:
@@ -320,23 +312,13 @@ def dom_error_study(config: StudyConfig, rule: str = "midpoint") -> ErrorTable:
     if rule not in ("midpoint", "gauss"):
         raise ValueError(f"unknown quadrature rule {rule!r}")
     ref, _, _ = _certified_reference(config)
-    rows = []
-    for n in config.n_list:
-        start = time.perf_counter()
-        partition = build_partition(n, config.delta)
+
+    def measure(partition):
         quad = dom_quadrature(partition, rule)
         phi = _solved(config.medium, config.boundary, quad, config.solver_tol, config.max_iter)
-        rows.append(
-            ErrorRow(
-                n=n,
-                estimate=weighted_norm_of(phi - ref, config.medium),
-                se=0.0,
-                samples=1,
-                flagged=False,
-                wall_time=time.perf_counter() - start,
-            )
-        )
-    return ErrorTable(f"dom-{rule}", tuple(rows))
+        return weighted_norm_of(phi - ref, config.medium), 0.0, 1, False
+
+    return ErrorTable(f"dom-{rule}", _error_rows(config.n_list, config.delta, measure))
 
 
 def fit_slope(table: ErrorTable) -> SlopeFit:
@@ -387,10 +369,10 @@ def regularization_study(
 
     def direction_average(delta: float, nodes: int) -> np.ndarray:
         quad = reference_quadrature(delta, nodes)
-        avg, _ = batched_sweep(
-            medium, quad.mus, frozen_source, inflow_values(boundary, quad.mus)
+        inflows = inflow_values(boundary, quad.mus)
+        return quad.weights @ _sweep_averages(
+            _sweep_factors(medium, quad.mus), medium, frozen_source, inflows, None
         )
-        return quad.weights @ avg
 
     i_ref = direction_average(reference_delta, ref_nodes_used)
     rows = []

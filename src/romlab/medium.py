@@ -20,9 +20,6 @@ from .errors import (
     WrongHalf,
 )
 
-DEFAULT_LAMBDA_MAX = defaults.LAMBDA_MAX
-
-
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -93,12 +90,13 @@ class MediumProfile:
         return self.grid.ncells
 
 
-def make_medium(grid, sigma_t, sigma_s, q, lambda_max: float = DEFAULT_LAMBDA_MAX) -> MediumProfile:
+def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
     """Validate per-cell data and derive the scattering ratio.
 
     Raises LengthMismatch, NonPositiveSigmaT, or LambdaAtLeastOne when the
-    admissibility constraints fail.  lambda_max < 1 caps the scattering
-    ratio; source iteration degrades as the ratio approaches 1.
+    admissibility constraints fail.  The scattering ratio is capped at
+    defaults.LAMBDA_MAX < 1, since source iteration degrades as it
+    approaches 1.
     """
     sigma_t = _frozen_array(sigma_t)
     sigma_s = _frozen_array(sigma_s)
@@ -113,9 +111,9 @@ def make_medium(grid, sigma_t, sigma_s, q, lambda_max: float = DEFAULT_LAMBDA_MA
         raise ValueError("sigma_s and q must be nonnegative")
     ratios = sigma_s / sigma_t
     lam = float(np.max(ratios)) if m else 0.0
-    if lam > lambda_max:
+    if lam > defaults.LAMBDA_MAX:
         raise LambdaAtLeastOne(
-            f"max sigma_s/sigma_t = {lam:.6g} exceeds the cap {lambda_max}"
+            f"max sigma_s/sigma_t = {lam:.6g} exceeds the cap {defaults.LAMBDA_MAX}"
         )
     sigma_r = _frozen_array(sigma_s / lam) if lam > 0 else None
     weights = _frozen_array(sigma_t * grid.widths)
@@ -164,9 +162,6 @@ class ConstantBoundary(_BoundaryFunction):
     def evaluate(self, mu):
         return self.value * np.ones_like(np.asarray(mu, dtype=float))
 
-    def bounds_on(self, lo: float, hi: float):
-        return self.value, self.value
-
 
 @dataclass(frozen=True)
 class LinearBoundary(_BoundaryFunction):
@@ -177,10 +172,6 @@ class LinearBoundary(_BoundaryFunction):
 
     def evaluate(self, mu):
         return self.slope * np.asarray(mu, dtype=float) + self.intercept
-
-    def bounds_on(self, lo: float, hi: float):
-        a, b = self.slope * lo + self.intercept, self.slope * hi + self.intercept
-        return min(a, b), max(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,58 +196,18 @@ class TabulatedBoundary(_BoundaryFunction):
     def evaluate(self, mu):
         return np.interp(np.asarray(mu, dtype=float), self.mus, self.values)
 
-    @property
-    def max_slope(self) -> float:
-        """Empirical Lipschitz constant: the largest absolute table slope."""
-        if self.mus.size < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.values) / np.diff(self.mus))))
-
-    def bounds_on(self, lo: float, hi: float):
-        return float(np.min(self.values)), float(np.max(self.values))
-
 
 @dataclass(frozen=True, eq=False)
 class BoundarySpec:
-    """Inflow data: ``left`` on mu > 0 at x_left, ``right`` on mu < 0 at x_right.
-
-    With require_nonnegative the data are checked to be >= 0 on their halves,
-    as expected of physical intensities.
-    """
+    """Inflow data: ``left`` on mu > 0 at x_left, ``right`` on mu < 0 at x_right."""
 
     left: _BoundaryFunction
     right: _BoundaryFunction
-    require_nonnegative: bool = False
-
-    def __post_init__(self):
-        if self.require_nonnegative:
-            for side, fn, lo, hi in (
-                ("left", self.left, 0.0, 1.0),
-                ("right", self.right, -1.0, 0.0),
-            ):
-                low, _ = fn.bounds_on(lo, hi)
-                if low < 0:
-                    raise ValueError(f"{side} boundary data is negative on its half")
-
-    def side_value(self, side: str, mu: float) -> float:
-        if side == "left":
-            if mu <= 0:
-                raise WrongHalf(f"left boundary queried at mu = {mu} (needs mu > 0)")
-            return float(self.left.evaluate(mu))
-        if side == "right":
-            if mu >= 0:
-                raise WrongHalf(f"right boundary queried at mu = {mu} (needs mu < 0)")
-            return float(self.right.evaluate(mu))
-        raise ValueError(f"unknown side {side!r}")
 
 
 def eval_boundary(spec: BoundarySpec, mu: float) -> float:
     """Inflow value for direction mu: left data for mu > 0, right for mu < 0."""
-    if mu > 0:
-        return spec.side_value("left", mu)
-    if mu < 0:
-        return spec.side_value("right", mu)
-    raise WrongHalf("mu = 0 belongs to neither inflow half")
+    return float(inflow_values(spec, np.array([mu]))[0])
 
 
 def inflow_values(spec: BoundarySpec, mus: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .angular import (
     certify_by_doubling,
     rom_sample,
 )
-from .errors import PureAbsorber
+from .errors import ConfigError, PureAbsorber
 from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
 from .sweep import averaged_response_matrix, transmission_averages
 
@@ -173,7 +173,7 @@ def iteration_deviation_stats(
     and measures its weighted-norm distance to the certified reference.
     """
     if sample_count < 2:
-        raise ValueError("need at least two samples")
+        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
     ref_op, _ = reference_iteration_matrix(medium, partition.delta, ref_nodes)
     weight = medium.cell_weights
 
@@ -204,7 +204,7 @@ def boundary_deviation_stats(
     L2(sigma_t) norms, with elementwise means kept for the mean-zero check.
     """
     if sample_count < 2:
-        raise ValueError("need at least two samples")
+        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
 
     def averaged_profile(quad: QuadratureSet) -> np.ndarray:
         values = inflow_values(boundary, quad.mus)

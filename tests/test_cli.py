@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from romlab.experiments import (
     RegularizationRow,
     RegularizationTable,
 )
+from romlab.solver import SolveReport
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -76,6 +78,15 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "/study/n_list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["medium", "boundary"])
+    def test_missing_section(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        del doc[section]
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert f"/{section}: missing required field" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -98,6 +109,8 @@ class TestSolve:
         assert len(lines) == 13  # header + one row per cell
         report = json.loads(out.with_suffix(".report.json").read_text())
         assert report["converged"] is True
+        expected = {f.name for f in fields(SolveReport)} | {"lambda", "quadrature", "ordinates"}
+        assert set(report) == expected
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         assert out.name in manifest["outputs"]
 
@@ -204,6 +217,13 @@ class TestStudy:
         assert rc == 2
         assert "iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study", ["delta-t", "delta-b"])
+    def test_operator_study_needs_two_samples(self, tmp_path, capsys, study):
+        cfg = write_config(tmp_path, study={"samples": 1})
+        rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "/study/samples" in capsys.readouterr().err
+
     def test_bad_jobs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["study", "--config", str(cfg), "--study", "dom",
@@ -221,8 +241,7 @@ class TestRoundTrip:
         text = table_to_csv(table)
         assert text.splitlines()[0] == "n,estimate,se,samples,flagged,wall_time_s"
         assert text.splitlines()[2] == "16,9.8765432099999994e-05,1.1000000000000001e-06,128,true,0"
-        parsed = parse_table_csv(text, "single-run")
-        assert parsed.kind == "single-run"
+        parsed = parse_table_csv(text)
         for a, b in zip(rows, parsed.rows):
             assert (a.n, a.estimate, a.se, a.samples, a.flagged) == (
                 b.n, b.estimate, b.se, b.samples, b.flagged,

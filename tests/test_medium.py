@@ -13,11 +13,21 @@ from romlab import (
     SpatialGrid,
     TabulatedBoundary,
     WrongHalf,
+    defaults,
     eval_boundary,
+    inflow_values,
     make_medium,
     weighted_l2_norm,
 )
 from conftest import random_medium
+
+
+def assert_scalar_matches_vector(spec: BoundarySpec, rng) -> None:
+    """eval_boundary equals inflow_values bit for bit on both inflow halves."""
+    mus = np.concatenate([-rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 1.0, 500), [-1.0, 1.0]])
+    mus = mus[mus != 0]
+    scalar = np.array([eval_boundary(spec, mu) for mu in mus.tolist()])
+    assert np.array_equal(scalar.view(np.uint64), inflow_values(spec, mus).view(np.uint64))
 
 
 class TestSpatialGrid:
@@ -58,11 +68,13 @@ class TestMakeMedium:
             make_medium(grid, [1.0], [1.0], [0.0])
 
     def test_lambda_cap_configurable(self):
+        # the cap is the defaults document's lambda_max, not a call argument
         grid = SpatialGrid.uniform(0.0, 1.0, 1)
-        with pytest.raises(LambdaAtLeastOne):
-            make_medium(grid, [1.0], [0.9995], [0.0])
-        medium = make_medium(grid, [1.0], [0.9995], [0.0], lambda_max=0.9999)
-        assert medium.lam == pytest.approx(0.9995)
+        cap = defaults.LAMBDA_MAX
+        with pytest.raises(LambdaAtLeastOne, match=f"cap {cap}"):
+            make_medium(grid, [1.0], [cap + 0.0005], [0.0])
+        medium = make_medium(grid, [1.0], [cap], [0.0])
+        assert medium.lam == cap
 
     def test_length_mismatch(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 2)
@@ -125,18 +137,25 @@ class TestWeightedNorm:
 
 
 class TestBoundary:
-    def test_constant(self):
-        spec = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
+    def test_constant(self, rng):
+        spec = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.3))
         assert eval_boundary(spec, 0.7) == 1.0
+        assert eval_boundary(spec, -0.7) == 0.3
+        assert_scalar_matches_vector(spec, rng)
 
-    def test_linear(self):
-        spec = BoundarySpec(LinearBoundary(1.0, 0.0), ConstantBoundary(0.0))
+    def test_linear(self, rng):
+        spec = BoundarySpec(LinearBoundary(1.0, 0.0), LinearBoundary(-0.7, 0.1))
         assert eval_boundary(spec, 0.25) == pytest.approx(0.25)
+        assert eval_boundary(spec, -0.5) == pytest.approx(0.45)
+        assert_scalar_matches_vector(spec, rng)
 
-    def test_table_interpolation(self):
+    def test_table_interpolation(self, rng):
         table = TabulatedBoundary([0.1, 1.0], [0.0, 0.9])
-        spec = BoundarySpec(table, ConstantBoundary(0.0))
+        right = TabulatedBoundary([-0.9, -0.3, -0.1], [0.2, 1.3, 0.7])
+        spec = BoundarySpec(table, right)
         assert eval_boundary(spec, 0.55) == pytest.approx(0.45, rel=1e-12)
+        assert eval_boundary(spec, -0.6) == pytest.approx(0.75, rel=1e-12)
+        assert_scalar_matches_vector(spec, rng)
 
     def test_table_clamps_outside_range(self):
         table = TabulatedBoundary([0.2, 0.8], [1.0, 3.0])
@@ -149,27 +168,7 @@ class TestBoundary:
         with pytest.raises(WrongHalf):
             eval_boundary(spec, 0.0)
         with pytest.raises(WrongHalf):
-            spec.side_value("left", -0.5)
-        with pytest.raises(WrongHalf):
-            spec.side_value("right", 0.5)
-
-    def test_table_lipschitz_constant(self, rng):
-        mus = np.sort(rng.uniform(0.01, 1.0, 8))
-        values = rng.uniform(0.0, 2.0, 8)
-        table = TabulatedBoundary(mus, values)
-        samples = np.linspace(mus[0], mus[-1], 4001)
-        evals = table.evaluate(samples)
-        observed = np.max(np.abs(np.diff(evals) / np.diff(samples)))
-        assert observed <= table.max_slope + 1e-9
-
-    def test_nonnegativity_flag(self):
-        with pytest.raises(ValueError):
-            BoundarySpec(
-                LinearBoundary(-2.0, 1.0), ConstantBoundary(0.0), require_nonnegative=True
-            )
-        BoundarySpec(
-            LinearBoundary(1.0, 0.0), ConstantBoundary(0.0), require_nonnegative=True
-        )
+            eval_boundary(spec, -0.0)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):

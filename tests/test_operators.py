@@ -3,6 +3,7 @@ import pytest
 
 from romlab import (
     BoundarySpec,
+    ConfigError,
     ConstantBoundary,
     DenseOperator,
     PureAbsorber,
@@ -258,7 +259,7 @@ class TestDeviationStats:
 
     def test_sample_count_guard(self):
         medium = scattering_medium(8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="/study/samples"):
             iteration_deviation_stats(medium, build_partition(4, 0.1), 0, 1)
 
     def test_jobs_do_not_change_statistics(self):

@@ -1,0 +1,49 @@
+"""Pin the number of settable values in romlab.
+
+A settable value is a function parameter with a default or a dataclass
+field with a default: each is a knob that callers can turn and that tests
+and benchmarks must cover.  A change that adds or removes one updates
+SETTABLE_VALUES in the same diff.
+"""
+import ast
+from pathlib import Path
+
+import romlab
+
+SETTABLE_VALUES = 35
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def count_settable_values(package_dir: Path) -> int:
+    """Defaulted parameters of every function plus defaulted dataclass fields."""
+    count = 0
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(
+                    isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                    for stmt in node.body
+                )
+    return count
+
+
+def test_settable_value_count_is_pinned():
+    count = count_settable_values(Path(romlab.__file__).parent)
+    assert count == SETTABLE_VALUES, (
+        f"src/romlab has {count} settable values, pinned at {SETTABLE_VALUES}. "
+        "Count = defaulted parameters (args.defaults plus non-None kw_defaults of "
+        "every def and lambda) + dataclass fields with a default value, over "
+        "src/romlab/*.py by AST. If the change adds or removes a knob on purpose, "
+        "update SETTABLE_VALUES in this file in the same diff."
+    )
