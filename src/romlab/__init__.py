@@ -52,6 +52,7 @@ from .operators import (
     gram_trace,
     iteration_deviation_stats,
     iteration_matrix,
+    reference_boundary_average,
     reference_iteration_matrix,
     transport_matrix,
     weighted_operator_norm,

@@ -26,6 +26,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -54,7 +55,8 @@ from .experiments import (
     regularization_study,
     single_run_error_study,
 )
-from .operators import boundary_deviation_stats, iteration_deviation_stats
+from .operators import (boundary_deviation_stats, iteration_deviation_stats,
+                        reference_boundary_average, reference_iteration_matrix)
 from .solver import solve
 
 
@@ -197,19 +199,17 @@ def _cmd_solve(args) -> int:
 
 
 def _stats_table(cfg: LoadedConfig, kind: str, seed: int, jobs: int) -> ErrorTable:
-    """delta-t / delta-b studies: mean squared deviation norm per n."""
+    """delta-t / delta-b: mean squared deviation norm per n, from one certified reference."""
+    samples, nodes = cfg.study["samples"], cfg.study["ref_nodes"]
+    if kind == "delta-t":
+        reference, _ = reference_iteration_matrix(cfg.medium, cfg.delta, nodes)
+        stats_of = partial(iteration_deviation_stats, cfg.medium)
+    else:
+        reference, _ = reference_boundary_average(cfg.medium, cfg.boundary, cfg.delta, nodes)
+        stats_of = partial(boundary_deviation_stats, cfg.medium, cfg.boundary)
 
     def measure(partition):
-        if kind == "delta-t":
-            stats = iteration_deviation_stats(
-                cfg.medium, partition, seed, cfg.study["samples"],
-                ref_nodes=cfg.study["ref_nodes"], jobs=jobs,
-            )
-        else:
-            stats = boundary_deviation_stats(
-                cfg.medium, cfg.boundary, partition, seed, cfg.study["samples"],
-                ref_nodes=cfg.study["ref_nodes"], jobs=jobs,
-            )
+        stats = stats_of(partition, reference, seed, samples, jobs)
         return stats.mean_sq_norm, stats.se_mean_sq, stats.samples, False
 
     return ErrorTable(kind, _error_rows(cfg.study["n_list"], cfg.delta, measure))

@@ -247,6 +247,8 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError("/study/n_list", "must be strictly increasing")
     samples = _positive(_get(study, "samples", "/study"), "/study/samples")
     ref_nodes = _positive(study.get("ref_nodes", doc["reference"]["initial_nodes_per_half"]), "/study/ref_nodes")
+    if ref_nodes > defaults.REF_MAX_NODES // 2:
+        raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
     rule = study.get("dom_rule", "midpoint")
     if rule not in ("midpoint", "gauss"):
         raise ConfigError("/study/dom_rule", "must be midpoint or gauss")

@@ -162,63 +162,68 @@ def _collect_stats(n: int, results: list) -> DeltaStats:
 def iteration_deviation_stats(
     medium: MediumProfile,
     partition: VelocityPartition,
+    reference: DenseOperator,
     master_seed: int,
     sample_count: int,
-    ref_nodes: int = defaults.REF_INITIAL_NODES,
     jobs: int = 1,
 ) -> DeltaStats:
     """Norm statistics of (sampled iteration matrix - reference) over draws.
 
     Each sample assembles the iteration matrix for one random quadrature
-    and measures its weighted-norm distance to the certified reference.
+    and measures its weighted-norm distance to ``reference``, the certified
+    operator of reference_iteration_matrix at the partition's delta.
     """
     if sample_count < 2:
         raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
-    ref_op, _ = reference_iteration_matrix(medium, partition.delta, ref_nodes)
-    weight = medium.cell_weights
 
     def one(i: int):
         quad = rom_sample(partition, master_seed, i)
         t = averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
-        delta = t - ref_op.entries
-        norm = weighted_operator_norm(DenseOperator(delta, weight))
+        delta = t - reference.entries
+        norm = weighted_operator_norm(DenseOperator(delta, medium.cell_weights))
         return norm, delta
 
     return _collect_stats(partition.n, indexed_map(one, sample_count, jobs))
+
+
+def _boundary_average(medium: MediumProfile, boundary: BoundarySpec, quad: QuadratureSet) -> np.ndarray:
+    """Ordinate-weighted average of the boundary-propagated cell profiles."""
+    values = inflow_values(boundary, quad.mus)
+    return (quad.weights * values) @ transmission_averages(medium, quad.mus)
+
+
+def reference_boundary_average(
+    medium: MediumProfile, boundary: BoundarySpec, delta: float, initial_nodes: int
+) -> tuple[np.ndarray, int]:
+    """Continuum boundary average, certified as reference_iteration_matrix certifies."""
+    return certify_by_doubling(
+        lambda quad: _boundary_average(medium, boundary, quad),
+        _entry_gap, delta, initial_nodes, defaults.REF_MAX_NODES, defaults.REF_ENTRY_TOL,
+        "boundary average",
+    )[:2]
 
 
 def boundary_deviation_stats(
     medium: MediumProfile,
     boundary: BoundarySpec,
     partition: VelocityPartition,
+    reference: np.ndarray,
     master_seed: int,
     sample_count: int,
-    ref_nodes: int = defaults.REF_INITIAL_NODES,
     jobs: int = 1,
 ) -> DeltaStats:
     """Norm statistics of the sampled boundary-propagation quadrature error.
 
     Per sample, the deviation is the ordinate-weighted boundary profile
-    minus its reference average, certified entrywise to
-    defaults.REF_ENTRY_TOL from ``ref_nodes``; statistics are over the
-    L2(sigma_t) norms, with elementwise means kept for the mean-zero check.
+    minus ``reference``, the certified average of reference_boundary_average
+    at the partition's delta; statistics are over the L2(sigma_t) norms,
+    with elementwise means kept for the mean-zero check.
     """
     if sample_count < 2:
         raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
 
-    def averaged_profile(quad: QuadratureSet) -> np.ndarray:
-        values = inflow_values(boundary, quad.mus)
-        profiles = transmission_averages(medium, quad.mus)
-        return (quad.weights * values) @ profiles
-
-    b_ref, _, _ = certify_by_doubling(
-        averaged_profile, _entry_gap, partition.delta, ref_nodes, defaults.REF_MAX_NODES,
-        defaults.REF_ENTRY_TOL, "boundary average",
-    )
-
     def one(i: int):
-        quad = rom_sample(partition, master_seed, i)
-        delta = averaged_profile(quad) - b_ref
+        delta = _boundary_average(medium, boundary, rom_sample(partition, master_seed, i)) - reference
         return weighted_norm_of(delta, medium), delta
 
     return _collect_stats(partition.n, indexed_map(one, sample_count, jobs))

@@ -174,17 +174,18 @@ def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
                  exp_c_or_e if thin else None, None if thin else exp_c_or_e)
 
 
-def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
-    """Yield the _Half of each nonempty sign group of ``mus``, mu > 0 first.
-
-    The public kernels consume it lazily, one group's factors at a time.
-    """
+def _sign_groups(medium: MediumProfile, mus: np.ndarray):
+    """Yield (sel, flip, upwind sigma_t, upwind widths, |mu|) per nonempty sign group."""
     if np.any(mus == 0):
         raise ZeroMu("transport sweep undefined at mu = 0")
     for sel, flip in ((mus > 0, slice(None)), (mus < 0, slice(None, None, -1))):
         if np.any(sel):
-            sigma_up, h_up = medium.sigma_t[flip], medium.grid.widths[flip]
-            yield _half_factors(sel, flip, sigma_up, h_up, np.abs(mus[sel]))
+            yield sel, flip, medium.sigma_t[flip], medium.grid.widths[flip], np.abs(mus[sel])
+
+
+def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
+    """The _Half of each sign group, mu > 0 first; consumed lazily, one group at a time."""
+    return (_half_factors(*group) for group in _sign_groups(medium, mus))
 
 
 def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
@@ -246,8 +247,11 @@ def transmission_averages(medium: MediumProfile, mus) -> np.ndarray:
     """(L, M) cell averages of the unit-inflow, zero-source sweep per ordinate."""
     mus = np.asarray(mus, dtype=float)
     out = np.empty((mus.size, medium.ncells))
-    for f in _sweep_factors(medium, mus):
-        out[f.sel] = (f.decay[:, :-1] * f.G)[:, f.flip]
+    for sel, flip, sigma_up, h_up, mu_abs in _sign_groups(medium, mus):
+        # only the entry decays and G of the _Half factors: same expressions
+        tau = sigma_up[None, :] * h_up[None, :] / mu_abs[:, None]
+        entry = np.concatenate([np.zeros((tau.shape[0], 1)), np.cumsum(tau[:, :-1], axis=1)], axis=1)
+        out[sel] = (np.exp(np.negative(entry)) * _escape_factor(tau))[:, flip]
     return out
 
 

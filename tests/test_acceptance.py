@@ -27,6 +27,8 @@ from romlab import (
     iteration_deviation_stats,
     iteration_matrix,
     make_medium,
+    reference_boundary_average,
+    reference_iteration_matrix,
     regularization_study,
     rom_sample,
     single_run_error_study,
@@ -183,10 +185,11 @@ def test_criterion_3_gram_trace():
 def test_criterion_4_operator_deviation_scaling():
     start = time.perf_counter()
     medium = _stats_medium(32)
+    reference, _ = reference_iteration_matrix(medium, 0.05)
     rows = []
     for n in (8, 16, 32, 64):
         stats = iteration_deviation_stats(
-            medium, build_partition(n, 0.05), 77, 2000
+            medium, build_partition(n, 0.05), reference, 77, 2000
         )
         rows.append(ErrorRow(n, stats.mean_sq_norm, stats.se_mean_sq, 2000, False, 0.0))
     fit = fit_slope(ErrorTable("delta-t", tuple(rows)))
@@ -204,11 +207,12 @@ def test_criterion_5_boundary_deviation_scaling():
     start = time.perf_counter()
     medium = _stats_medium(32)
     boundary = BoundarySpec(LinearBoundary(1.0, 0.0), ConstantBoundary(0.0))
+    reference, _ = reference_boundary_average(medium, boundary, 0.05, 256)
     rows = []
     mean_zero_ok = True
     for n in (8, 16, 32, 64):
         stats = boundary_deviation_stats(
-            medium, boundary, build_partition(n, 0.05), 77, 2000
+            medium, boundary, build_partition(n, 0.05), reference, 77, 2000
         )
         rows.append(ErrorRow(n, stats.mean_sq_norm, stats.se_mean_sq, 2000, False, 0.0))
         if n == 16:

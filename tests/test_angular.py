@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from romlab import (
     AlphaUnbounded,
     DeltaOutOfRange,
+    NoConvergence,
     OddN,
     ReferenceNotConverged,
     build_partition,
@@ -15,7 +19,8 @@ from romlab import (
     rom_sample,
     uniform_stream,
 )
-from romlab.angular import certify_by_doubling
+from romlab import angular
+from romlab.angular import _gauss_legendre, certify_by_doubling
 
 
 class TestPartition:
@@ -107,6 +112,53 @@ class TestDomQuadrature:
         quad = reference_quadrature(delta, 8)
         exact = (1.0 - delta**3) / (3.0 * (1.0 - delta))
         assert quad.weights @ quad.mus**2 == pytest.approx(exact, rel=1e-13)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 512])
+    def test_exact_for_degree_below_2n(self, n):
+        # sum_i w_i P_k(x_i) = 2 delta_k0 for every k <= 2n - 1
+        x, w = _gauss_legendre(n)
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        errors = [abs(w @ p - 2.0)]
+        for k in range(1, 2 * n):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            errors.append(abs(w @ p))
+        assert max(errors) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 512, 1024, 2048])
+    def test_nodes_match_leggauss_and_mirror(self, n):
+        x, _ = _gauss_legendre(n)
+        t, _ = leggauss(n)
+        assert np.max(np.abs(x - t)) <= 2.3e-16
+        np.testing.assert_array_equal(x, -x[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 255, 512, 1024])
+    def test_interior_weights_match_leggauss(self, n):
+        # near +-1 leggauss's own weights are off by up to 1e-10 at 512 nodes
+        _, w = _gauss_legendre(n)
+        t, v = leggauss(n)
+        inner = np.abs(t) < 0.9
+        assert np.max(np.abs(w[inner] / v[inner] - 1.0)) <= 1e-12
+        np.testing.assert_array_equal(w, w[::-1])
+
+    def test_cap_size_rule_needs_no_square_matrix(self):
+        # leggauss(8192) would hold a 537 MB companion matrix
+        tracemalloc.start()
+        try:
+            _, weights = composite_gauss(0.0, 8192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert abs(weights.sum() - 1.0) < 1e-14
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        monkeypatch.setattr(angular, "_NEWTON_CAP", 1)
+        with pytest.raises(NoConvergence):
+            composite_gauss(0.0, 64)
 
 
 class TestRomSample:

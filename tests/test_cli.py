@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from romlab import operators
+from romlab.angular import certify_by_doubling
 from romlab.cli import flux_to_csv, main, parse_table_csv, table_to_csv
 from romlab.experiments import (
     ErrorRow,
@@ -86,6 +88,14 @@ class TestValidate:
         cfg.write_text(json.dumps(doc))
         assert main(["validate", "--config", str(cfg)]) == 1
         assert f"/{section}: missing required field" in capsys.readouterr().err
+
+    def test_ref_nodes_need_room_for_one_doubling(self, tmp_path, capsys):
+        # certification doubles ref_nodes at least once, up to 8192 nodes per half
+        cfg = write_config(tmp_path, study={"ref_nodes": 4097})
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "/study/ref_nodes" in capsys.readouterr().err
+        cfg = write_config(tmp_path, study={"ref_nodes": 4096})
+        assert main(["validate", "--config", str(cfg)]) == 0
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
@@ -223,6 +233,21 @@ class TestStudy:
         rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "/study/samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("study", ["delta-t", "delta-b"])
+    def test_operator_study_certifies_once(self, tmp_path, monkeypatch, study):
+        # the reference depends on the medium and delta only, not on n
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return certify_by_doubling(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "certify_by_doubling", counted)
+        cfg = write_config(tmp_path, study={"n_list": [4, 8, 16], "samples": 4})
+        rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_bad_jobs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -18,6 +18,7 @@ from romlab import (
     iteration_deviation_stats,
     iteration_matrix,
     make_medium,
+    reference_boundary_average,
     reference_iteration_matrix,
     rom_sample,
     solve,
@@ -229,7 +230,8 @@ class TestDeviationStats:
     def test_mean_entries_match_reference(self):
         medium = scattering_medium(12)
         part = build_partition(8, 0.2)
-        stats = iteration_deviation_stats(medium, part, 333, 10_000)
+        ref, _ = reference_iteration_matrix(medium, 0.2)
+        stats = iteration_deviation_stats(medium, part, ref, 333, 10_000)
         # E dT = 0: every entry's sample mean within 4 standard errors of zero
         scaled = np.abs(stats.entry_mean) / np.where(stats.entry_se > 0, stats.entry_se, 1.0)
         assert np.max(scaled) <= 4.0
@@ -237,14 +239,16 @@ class TestDeviationStats:
     def test_jensen(self):
         medium = scattering_medium(10)
         part = build_partition(8, 0.1)
-        stats = iteration_deviation_stats(medium, part, 1, 400)
+        ref, _ = reference_iteration_matrix(medium, 0.1)
+        stats = iteration_deviation_stats(medium, part, ref, 1, 400)
         assert stats.mean_sq_norm >= stats.mean_norm**2 - 3 * stats.se_mean_sq
 
     def test_cubic_decay_ratio(self):
         medium = scattering_medium(32)
         seed = 77
-        s16 = iteration_deviation_stats(medium, build_partition(16, 0.05), seed, 1500)
-        s32 = iteration_deviation_stats(medium, build_partition(32, 0.05), seed, 1500)
+        ref, _ = reference_iteration_matrix(medium, 0.05)
+        s16 = iteration_deviation_stats(medium, build_partition(16, 0.05), ref, seed, 1500)
+        s32 = iteration_deviation_stats(medium, build_partition(32, 0.05), ref, seed, 1500)
         ratio = s32.mean_sq_norm / s16.mean_sq_norm
         assert 2**-3 * 0.5 <= ratio <= 2**-3 * 2.2
 
@@ -252,21 +256,24 @@ class TestDeviationStats:
         # calibrate C at n=8, reuse at n=64: sup-norm of the deviation is C/n
         medium = scattering_medium(24)
         seed = 7
-        s8 = iteration_deviation_stats(medium, build_partition(8, 0.05), seed, 500)
+        ref, _ = reference_iteration_matrix(medium, 0.05)
+        s8 = iteration_deviation_stats(medium, build_partition(8, 0.05), ref, seed, 500)
         cap = s8.max_norm * 8 * 1.1
-        s64 = iteration_deviation_stats(medium, build_partition(64, 0.05), seed, 500)
+        s64 = iteration_deviation_stats(medium, build_partition(64, 0.05), ref, seed, 500)
         assert s64.max_norm <= cap / 64
 
     def test_sample_count_guard(self):
         medium = scattering_medium(8)
+        ref, _ = reference_iteration_matrix(medium, 0.1)
         with pytest.raises(ConfigError, match="/study/samples"):
-            iteration_deviation_stats(medium, build_partition(4, 0.1), 0, 1)
+            iteration_deviation_stats(medium, build_partition(4, 0.1), ref, 0, 1)
 
     def test_jobs_do_not_change_statistics(self):
         medium = scattering_medium(10)
         part = build_partition(8, 0.1)
-        a = iteration_deviation_stats(medium, part, 4, 200, jobs=1)
-        b = iteration_deviation_stats(medium, part, 4, 200, jobs=3)
+        ref, _ = reference_iteration_matrix(medium, 0.1)
+        a = iteration_deviation_stats(medium, part, ref, 4, 200, jobs=1)
+        b = iteration_deviation_stats(medium, part, ref, 4, 200, jobs=3)
         assert a.mean_norm == b.mean_norm
         assert a.mean_sq_norm == b.mean_sq_norm
         np.testing.assert_array_equal(a.entry_mean, b.entry_mean)
@@ -276,14 +283,16 @@ class TestBoundaryDeviation:
     def test_zero_boundary_gives_zero(self):
         medium = scattering_medium(10)
         bc = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
-        stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), 5, 50)
+        ref, _ = reference_boundary_average(medium, bc, 0.05, 256)
+        stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), ref, 5, 50)
         assert stats.max_norm == 0.0
         assert stats.mean_sq_norm == 0.0
 
     def test_mean_entries_zero(self):
         medium = scattering_medium(16)
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), 17, 3000)
+        ref, _ = reference_boundary_average(medium, bc, 0.05, 256)
+        stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), ref, 17, 3000)
         scaled = np.abs(stats.entry_mean) / np.where(stats.entry_se > 0, stats.entry_se, 1.0)
         assert np.max(scaled) <= 4.0
 
@@ -292,7 +301,8 @@ class TestBoundaryDeviation:
         # are nonzero even for constant boundary values
         medium = scattering_medium(16)
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), 17, 100)
+        ref, _ = reference_boundary_average(medium, bc, 0.05, 256)
+        stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), ref, 17, 100)
         assert stats.mean_norm > 0.0
 
 

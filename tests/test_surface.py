@@ -10,7 +10,7 @@ from pathlib import Path
 
 import romlab
 
-SETTABLE_VALUES = 35
+SETTABLE_VALUES = 33
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
