@@ -42,7 +42,7 @@ from .config import (
     load_config,
     study_config,
 )
-from .errors import NoConvergence, ReferenceNotConverged, RomlabError
+from .errors import ConfigError, NoConvergence, ReferenceNotConverged, RomlabError
 from .experiments import (
     ErrorRow,
     ErrorTable,
@@ -201,6 +201,8 @@ def _cmd_solve(args) -> int:
 def _stats_table(cfg: LoadedConfig, kind: str, seed: int, jobs: int) -> ErrorTable:
     """delta-t / delta-b: mean squared deviation norm per n, from one certified reference."""
     samples, nodes = cfg.study["samples"], cfg.study["ref_nodes"]
+    if samples < 2:  # before certifying a reference that no row would use
+        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
     if kind == "delta-t":
         reference, _ = reference_iteration_matrix(cfg.medium, cfg.delta, nodes)
         stats_of = partial(iteration_deviation_stats, cfg.medium)

@@ -10,8 +10,8 @@ tau = sigma_t * h / |mu| and saturation value sat = s / sigma_t:
 marched in the upwind direction.  ``sweep_direction`` is the plain scalar
 march and serves as the reference route; the batched helpers below compute
 the same quantities for many ordinates at once via cumulative optical
-depths and are cross-checked against the march in the test suite.  Their
-exponentials are built once per solve and shared by all of its sweeps.
+depths, one path for every depth, cross-checked against the march in the
+tests.  Their exponentials are built once per solve and shared by its sweeps.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .medium import BoundarySpec, MediumProfile, ScalarFlux, SpatialGrid, eval_b
 
 # below this, (1 - exp(-tau))/tau switches to its series
 TAU_TAYLOR = defaults.TAU_TAYLOR
-# max cumulative optical depth for the exp-product fast path
+# max optical depth of one block of the exp-product, at its deepest ordinate
 _EXP_GUARD = defaults.EXP_PRODUCT_GUARD
 
 
@@ -139,10 +139,10 @@ def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> S
 class _Half(NamedTuple):
     """Source-independent factors of one sign group, in upwind cell order.
 
-    ``flip`` maps per-cell arrays to upwind order and back.  ``decay`` is
-    exp(-depth) from the upwind boundary to each of the M + 1 edges.  Thin
-    groups (depths within the exp-product guard) carry ``exp_c`` for the
-    cumulative-sum path, thick groups the transmissions ``E`` for the march.
+    ``flip`` maps per-cell arrays to upwind order and back.  ``blocks`` are
+    (start, stop) cell ranges, none deeper than the guard at any ordinate,
+    and depth restarts at each block's entry.  ``exp_c`` is exp(depth) at
+    each cell's exit, ``decay`` exp(-depth) at each cell's entry and the slab's exit.
     """
 
     sel: np.ndarray
@@ -150,28 +150,40 @@ class _Half(NamedTuple):
     G: np.ndarray
     one_minus_e: np.ndarray
     decay: np.ndarray
-    exp_c: np.ndarray | None
-    E: np.ndarray | None
+    exp_c: np.ndarray
+    blocks: list[tuple[int, int]]
 
 
 def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
     tau = sigma_up[None, :] * h_up[None, :] / mu_abs[:, None]
-    c = np.cumsum(tau, axis=1)
-    thin = c[:, -1].max(initial=0.0) <= _EXP_GUARD
     # One allocation holds the kept factors: as four arrays with freed
     # temporaries between them they fragment the heap, and a process's
     # peak memory then varies from run to run.
     L, m = tau.shape
-    block = np.empty(L * (4 * m + 1))
-    decay = block[: L * (m + 1)].reshape(L, m + 1)
-    G, one_minus_e, exp_c_or_e = block[L * (m + 1) :].reshape(3, L, m)
+    buf = np.empty(L * (4 * m + 1))
+    decay = buf[: L * (m + 1)].reshape(L, m + 1)
+    G, one_minus_e, exp_c = buf[L * (m + 1) :].reshape(3, L, m)
     G[...] = _escape_factor(tau)
     np.negative(np.expm1(-tau), out=one_minus_e)
-    np.concatenate([np.zeros((L, 1)), c], axis=1, out=decay)
+    np.cumsum(tau, axis=1, out=exp_c)
+    blocks = [(0, m)]
+    if exp_c[:, -1].max(initial=0.0) > _EXP_GUARD:
+        # a cell deeper than the guard counts as the guard (G and one_minus_e
+        # keep its true depth); blocks are cut greedily at the deepest ordinate
+        np.minimum(tau, _EXP_GUARD, out=tau)
+        deepest = np.concatenate([[0.0], np.cumsum(tau[np.argmin(mu_abs)])])
+        cuts = [0]
+        while cuts[-1] < m:
+            cuts.append(int(np.searchsorted(deepest, deepest[cuts[-1]] + _EXP_GUARD, "right")) - 1)
+        blocks = list(zip(cuts, cuts[1:]))
+        for start, stop in blocks:
+            np.cumsum(tau[:, start:stop], axis=1, out=exp_c[:, start:stop])
+    decay[:, 1:] = exp_c
+    for start, _ in blocks:
+        decay[:, start] = 0.0
+    np.exp(exp_c, out=exp_c)
     np.exp(np.negative(decay, out=decay), out=decay)
-    np.exp(c if thin else -tau, out=exp_c_or_e)
-    return _Half(sel, flip, G, one_minus_e, decay,
-                 exp_c_or_e if thin else None, None if thin else exp_c_or_e)
+    return _Half(sel, flip, G, one_minus_e, decay, exp_c, blocks)
 
 
 def _sign_groups(medium: MediumProfile, mus: np.ndarray):
@@ -220,26 +232,19 @@ def _sweep_averages(factors, medium: MediumProfile, cell_source, inflows, edges)
 
 
 def _swept_half(f: _Half, sat, inflow):
-    if f.exp_c is not None:
-        # edge values decay * (inflow + emission accumulated up to the edge)
-        edges = np.zeros((inflow.size, sat.size + 1))
-        np.cumsum(sat[None, :] * f.one_minus_e * f.exp_c, axis=1, out=edges[:, 1:])
-        edges += inflow[:, None]
-        edges *= f.decay
-        avg = edges[:, :-1] - sat[None, :]
-        avg *= f.G
-        avg += sat[None, :]
-        return avg, edges
-    # optically thick fallback: march cells, vectorized over ordinates
-    L, m = f.G.shape
-    avg = np.empty((L, m))
-    edges = np.empty((L, m + 1))
-    psi = inflow.astype(float).copy()
-    edges[:, 0] = psi
-    for i in range(m):
-        avg[:, i] = sat[i] + (psi - sat[i]) * f.G[:, i]
-        psi = sat[i] + (psi - sat[i]) * f.E[:, i]
-        edges[:, i + 1] = psi
+    # edge values decay * (block entry value + emission accumulated up to the edge)
+    edges = np.empty((inflow.size, sat.size + 1))
+    for start, stop in f.blocks:
+        seg = edges[:, start : stop + 1]
+        entry = seg[:, 0] / f.exp_c[:, start - 1] if start else inflow  # last exit, decayed
+        seg[:, 0] = 0.0
+        np.cumsum(sat[start:stop] * f.one_minus_e[:, start:stop] * f.exp_c[:, start:stop],
+                  axis=1, out=seg[:, 1:])
+        seg += entry[:, None]
+    edges *= f.decay
+    avg = edges[:, :-1] - sat[None, :]
+    avg *= f.G
+    avg += sat[None, :]
     return avg, edges
 
 
@@ -248,7 +253,7 @@ def transmission_averages(medium: MediumProfile, mus) -> np.ndarray:
     mus = np.asarray(mus, dtype=float)
     out = np.empty((mus.size, medium.ncells))
     for sel, flip, sigma_up, h_up, mu_abs in _sign_groups(medium, mus):
-        # only the entry decays and G of the _Half factors: same expressions
+        # only the entry decays and G of a one-block _Half: same expressions
         tau = sigma_up[None, :] * h_up[None, :] / mu_abs[:, None]
         entry = np.concatenate([np.zeros((tau.shape[0], 1)), np.cumsum(tau[:, :-1], axis=1)], axis=1)
         out[sel] = (np.exp(np.negative(entry)) * _escape_factor(tau))[:, flip]
@@ -283,23 +288,15 @@ def _response_matrix(factors, medium: MediumProfile, w, scale) -> np.ndarray:
 
 
 def _response_half(f: _Half, r_up, w):
-    L, m = f.G.shape
-    diag = r_up * (w.sum() - w @ f.G)
-    if f.exp_c is not None:
-        u = f.G * f.decay[:, :-1]
-        v = r_up[None, :] * f.one_minus_e * f.exp_c
-        full = (w[:, None] * u).T @ v
-        b = np.tril(full, k=-1)
-    else:
-        # thick media: march unit-source columns, vectorized over ordinates
-        b = np.zeros((m, m))
-        psi = np.zeros((L, m))
-        for i in range(m):
-            avg = psi * f.G[:, i : i + 1]
-            avg[:, i] += r_up[i] * (1.0 - f.G[:, i])
-            b[i, :] = w @ avg
-            psi = psi * f.E[:, i : i + 1]
-            psi[:, i] += r_up[i] * f.one_minus_e[:, i]
-        np.fill_diagonal(b, 0.0)
-    np.fill_diagonal(b, diag)
+    wu = w[:, None] * (f.G * f.decay[:, :-1])
+    # column j: exit value of a unit source in cell j, carried to the entry
+    # of the block of rows being filled; tril drops the unfilled upper part
+    v = r_up[None, :] * f.one_minus_e * f.exp_c
+    full = np.empty((r_up.size, r_up.size))
+    for start, stop in f.blocks:
+        if start:
+            v[:, :start] /= f.exp_c[:, start - 1 : start]
+        np.matmul(wu[:, start:stop].T, v[:, :stop], out=full[start:stop, :stop])
+    b = np.tril(full, k=-1)
+    np.fill_diagonal(b, r_up * (w.sum() - w @ f.G))
     return b

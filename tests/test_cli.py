@@ -227,16 +227,8 @@ class TestStudy:
         assert rc == 2
         assert "iteration" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("study", ["delta-t", "delta-b"])
-    def test_operator_study_needs_two_samples(self, tmp_path, capsys, study):
-        cfg = write_config(tmp_path, study={"samples": 1})
-        rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert "/study/samples" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("study", ["delta-t", "delta-b"])
-    def test_operator_study_certifies_once(self, tmp_path, monkeypatch, study):
-        # the reference depends on the medium and delta only, not on n
+    @staticmethod
+    def _count_certifications(monkeypatch) -> list:
         calls = []
 
         def counted(*args, **kwargs):
@@ -244,6 +236,22 @@ class TestStudy:
             return certify_by_doubling(*args, **kwargs)
 
         monkeypatch.setattr(operators, "certify_by_doubling", counted)
+        return calls
+
+    @pytest.mark.parametrize("study", ["delta-t", "delta-b"])
+    def test_operator_study_needs_two_samples(self, tmp_path, capsys, monkeypatch, study):
+        # the sample count is checked before the reference is certified
+        calls = self._count_certifications(monkeypatch)
+        cfg = write_config(tmp_path, study={"samples": 1})
+        rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "/study/samples" in capsys.readouterr().err
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("study", ["delta-t", "delta-b"])
+    def test_operator_study_certifies_once(self, tmp_path, monkeypatch, study):
+        # the reference depends on the medium and delta only, not on n
+        calls = self._count_certifications(monkeypatch)
         cfg = write_config(tmp_path, study={"n_list": [4, 8, 16], "samples": 4})
         rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
         assert rc == 0

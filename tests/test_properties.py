@@ -2,10 +2,13 @@
 of the reuse of one sweep factor set, and of the weighted-adjoint identities.
 
 Media are drawn thin (every cumulative optical depth below the exp-product
-guard, so the cumulative-sum path runs) or thick (an ordinate just above
-delta sees a depth above the guard, so the cell march runs).  Ordinate sets
+guard, so each sign group is one block), thick (an ordinate just above
+delta sees a depth above the guard, so the exp-product restarts in several
+blocks and single cells can be deeper than the guard) or mixed (per-cell
+sigma_t spanning both, so blocks can have unequal lengths).  Ordinate sets
 are all positive, all negative, or mixed, and always hold one ordinate a
-hair above the truncation delta.
+hair above the truncation delta.  A deterministic case puts every cell
+deeper than the guard.
 """
 import numpy as np
 import pytest
@@ -36,8 +39,9 @@ from romlab.sweep import (
 
 DELTA = 0.05
 # sigma_t ranges: thin keeps sigma_t / delta below the guard on the unit slab,
-# thick puts it above the guard at mu = delta
-SIGMA_T = {"thin": (0.05, 5.0), "thick": (40.0, 80.0)}
+# thick puts it above the guard at mu = delta, mixed spans both
+SIGMA_T = {"thin": (0.05, 5.0), "thick": (40.0, 80.0), "mixed": (0.05, 80.0)}
+REGIMES = list(SIGMA_T)
 
 
 @st.composite
@@ -70,14 +74,16 @@ def cases(draw, regime):
 
 def _check_regime(medium, mus, regime):
     depth = float(np.sum(medium.sigma_t * medium.grid.widths)) / np.min(np.abs(mus))
-    assert (depth > EXP_PRODUCT_GUARD) == (regime == "thick")
+    if regime == "mixed":
+        assume(depth > EXP_PRODUCT_GUARD)
+    assert (depth > EXP_PRODUCT_GUARD) == (regime != "thin")
 
 
 def _close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=1e-13 * np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("regime", ["thin", "thick"])
+@pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_batched_sweep_matches_march(regime, data):
@@ -91,7 +97,7 @@ def test_batched_sweep_matches_march(regime, data):
     assert np.all(avg >= 0) and np.all(edges >= 0)
 
 
-@pytest.mark.parametrize("regime", ["thin", "thick"])
+@pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_transmission_averages_match_march(regime, data):
@@ -103,7 +109,7 @@ def test_transmission_averages_match_march(regime, data):
         _close(out[row], sweep_direction(medium, mu, zero, 1.0).cell_avg)
 
 
-@pytest.mark.parametrize("regime", ["thin", "thick"])
+@pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_response_matrix_matches_march(regime, data):
@@ -120,7 +126,7 @@ def test_response_matrix_matches_march(regime, data):
     _close(out, expected)
 
 
-@pytest.mark.parametrize("regime", ["thin", "thick"])
+@pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_factor_set_reuse_is_bitwise(regime, data):
@@ -143,7 +149,7 @@ def test_factor_set_reuse_is_bitwise(regime, data):
 
 
 
-@pytest.mark.parametrize("regime", ["thin", "thick"])
+@pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=20)
 @given(data=st.data())
 def test_factor_set_is_one_allocation_per_group(regime, data):
@@ -153,13 +159,78 @@ def test_factor_set_is_one_allocation_per_group(regime, data):
     medium, mus, _, _ = data.draw(cases(regime))
     _check_regime(medium, mus, regime)
     for f in _sweep_factors(medium, mus):
-        arrays = [a for a in (f.G, f.one_minus_e, f.decay, f.exp_c, f.E) if a is not None]
-        assert len(arrays) == 4 and all(a.flags.c_contiguous for a in arrays)
+        arrays = [f.decay, f.G, f.one_minus_e, f.exp_c]
+        assert all(a.flags.c_contiguous for a in arrays)
         block = arrays[0].base
         assert block is not None and all(a.base is block for a in arrays)
         assert block.nbytes == sum(a.nbytes for a in arrays)
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_blocks_cover_the_cells_within_the_guard(regime, data):
+    medium, mus, _, _ = data.draw(cases(regime))
+    _check_regime(medium, mus, regime)
+    for f in _sweep_factors(medium, mus):
+        tau = (medium.sigma_t * medium.grid.widths)[f.flip] / np.abs(mus[f.sel])[:, None]
+        starts, stops = zip(*f.blocks)
+        assert starts[0] == 0 and stops[-1] == medium.ncells and starts[1:] == stops[:-1]
+        assert all(start < stop for start, stop in f.blocks)
+        thin = np.cumsum(tau, axis=1)[:, -1].max() <= EXP_PRODUCT_GUARD
+        assert (len(f.blocks) == 1) == (thin or medium.ncells == 1)
+        for start, stop in f.blocks:
+            depth = np.minimum(tau[:, start:stop], EXP_PRODUCT_GUARD).sum(axis=1)
+            assert depth.max() <= EXP_PRODUCT_GUARD * (1 + 1e-12)
+
+
+def _deep_medium():
+    # sigma_t = 100 on cells of width 0.1: at mu = 0.0125 each cell is 800
+    # deep, past the guard and past the overflow of exp at about 709
+    grid = SpatialGrid.uniform(0.0, 1.0, 10)
+    sigma_t = np.full(10, 100.0)
+    return make_medium(grid, sigma_t, 0.5 * sigma_t, np.linspace(0.5, 1.5, 10))
+
+
+def test_cells_deeper_than_the_guard_match_march():
+    medium = _deep_medium()
+    mus = np.array([0.0125, -0.0125, 0.3, -0.9])
+    weights = np.array([0.4, 0.3, 0.2, 0.1])
+    inflows = np.array([1.0, 2.0, 0.5, 0.0])
+    assert all(len(f.blocks) == 10 for f in _sweep_factors(medium, mus))
+    with np.errstate(over="raise", invalid="raise"):
+        avg, edges = batched_sweep(medium, mus, medium.q, inflows)
+        matrix = averaged_response_matrix(medium, mus, weights, medium.sigma_s)
+    expected = np.zeros((10, 10))
+    for row, (mu, w, inflow) in enumerate(zip(mus, weights, inflows)):
+        ref = sweep_direction(medium, mu, medium.q, inflow)
+        _close(avg[row], ref.cell_avg)
+        _close(edges[row], ref.edge_values)
+        for j in range(10):
+            unit = np.zeros(10)
+            unit[j] = medium.sigma_s[j]
+            expected[:, j] += w * sweep_direction(medium, mu, unit, 0.0).cell_avg
+    _close(matrix, expected)
+
+
+@pytest.mark.parametrize("nodes", [16, 160])  # 32 ordinates: matrix path; 320: sweep path
+def test_solve_on_cells_deeper_than_the_guard_matches_march(nodes):
+    medium = _deep_medium()
+    quad = reference_quadrature(0.0125, nodes)
+    boundary = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.5))
+    with np.errstate(over="raise", invalid="raise"):
+        phi, report = solve(medium, boundary, quad, tol=1e-10)
+    assert report.converged
+    inflows = inflow_values(boundary, quad.mus)
+    march = np.zeros(medium.ncells)
+    for _ in range(report.iterations):
+        source = medium.sigma_s * march + medium.q
+        march = sum(w * sweep_direction(medium, mu, source, inflow).cell_avg
+                    for mu, w, inflow in zip(quad.mus, quad.weights, inflows))
+    np.testing.assert_allclose(phi.values, march, rtol=1e-12)
+
 
 def _public_sweep_loop(medium, boundary, quad, tol):
     """Source iteration that sweeps sigma_s * phi + q with batched_sweep each time."""
@@ -177,7 +248,7 @@ def _public_sweep_loop(medium, boundary, quad, tol):
     raise AssertionError("reference loop did not converge")
 
 
-@pytest.mark.parametrize("regime", ["thin", "thick"])
+@pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=10)
 @given(data=st.data())
 def test_sweep_path_solve_matches_public_sweep_loop(regime, data):
@@ -195,7 +266,7 @@ def _weighted_dot(weight, a, b):
     return float(np.sum(weight * a * b))
 
 
-@pytest.mark.parametrize("regime", ["thin", "thick"])
+@pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_weighted_adjoint_and_gram_trace(regime, data):
@@ -212,8 +283,8 @@ def test_weighted_adjoint_and_gram_trace(regime, data):
         lhs = _weighted_dot(d, op.entries @ x, y)
         rhs = _weighted_dot(d, x, op.adjoint_entries() @ y)
         assert abs(lhs - rhs) <= 1e-13 * size
-    # the single-direction operator at the ordinate nearest delta: in the
-    # thick regime this runs the response kernel's cell-march fallback
+    # the single-direction operator at the ordinate nearest delta: outside
+    # the thin regime its response kernel can fill several blocks of rows
     op = transport_matrix(medium, mus[0])
     assert gram_trace(medium, mus[0]) == pytest.approx(
         np.trace(op.adjoint_entries() @ op.entries), rel=1e-12

@@ -1,9 +1,11 @@
-"""Pin the number of settable values in romlab.
+"""Pin the number of settable values and of source lines in romlab.
 
 A settable value is a function parameter with a default or a dataclass
 field with a default: each is a knob that callers can turn and that tests
 and benchmarks must cover.  A change that adds or removes one updates
-SETTABLE_VALUES in the same diff.
+SETTABLE_VALUES in the same diff.  SOURCE_LINES is the line count of
+src/romlab/*.py (the total of ``wc -l``), tracked like a benchmark; a change
+that moves it updates SOURCE_LINES in the same diff.
 """
 import ast
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import romlab
 
 SETTABLE_VALUES = 33
+SOURCE_LINES = 2422
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -46,4 +49,14 @@ def test_settable_value_count_is_pinned():
         "every def and lambda) + dataclass fields with a default value, over "
         "src/romlab/*.py by AST. If the change adds or removes a knob on purpose, "
         "update SETTABLE_VALUES in this file in the same diff."
+    )
+
+
+def test_source_line_count_is_pinned():
+    package_dir = Path(romlab.__file__).parent
+    count = sum(path.read_bytes().count(b"\n") for path in package_dir.glob("*.py"))
+    assert count == SOURCE_LINES, (
+        f"src/romlab has {count} lines, pinned at {SOURCE_LINES}. "
+        "Count = the total of `wc -l src/romlab/*.py`. If the change adds or "
+        "removes lines on purpose, update SOURCE_LINES in this file in the same diff."
     )

@@ -228,8 +228,8 @@ class TestBatchKernels:
             single = sweep_direction(medium, mu, np.zeros(medium.ncells), 1.0)
             np.testing.assert_allclose(prof[k], single.cell_avg, rtol=1e-13, atol=1e-300)
 
-    def test_thick_medium_fallback(self):
-        # cumulative optical depth beyond the exp-product guard
+    def test_thick_medium_blocks_match_march(self):
+        # cumulative optical depth beyond the exp-product guard: several blocks
         grid = SpatialGrid.uniform(0.0, 1.0, 40)
         sigma = np.full(40, 30.0)
         medium = make_medium(grid, sigma, 0.5 * sigma, np.ones(40))
