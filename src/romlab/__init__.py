@@ -66,9 +66,8 @@ from .experiments import (
     RegularizationTable,
     SlopeFit,
     StudyConfig,
-    benchmark_config,
-    bias_benchmark_config,
     bias_study,
+    deviation_study,
     dom_error_study,
     fit_slope,
     reference_solution,

@@ -137,7 +137,6 @@ class QuadratureSet:
 
     mus: np.ndarray
     weights: np.ndarray
-    delta: float
     provenance: str
 
     @property
@@ -158,7 +157,6 @@ def dom_quadrature(partition: VelocityPartition, rule: str = "midpoint", order: 
         return QuadratureSet(
             _frozen_array(mus),
             partition.weights,
-            partition.delta,
             f"dom-midpoint(n={partition.n},delta={partition.delta})",
         )
     if rule == "gauss":
@@ -167,7 +165,6 @@ def dom_quadrature(partition: VelocityPartition, rule: str = "midpoint", order: 
         return QuadratureSet(
             _frozen_array(mus),
             _frozen_array(weights),
-            partition.delta,
             f"dom-gauss(order={k},delta={partition.delta})",
         )
     raise ValueError(f"unknown quadrature rule {rule!r}")
@@ -222,7 +219,6 @@ def reference_quadrature(delta: float, nodes_per_half: int) -> QuadratureSet:
     return QuadratureSet(
         _frozen_array(mus),
         _frozen_array(weights),
-        float(delta),
         f"reference-gauss(N={nodes_per_half},delta={delta})",
     )
 
@@ -266,6 +262,5 @@ def rom_sample(partition: VelocityPartition, master_seed: int, sample_index: int
     return QuadratureSet(
         _frozen_array(mus),
         partition.weights,
-        partition.delta,
         f"rom(seed={master_seed},index={sample_index},n={n},delta={partition.delta})",
     )

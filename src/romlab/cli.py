@@ -7,7 +7,8 @@ Commands
 ``romlab solve --config c.json --out phi.csv [--seed S]``
     One solve; writes the flux CSV, a report JSON, and a manifest.
 ``romlab study --config c.json --study KIND --out DIR [--seed S] [--jobs K] [--force]``
-    KIND is one of single-run, bias, dom, delta-t, delta-b, regularization.
+    KIND is one of single-run, bias, dom, delta-t, delta-b, regularization,
+    each one experiments call on the StudyConfig from config.study_config.
     Writes the result table CSV, a summary JSON with slope fits and
     timings, and a manifest.
 
@@ -26,7 +27,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -36,27 +36,24 @@ from . import __version__
 from .angular import build_partition
 from .config import (
     STUDY_KINDS,
-    LoadedConfig,
     build_quadrature,
     config_hash,
     load_config,
     study_config,
 )
-from .errors import ConfigError, NoConvergence, ReferenceNotConverged, RomlabError
+from .errors import NoConvergence, ReferenceNotConverged, RomlabError
 from .experiments import (
     ErrorRow,
     ErrorTable,
     RegularizationRow,
     RegularizationTable,
-    _error_rows,
     bias_study,
+    deviation_study,
     dom_error_study,
     fit_slope,
     regularization_study,
     single_run_error_study,
 )
-from .operators import (boundary_deviation_stats, iteration_deviation_stats,
-                        reference_boundary_average, reference_iteration_matrix)
 from .solver import solve
 
 
@@ -198,28 +195,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _stats_table(cfg: LoadedConfig, kind: str, seed: int, jobs: int) -> ErrorTable:
-    """delta-t / delta-b: mean squared deviation norm per n, from one certified reference."""
-    samples, nodes = cfg.study["samples"], cfg.study["ref_nodes"]
-    if samples < 2:  # before certifying a reference that no row would use
-        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
-    if kind == "delta-t":
-        reference, _ = reference_iteration_matrix(cfg.medium, cfg.delta, nodes)
-        stats_of = partial(iteration_deviation_stats, cfg.medium)
-    else:
-        reference, _ = reference_boundary_average(cfg.medium, cfg.boundary, cfg.delta, nodes)
-        stats_of = partial(boundary_deviation_stats, cfg.medium, cfg.boundary)
-
-    def measure(partition):
-        stats = stats_of(partition, reference, seed, samples, jobs)
-        return stats.mean_sq_norm, stats.se_mean_sq, stats.samples, False
-
-    return ErrorTable(kind, _error_rows(cfg.study["n_list"], cfg.delta, measure))
-
-
 def _cmd_study(args) -> int:
     started = _utcnow()
     cfg = load_config(args.config)
+    sc = study_config(cfg, seed=args.seed)
     out_dir = Path(args.out)
     if out_dir.exists():
         if not out_dir.is_dir():
@@ -227,27 +206,21 @@ def _cmd_study(args) -> int:
         if any(out_dir.iterdir()) and not args.force:
             return _fail(f"{out_dir} is not empty; pass --force to write anyway")
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.seed if args.seed is None else args.seed
 
     t0 = time.perf_counter()
-    if args.study in ("single-run", "bias", "dom"):
-        sc = study_config(cfg, seed=args.seed)
-        if args.study == "single-run":
-            table = single_run_error_study(sc, jobs=args.jobs)
-        elif args.study == "bias":
-            table = bias_study(sc, jobs=args.jobs)
-        else:
-            table = dom_error_study(sc, cfg.study["dom_rule"])
-    elif args.study in ("delta-t", "delta-b"):
-        table = _stats_table(cfg, args.study, seed, args.jobs)
-    else:
+    if args.study == "single-run":
+        table = single_run_error_study(sc, jobs=args.jobs)
+    elif args.study == "bias":
+        table = bias_study(sc, jobs=args.jobs)
+    elif args.study == "dom":
+        table = dom_error_study(sc, cfg.study["dom_rule"])
+    elif args.study == "regularization":
         table = regularization_study(
-            cfg.medium,
-            cfg.boundary,
-            cfg.study["delta_list"],
-            cfg.study["reference_delta"],
-            ref_nodes=cfg.study["ref_nodes"],
+            sc.medium, sc.boundary, cfg.study["delta_list"], cfg.study["reference_delta"],
+            ref_nodes=sc.ref_nodes,
         )
+    else:
+        table = deviation_study(sc, args.study, args.jobs)
     elapsed = time.perf_counter() - t0
 
     csv_path = out_dir / f"{args.study}.csv"
@@ -255,7 +228,7 @@ def _cmd_study(args) -> int:
     summary: dict = {
         "study": args.study,
         "config_hash": config_hash(cfg),
-        "master_seed": seed,
+        "master_seed": sc.master_seed,
         "elapsed_s": elapsed,
     }
     csv_path.write_text(table_to_csv(table))
@@ -275,7 +248,7 @@ def _cmd_study(args) -> int:
         manifest_path,
         RunManifest(
             config_hash=config_hash(cfg),
-            master_seed=seed,
+            master_seed=sc.master_seed,
             version=__version__,
             command=f"study --config {args.config} --study {args.study} --out {args.out}",
             started=started,

@@ -1,9 +1,10 @@
 """JSON run configuration: loading, validation, and object construction.
 
 Validation failures raise ConfigError carrying a JSON-pointer-style path
-("/medium/sigma_t") so the CLI can name the offending field.  The same
-builders back ``validate``, ``solve``, and ``study``, which keeps their
-accept/reject behavior and diagnostics identical.
+("/medium/sigma_t") so the CLI can name the offending field.  Every command
+loads through load_config.  ``validate`` and ``study`` also build the
+StudyConfig, which rejects an explicit /solver/tol above the study cap;
+``solve`` runs no study and accepts any positive tolerance.
 """
 from __future__ import annotations
 

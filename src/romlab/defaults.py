@@ -16,7 +16,6 @@ _DOC = json.loads(
 
 LAMBDA_MAX: float = _DOC["lambda_max"]
 ALPHA_MAX: float = _DOC["alpha_max"]
-SPATIAL_CELLS: int = _DOC["spatial_cells"]
 TAU_TAYLOR: float = _DOC["tau_taylor_threshold"]
 EXP_PRODUCT_GUARD: float = _DOC["exp_product_guard"]
 SOLVER_TOL: float = _DOC["solver"]["tol"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,16 +25,9 @@ from .angular import (
     rom_sample,
 )
 from .errors import ConfigError, NoConvergence, PureAbsorber, TooFewPoints
-from .medium import (
-    BoundarySpec,
-    ConstantBoundary,
-    MediumProfile,
-    ScalarFlux,
-    SpatialGrid,
-    inflow_values,
-    make_medium,
-    weighted_norm_of,
-)
+from .medium import BoundarySpec, MediumProfile, ScalarFlux, inflow_values, weighted_norm_of
+from .operators import (boundary_deviation_stats, iteration_deviation_stats,
+                        reference_boundary_average, reference_iteration_matrix)
 from .solver import solve
 from .sweep import _sweep_averages, _sweep_factors
 
@@ -128,59 +122,6 @@ class StudyConfig:
     @property
     def ref_target(self) -> float:
         return defaults.REF_TARGET_COEFF * self.n_max**-3
-
-
-def _unit_slab(ncells, sigma_s, q, left_inflow, **study) -> StudyConfig:
-    """Study on [0, 1] with sigma_t = 1, uniform sigma_s and q, inflow on the left only."""
-    grid = SpatialGrid.uniform(0.0, 1.0, ncells)
-    ones = np.ones(ncells)
-    medium = make_medium(grid, ones, sigma_s * ones, q * ones)
-    boundary = BoundarySpec(ConstantBoundary(left_inflow), ConstantBoundary(0.0))
-    return StudyConfig(medium=medium, boundary=boundary, **study)
-
-
-def benchmark_config(
-    n_list=(8, 16, 32, 64, 128),
-    sample_count: int = 64,
-    master_seed: int = 20240901,
-    ncells: int = defaults.SPATIAL_CELLS,
-    delta: float = 0.003125,
-    **overrides,
-) -> StudyConfig:
-    """The default Lipschitz benchmark: unit slab, lambda = 1/2, one-sided inflow.
-
-    sigma_t = 1, sigma_s = 0.5, q = 0 on [0, 1]; unit inflow on the left,
-    none on the right.  The jump across mu = 0 together with the small
-    truncation keeps the direction integrand effectively rough over the
-    studied n range, exposing the 3/2-order rates for both deterministic
-    midpoint sets and single random runs.
-    """
-    return _unit_slab(
-        ncells, 0.5, 0.0, 1.0,
-        delta=delta, n_list=n_list, sample_count=sample_count, master_seed=master_seed, **overrides,
-    )
-
-
-def bias_benchmark_config(
-    n_list=(4, 8, 16, 32),
-    sample_count: int = 20000,
-    master_seed: int = 20240901,
-    ncells: int = 100,
-    delta: float = 0.0125,
-    **overrides,
-) -> StudyConfig:
-    """Strong-scattering source-driven problem for bias measurements.
-
-    sigma_t = 1, sigma_s = 0.9, q = 1 with no inflow.  Removing the
-    boundary term strips the lambda-independent noise channel, and the
-    near-unity scattering ratio amplifies the second-order quadrature bias,
-    so the cubic bias decay is resolvable above the Monte-Carlo noise floor
-    at desk-scale sample counts.
-    """
-    return _unit_slab(
-        ncells, 0.9, 1.0, 0.0,
-        delta=delta, n_list=n_list, sample_count=sample_count, master_seed=master_seed, **overrides,
-    )
 
 
 def _solved(medium, boundary, quad, tol, max_iter) -> np.ndarray:
@@ -319,6 +260,32 @@ def dom_error_study(config: StudyConfig, rule: str = "midpoint") -> ErrorTable:
         return weighted_norm_of(phi - ref, config.medium), 0.0, 1, False
 
     return ErrorTable(f"dom-{rule}", _error_rows(config.n_list, config.delta, measure))
+
+
+def deviation_study(config: StudyConfig, kind: str, jobs: int) -> ErrorTable:
+    """delta-t / delta-b: mean squared deviation norm per n, from one certified reference.
+
+    The reference operator (delta-t) or boundary average (delta-b) depends
+    on the medium and delta only, so it is certified once for all rows.
+    """
+    if kind not in ("delta-t", "delta-b"):
+        raise ValueError(f"unknown deviation study {kind!r}")
+    if config.sample_count < 2:  # before certifying a reference that no row would use
+        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
+    if kind == "delta-t":
+        reference, _ = reference_iteration_matrix(config.medium, config.delta, config.ref_nodes)
+        stats_of = partial(iteration_deviation_stats, config.medium)
+    else:
+        reference, _ = reference_boundary_average(
+            config.medium, config.boundary, config.delta, config.ref_nodes
+        )
+        stats_of = partial(boundary_deviation_stats, config.medium, config.boundary)
+
+    def measure(partition):
+        stats = stats_of(partition, reference, config.master_seed, config.sample_count, jobs)
+        return stats.mean_sq_norm, stats.se_mean_sq, stats.samples, False
+
+    return ErrorTable(kind, _error_rows(config.n_list, config.delta, measure))
 
 
 def fit_slope(table: ErrorTable) -> SlopeFit:

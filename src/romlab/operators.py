@@ -131,7 +131,6 @@ class DeltaStats:
     samples: int
     mean_norm: float
     mean_sq_norm: float
-    se_mean: float
     se_mean_sq: float
     max_norm: float
     entry_mean: np.ndarray
@@ -151,7 +150,6 @@ def _collect_stats(n: int, results: list) -> DeltaStats:
         samples=count,
         mean_norm=float(norms.mean()),
         mean_sq_norm=float(sq.mean()),
-        se_mean=float(norms.std(ddof=1) / np.sqrt(count)),
         se_mean_sq=float(sq.std(ddof=1) / np.sqrt(count)),
         max_norm=float(norms.max()),
         entry_mean=entry_mean,

@@ -15,8 +15,6 @@ from romlab import (
     LinearBoundary,
     QuadratureSet,
     SpatialGrid,
-    benchmark_config,
-    bias_benchmark_config,
     bias_study,
     boundary_deviation_stats,
     build_partition,
@@ -39,7 +37,7 @@ from romlab import (
 from romlab.experiments import ErrorRow, ErrorTable
 from romlab.cli import main
 from romlab.operators import DenseOperator
-from conftest import random_medium
+from conftest import random_medium, shipped_config
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
 
@@ -88,7 +86,7 @@ def test_criterion_1_pure_absorber_oracle():
     # the two-ordinate single-cell example from the module contracts
     grid = SpatialGrid.uniform(0.0, 1.0, 1)
     medium = make_medium(grid, [1.0], [0.0], [1.0])
-    pair = QuadratureSet(np.array([-0.5, 0.5]), np.array([0.5, 0.5]), 0.0, "pair")
+    pair = QuadratureSet(np.array([-0.5, 0.5]), np.array([0.5, 0.5]), "pair")
     phi, _ = solve(medium, ZERO_BC, pair, tol=1e-14)
     worst = max(worst, abs(phi.values[0] - (1.0 - (1.0 - np.exp(-2.0)) / 2.0)))
     elapsed = time.perf_counter() - start
@@ -233,7 +231,7 @@ def test_criterion_5_boundary_deviation_scaling():
 
 def test_criterion_6_single_run_error_order():
     start = time.perf_counter()
-    config = benchmark_config()
+    config = shipped_config("benchmark")
     table = single_run_error_study(config)
     fit = fit_slope(table)
     elapsed = time.perf_counter() - start
@@ -249,7 +247,7 @@ def test_criterion_6_single_run_error_order():
 
 def test_criterion_7_bias_order():
     start = time.perf_counter()
-    config = bias_benchmark_config()
+    config = shipped_config("bias")
     table = bias_study(config)
     unflagged = table.unflagged()
     enforcement_ok = all(r.se <= r.estimate / 5 for r in unflagged)
@@ -271,7 +269,7 @@ def test_criterion_7_bias_order():
 
 def test_criterion_8_dom_midpoint_order():
     start = time.perf_counter()
-    config = benchmark_config()
+    config = shipped_config("benchmark")
     table = dom_error_study(config, "midpoint")
     fit = fit_slope(table)
     elapsed = time.perf_counter() - start

@@ -8,6 +8,7 @@ import pytest
 from romlab import operators
 from romlab.angular import certify_by_doubling
 from romlab.cli import flux_to_csv, main, parse_table_csv, table_to_csv
+from romlab.config import STUDY_KINDS
 from romlab.experiments import (
     ErrorRow,
     ErrorTable,
@@ -256,6 +257,20 @@ class TestStudy:
         rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
         assert rc == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"]] + [["study", "--study", kind] for kind in STUDY_KINDS],
+        ids=["validate", *STUDY_KINDS],
+    )
+    def test_tolerance_above_study_cap_rejected(self, tmp_path, capsys, command):
+        # 1e-5 is above the cap 1e-3 * n_max^-3 = 1.95e-6 for n_list [4, 8]
+        cfg = write_config(tmp_path, solver={"tol": 1e-5})
+        out = tmp_path / "x"
+        extra = ["--out", str(out)] if command[0] == "study" else []
+        assert main([*command, "--config", str(cfg), *extra]) == 1
+        assert "/solver/tol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_jobs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -13,9 +13,8 @@ from romlab import (
     SpatialGrid,
     StudyConfig,
     TooFewPoints,
-    benchmark_config,
-    bias_benchmark_config,
     bias_study,
+    deviation_study,
     dom_error_study,
     fit_slope,
     make_medium,
@@ -24,25 +23,9 @@ from romlab import (
     single_run_error_study,
 )
 from romlab.experiments import _certified_reference, _jackknife_norm_se
+from conftest import shipped_config, small_config
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
-
-
-def small_config(**overrides):
-    ncells = overrides.pop("ncells", 24)
-    grid = SpatialGrid.uniform(0.0, 1.0, ncells)
-    ones = np.ones(ncells)
-    medium = make_medium(grid, ones, 0.5 * ones, np.zeros(ncells))
-    defaults = dict(
-        medium=medium,
-        boundary=BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0)),
-        delta=0.05,
-        n_list=(4, 8, 16),
-        sample_count=24,
-        master_seed=5,
-    )
-    defaults.update(overrides)
-    return StudyConfig(**defaults)
 
 
 class TestFitSlope:
@@ -277,6 +260,12 @@ class TestDomStudy:
             dom_error_study(small_config(), "trapezoid")
 
 
+class TestDeviationStudy:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            deviation_study(small_config(), "delta-x", 1)
+
+
 class TestMeanVsBiasOrdering:
     def test_single_run_error_dominates_bias(self):
         # E ||phi - ref|| >= ||E phi - ref||: compare the two studies on a
@@ -290,7 +279,9 @@ class TestMeanVsBiasOrdering:
     def test_rom_average_competitive_with_dom(self):
         # the motivating comparison: averaging a modest ensemble at the same
         # n is already no worse than the deterministic midpoint rule
-        cfg = benchmark_config(n_list=(8, 16, 32), sample_count=64, ncells=100)
+        cfg = small_config(
+            ncells=100, delta=0.003125, n_list=(8, 16, 32), sample_count=64, master_seed=20240901
+        )
         dom = dom_error_study(cfg, "midpoint").rows[-1]
         mean_row = bias_study(cfg, row_cap_power=0.0).rows[-1]
         assert mean_row.estimate <= dom.estimate + 3 * max(mean_row.se, 1e-300)
@@ -331,15 +322,21 @@ class TestRegularizationStudy:
             regularization_study(self._medium(), ZERO_BC, [0.1], 0.2)
 
 
-class TestBenchmarks:
-    def test_default_benchmark_shape(self):
-        cfg = benchmark_config()
-        assert cfg.medium.lam == pytest.approx(0.5)
-        assert cfg.delta == pytest.approx(0.003125)
-        assert cfg.n_list == (8, 16, 32, 64, 128)
-
-    def test_bias_benchmark_shape(self):
-        cfg = bias_benchmark_config()
-        assert cfg.medium.lam == pytest.approx(0.9)
-        assert np.all(cfg.medium.q == 1.0)
-        assert cfg.n_list == (4, 8, 16, 32)
+class TestShippedConfigs:
+    # the problems behind acceptance criteria 6 and 8 (benchmark) and 7 (bias)
+    @pytest.mark.parametrize(
+        "name, lam, q, delta, n_list, samples, cells",
+        [
+            ("benchmark", 0.5, 0.0, 0.003125, (8, 16, 32, 64, 128), 64, 200),
+            ("bias", 0.9, 1.0, 0.0125, (4, 8, 16, 32), 20000, 100),
+        ],
+        ids=["benchmark", "bias"],
+    )
+    def test_loads_to_criteria_problem(self, name, lam, q, delta, n_list, samples, cells):
+        cfg = shipped_config(name)
+        assert cfg.medium.lam == pytest.approx(lam)
+        assert np.all(cfg.medium.q == q)
+        assert cfg.delta == delta
+        assert cfg.n_list == n_list
+        assert cfg.sample_count == samples
+        assert cfg.medium.ncells == cells

@@ -96,7 +96,7 @@ class TestIterationMatrix:
         from romlab import QuadratureSet
 
         medium = scattering_medium(1)
-        quad = QuadratureSet(np.array([-0.5, 0.5]), np.array([0.5, 0.5]), 0.0, "pair")
+        quad = QuadratureSet(np.array([-0.5, 0.5]), np.array([0.5, 0.5]), "pair")
         op = iteration_matrix(medium, quad)
         exact = 1.0 - (1.0 - np.exp(-2.0)) / 2.0
         assert op.entries[0, 0] == pytest.approx(exact, abs=1e-15)

@@ -12,7 +12,6 @@ from romlab import (
     ZeroMu,
     angular_fluxes,
     apply_transport,
-    benchmark_config,
     boundary_term,
     build_partition,
     dom_quadrature,
@@ -24,15 +23,13 @@ from romlab import (
 )
 from romlab.medium import inflow_values, weighted_norm_of
 from romlab.sweep import averaged_response_matrix, batched_sweep
-from conftest import random_medium
+from conftest import random_medium, small_config
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
 
 
 def pair_quad(mu=0.5):
-    return QuadratureSet(
-        np.array([-mu, mu]), np.array([0.5, 0.5]), 0.0, f"pair({mu})"
-    )
+    return QuadratureSet(np.array([-mu, mu]), np.array([0.5, 0.5]), f"pair({mu})")
 
 
 class TestSolve:
@@ -101,7 +98,7 @@ class TestSolve:
     def test_zero_mu_rejected(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 2)
         medium = make_medium(grid, np.ones(2), np.zeros(2), np.ones(2))
-        bad = QuadratureSet(np.array([0.0, 0.5]), np.array([0.5, 0.5]), 0.0, "bad")
+        bad = QuadratureSet(np.array([0.0, 0.5]), np.array([0.5, 0.5]), "bad")
         with pytest.raises(ZeroMu):
             solve(medium, ZERO_BC, bad)
 
@@ -173,7 +170,7 @@ class TestSolve:
         # where every source iteration rebuilt the sweep factors and edges:
         # 19.806 to 19.808 MB over five runs
         parent_peak = 19_810_000
-        config = benchmark_config(ncells=100)
+        config = small_config(ncells=100, delta=0.003125)
         quad = reference_quadrature(config.delta, 1024)
         solve(config.medium, config.boundary, quad)
         tracemalloc.start()

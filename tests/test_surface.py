@@ -12,8 +12,8 @@ from pathlib import Path
 
 import romlab
 
-SETTABLE_VALUES = 33
-SOURCE_LINES = 2422
+SETTABLE_VALUES = 23
+SOURCE_LINES = 2354
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
