@@ -1,8 +1,8 @@
 """Slab-geometry radiative transfer solver laboratory.
 
 Deterministic and random ordinate discretizations of the isotropic-
-scattering transport equation on a slab, with exact per-cell sweeps,
-source iteration, a dense operator laboratory, and convergence studies.
+scattering transport equation on a slab, with exact per-cell sweeps, a
+certified direct solve, a dense operator laboratory, and convergence studies.
 """
 
 from .angular import (

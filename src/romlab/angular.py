@@ -17,8 +17,6 @@ from . import defaults
 from .errors import AlphaUnbounded, DeltaOutOfRange, NoConvergence, OddN, ReferenceNotConverged
 from .medium import _frozen_array
 
-DEFAULT_ALPHA_MAX = defaults.ALPHA_MAX
-
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -84,7 +82,7 @@ def build_partition(
     delta: float,
     layout: str = "uniform",
     ratio: float = 1.0,
-    alpha_max: float = DEFAULT_ALPHA_MAX,
+    alpha_max: float = defaults.ALPHA_MAX,
 ) -> VelocityPartition:
     """Split each truncated half-interval into m = n/2 cells.
 

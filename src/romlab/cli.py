@@ -8,12 +8,14 @@ Commands
     One solve; writes the flux CSV, a report JSON, and a manifest.
 ``romlab study --config c.json --study KIND --out DIR [--seed S] [--jobs K] [--force]``
     KIND is one of single-run, bias, dom, delta-t, delta-b, regularization,
-    each one experiments call on the StudyConfig from config.study_config.
+    each one experiments call; every kind but regularization takes the
+    StudyConfig from config.study_config.
     Writes the result table CSV, a summary JSON with slope fits and
     timings, and a manifest.
 
-Exit codes: 0 success, 1 usage/config error, 2 non-converged computation
-(an iteration cap, or a reference that failed to certify).
+Exit codes: 0 success, 1 usage/config error, 2 uncertified computation
+(a solve whose error bound exceeds its tolerance, or a reference that
+failed to certify).
 
 Result CSVs are byte-identical for identical config and seed at any
 ``--jobs`` level; to keep that guarantee the wall_time_s column is
@@ -166,7 +168,7 @@ def _cmd_solve(args) -> int:
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         return _fail(f"output directory {out.parent} does not exist")
-    phi, report = solve(cfg.medium, cfg.boundary, quad, cfg.solver_tol, cfg.max_iter)
+    phi, report = solve(cfg.medium, cfg.boundary, quad, cfg.solver_tol)
     out.write_text(flux_to_csv(phi.values, cfg.medium.grid.edges))
     report_path = out.with_suffix(".report.json")
     record = {**asdict(report), "lambda": cfg.medium.lam, "quadrature": quad.provenance, "ordinates": quad.n}
@@ -186,19 +188,21 @@ def _cmd_solve(args) -> int:
     )
     if not report.converged:
         print(
-            f"warning: not converged after {report.iterations} iterations "
-            f"(residual {report.final_residual:.3g}); partial result written",
+            f"warning: error bound {report.error_bound:.3g} exceeds tol {cfg.solver_tol:.3g}; "
+            "partial result written",
             file=sys.stderr,
         )
         return 2
-    print(f"wrote {out} ({cfg.medium.ncells} cells, {report.iterations} iterations)")
+    print(f"wrote {out} ({cfg.medium.ncells} cells, error bound {report.error_bound:.3g})")
     return 0
 
 
 def _cmd_study(args) -> int:
     started = _utcnow()
     cfg = load_config(args.config)
-    sc = study_config(cfg, seed=args.seed)
+    seed = cfg.seed if args.seed is None else args.seed
+    # regularization solves at its own fixed tolerance, so the /solver/tol cap does not apply
+    sc = None if args.study == "regularization" else study_config(cfg, seed)
     out_dir = Path(args.out)
     if out_dir.exists():
         if not out_dir.is_dir():
@@ -216,8 +220,8 @@ def _cmd_study(args) -> int:
         table = dom_error_study(sc, cfg.study["dom_rule"])
     elif args.study == "regularization":
         table = regularization_study(
-            sc.medium, sc.boundary, cfg.study["delta_list"], cfg.study["reference_delta"],
-            ref_nodes=sc.ref_nodes,
+            cfg.medium, cfg.boundary, cfg.study["delta_list"], cfg.study["reference_delta"],
+            ref_nodes=cfg.study["ref_nodes"],
         )
     else:
         table = deviation_study(sc, args.study, args.jobs)
@@ -228,7 +232,7 @@ def _cmd_study(args) -> int:
     summary: dict = {
         "study": args.study,
         "config_hash": config_hash(cfg),
-        "master_seed": sc.master_seed,
+        "master_seed": seed,
         "elapsed_s": elapsed,
     }
     csv_path.write_text(table_to_csv(table))
@@ -248,7 +252,7 @@ def _cmd_study(args) -> int:
         manifest_path,
         RunManifest(
             config_hash=config_hash(cfg),
-            master_seed=sc.master_seed,
+            master_seed=seed,
             version=__version__,
             command=f"study --config {args.config} --study {args.study} --out {args.out}",
             started=started,

@@ -2,9 +2,11 @@
 
 Validation failures raise ConfigError carrying a JSON-pointer-style path
 ("/medium/sigma_t") so the CLI can name the offending field.  Every command
-loads through load_config.  ``validate`` and ``study`` also build the
-StudyConfig, which rejects an explicit /solver/tol above the study cap;
-``solve`` runs no study and accepts any positive tolerance.
+loads through load_config.  ``validate`` and every study kind but
+``regularization`` also build the StudyConfig, which rejects an explicit
+/solver/tol above the study cap.  ``solve`` runs no study and accepts any
+positive tolerance; ``regularization`` solves at its own fixed tolerance and
+reads no /solver/tol.
 """
 from __future__ import annotations
 
@@ -52,7 +54,6 @@ class LoadedConfig:
     seed: int
     solver_tol: float
     tol_explicit: bool
-    max_iter: int
     quadrature: dict | None
     study: dict
     merged: dict
@@ -218,7 +219,6 @@ def load_config(path: str | Path) -> LoadedConfig:
     tol = _number(_get(solver, "tol", "/solver"), "/solver/tol")
     if tol <= 0:
         raise ConfigError("/solver/tol", "must be positive")
-    max_iter = _positive(_get(solver, "max_iter", "/solver"), "/solver/max_iter")
 
     quadrature = merged.get("quadrature")
     if quadrature is not None:
@@ -272,7 +272,6 @@ def load_config(path: str | Path) -> LoadedConfig:
         seed=seed,
         solver_tol=tol,
         tol_explicit=tol_explicit,
-        max_iter=max_iter,
         quadrature=quadrature,
         study=dict(study, n_list=ns, samples=samples, ref_nodes=ref_nodes, dom_rule=rule,
                    delta_list=[float(d) for d in dlist], reference_delta=ref_delta),
@@ -320,5 +319,4 @@ def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
         master_seed=cfg.seed if seed is None else seed,
         solver_tol=tol,
         ref_nodes=cfg.study["ref_nodes"],
-        max_iter=cfg.max_iter,
     )

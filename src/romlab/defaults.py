@@ -19,7 +19,6 @@ ALPHA_MAX: float = _DOC["alpha_max"]
 TAU_TAYLOR: float = _DOC["tau_taylor_threshold"]
 EXP_PRODUCT_GUARD: float = _DOC["exp_product_guard"]
 SOLVER_TOL: float = _DOC["solver"]["tol"]
-SOLVER_MAX_ITER: int = _DOC["solver"]["max_iter"]
 REF_INITIAL_NODES: int = _DOC["reference"]["initial_nodes_per_half"]
 REF_MAX_NODES: int = _DOC["reference"]["max_nodes_per_half"]
 REF_ENTRY_TOL: float = _DOC["reference"]["entry_tol"]

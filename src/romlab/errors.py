@@ -46,7 +46,7 @@ class PureAbsorber(RomlabError):
 
 
 class NoConvergence(RomlabError):
-    """An iterative computation hit its iteration cap."""
+    """A computation missed its tolerance: a solve's error bound, or a Newton iteration's cap."""
 
 
 class TooFewPoints(RomlabError):

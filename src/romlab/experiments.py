@@ -96,7 +96,6 @@ class StudyConfig:
     master_seed: int
     solver_tol: float | None = None
     ref_nodes: int = defaults.REF_INITIAL_NODES
-    max_iter: int = defaults.SOLVER_MAX_ITER
 
     def __post_init__(self):
         n_list = tuple(int(n) for n in self.n_list)
@@ -124,21 +123,23 @@ class StudyConfig:
         return defaults.REF_TARGET_COEFF * self.n_max**-3
 
 
-def _solved(medium, boundary, quad, tol, max_iter) -> np.ndarray:
-    """Flux values of a converged solve; raises NoConvergence at max_iter."""
-    phi, report = solve(medium, boundary, quad, tol, max_iter)
+def _solved(medium, boundary, quad, tol) -> np.ndarray:
+    """Flux values of a certified solve; raises NoConvergence if its bound exceeds tol."""
+    phi, report = solve(medium, boundary, quad, tol)
     if not report.converged:
-        raise NoConvergence(f"{quad.provenance}: solve hit the cap of {max_iter} iterations")
+        raise NoConvergence(
+            f"{quad.provenance}: solve error bound {report.error_bound:.3g} exceeds tol {tol:.3g}"
+        )
     return phi.values
 
 
-def _certified_solve(medium, boundary, delta, nodes, target, tol, max_iter):
+def _certified_solve(medium, boundary, delta, nodes, target, tol):
     """Reference-quadrature flux values, nodes doubled until the change certifies.
 
     Returns (values, nodes used, certified gap); see certify_by_doubling.
     """
     return certify_by_doubling(
-        lambda quad: _solved(medium, boundary, quad, tol, max_iter),
+        lambda quad: _solved(medium, boundary, quad, tol),
         lambda a, b: weighted_norm_of(a - b, medium),
         delta, nodes, defaults.REF_MAX_NODES, target, "reference flux",
     )
@@ -153,7 +154,6 @@ def _certified_reference(config: StudyConfig) -> tuple[np.ndarray, int, float]:
         config.ref_nodes,
         config.ref_target,
         config.solver_tol,
-        config.max_iter,
     )
 
 
@@ -185,7 +185,7 @@ def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     def measure(partition):
         def one(i: int) -> float:
             quad = rom_sample(partition, config.master_seed, i)
-            phi = _solved(config.medium, config.boundary, quad, config.solver_tol, config.max_iter)
+            phi = _solved(config.medium, config.boundary, quad, config.solver_tol)
             return weighted_norm_of(phi - ref, config.medium)
 
         errors = np.array(indexed_map(one, config.sample_count, jobs))
@@ -230,7 +230,7 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
 
         def one(i: int) -> np.ndarray:
             quad = rom_sample(partition, config.master_seed, i)
-            return _solved(config.medium, config.boundary, quad, config.solver_tol, config.max_iter)
+            return _solved(config.medium, config.boundary, quad, config.solver_tol)
 
         count = min(initial, cap)
         phis = np.empty((0, config.medium.ncells))
@@ -256,7 +256,7 @@ def dom_error_study(config: StudyConfig, rule: str = "midpoint") -> ErrorTable:
 
     def measure(partition):
         quad = dom_quadrature(partition, rule)
-        phi = _solved(config.medium, config.boundary, quad, config.solver_tol, config.max_iter)
+        phi = _solved(config.medium, config.boundary, quad, config.solver_tol)
         return weighted_norm_of(phi - ref, config.medium), 0.0, 1, False
 
     return ErrorTable(f"dom-{rule}", _error_rows(config.n_list, config.delta, measure))
@@ -317,9 +317,9 @@ def regularization_study(
     one.  For each delta the measured flux difference is checked against
     ||f|| / (1 - lambda) plus the certification allowance, where f is the
     consistency error of the truncated direction average evaluated on the
-    reference angular flux.  Every solve uses the fixed tolerance
-    defaults.REGULARIZATION_SOLVER_TOL and the default iteration cap, and
-    each certified solve refines its quadrature to a gap of
+    reference angular flux.  Every solve is certified to the fixed tolerance
+    defaults.REGULARIZATION_SOLVER_TOL, which the bound's allowance counts,
+    and each certified solve refines its quadrature to a gap of
     defaults.REGULARIZATION_TARGET.
     """
     delta_list = [float(d) for d in delta_list]
@@ -330,7 +330,7 @@ def regularization_study(
 
     ref_flux, ref_nodes_used, ref_gap = _certified_solve(
         medium, boundary, reference_delta, ref_nodes, defaults.REGULARIZATION_TARGET,
-        defaults.REGULARIZATION_SOLVER_TOL, defaults.SOLVER_MAX_ITER,
+        defaults.REGULARIZATION_SOLVER_TOL,
     )
     frozen_source = medium.sigma_s * ref_flux + medium.q
 
@@ -347,7 +347,7 @@ def regularization_study(
         start = time.perf_counter()
         phi_d, nodes_d, gap_d = _certified_solve(
             medium, boundary, delta, ref_nodes, defaults.REGULARIZATION_TARGET,
-            defaults.REGULARIZATION_SOLVER_TOL, defaults.SOLVER_MAX_ITER,
+            defaults.REGULARIZATION_SOLVER_TOL,
         )
         error = weighted_norm_of(phi_d - ref_flux, medium)
         f = direction_average(delta, nodes_d) - i_ref

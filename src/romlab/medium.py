@@ -95,8 +95,8 @@ def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
 
     Raises LengthMismatch, NonPositiveSigmaT, or LambdaAtLeastOne when the
     admissibility constraints fail.  The scattering ratio is capped at
-    defaults.LAMBDA_MAX < 1, since source iteration degrades as it
-    approaches 1.
+    defaults.LAMBDA_MAX < 1, since the solver's error bound carries a
+    factor 1 / (1 - lambda).
     """
     sigma_t = _frozen_array(sigma_t)
     sigma_s = _frozen_array(sigma_s)

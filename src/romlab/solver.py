@@ -1,12 +1,14 @@
-"""Source iteration for the coupled ordinate system.
+"""Direct solve of the coupled ordinate system.
 
-The scalar flux solves the fixed point phi = (scattering sweep of phi) +
-(transport of q and inflow data), for whatever quadrature set is supplied.
-Iterates are exactly the ordinate-weighted sweeps of sigma_s * phi + q, so
-with phi0 = 0 they coincide with the partial Neumann sums of the
-scattering series.  The stopping rule converts the iterate difference into
-a bound on the distance to the exact discrete fixed point through the
-contraction factor, so ``tol`` bounds the true solver error.
+The scalar flux solves phi = S phi + c for whatever quadrature set is
+supplied: S is the ordinate-weighted zero-inflow sweep of sigma_s * phi,
+and c the weighted sweep of q with the inflow data.  ``solve`` assembles c
+and S in one pass over the two sign groups and solves (I - S) phi = c by
+LU.  For weights summing to one, ||S|| <= lambda in the L2(sigma_t) norm,
+so ||phi - phi*|| <= ||c - (I - S) phi|| / (1 - lambda): one residual
+certifies the distance to the exact discrete solution phi*, and ``tol``
+bounds that certificate.  The LU costs O(M^3) in the cell count M;
+BENCH_direct_solve.json records its times up to M = 2000.
 """
 from __future__ import annotations
 
@@ -24,33 +26,20 @@ from .medium import (
     inflow_values,
     weighted_norm_of,
 )
-from .sweep import AngularFlux, _response_matrix, _sweep_averages, _sweep_factors, batched_sweep
-
-# Above this many ordinates the per-iteration sweep is cheaper than
-# precomputing the dense iteration matrix once.
-_MATRIX_PATH_MAX_ORDINATES = 256
-# Trailing residual ratios averaged into the reported contraction estimate.
-_CONTRACTION_WINDOW = 5
+from .sweep import AngularFlux, _response_half, _swept_half, _sweep_factors, batched_sweep
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Convergence record of one source-iteration solve."""
+    """Certificate of one direct solve.
+
+    ``iterations`` counts linear solves (one); ``error_bound`` bounds the
+    L2(sigma_t) distance to the exact discrete solution.
+    """
 
     iterations: int
-    final_residual: float
     converged: bool
-    contraction_estimate: float
-    stop_threshold: float
-
-
-def _contraction_estimate(residuals: list[float]) -> float:
-    """Geometric mean of the trailing successive-residual ratios."""
-    tail = residuals[-(_CONTRACTION_WINDOW + 1) :]
-    ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
-    if not ratios:
-        return 0.0
-    return float(np.prod(ratios) ** (1.0 / len(ratios)))
+    error_bound: float
 
 
 def solve(
@@ -58,58 +47,33 @@ def solve(
     boundary: BoundarySpec,
     quad: QuadratureSet,
     tol: float = defaults.SOLVER_TOL,
-    max_iter: int = defaults.SOLVER_MAX_ITER,
 ) -> tuple[ScalarFlux, SolveReport]:
-    """Iterate phi <- sum_l w_l sweep(sigma_s phi + q, inflow_l) from phi = 0.
+    """Solve (I - S) phi = c by LU and certify phi by its residual.
 
-    Stops once the iterate difference drops below tol * (1 - lam) / lam with
-    lam = max(scattering ratio, 0.1), which guarantees the returned flux is
-    within tol of the exact discrete fixed point.  On hitting max_iter the
-    best iterate is returned with converged = False.  The sweep factors are
-    built once per solve; iterations sweep cell averages, never edge values.
+    Each sign group's sweep factors add the group's share of c and S and are
+    freed before the next group's are built.  converged is error_bound <= tol;
+    the flux is returned either way.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mus = quad.mus
+    mus, weights = quad.mus, quad.weights
     if np.any(mus == 0):
         raise ZeroMu("quadrature contains mu = 0")
-    lam_hat = max(medium.lam, 0.1)
-    threshold = tol * (1.0 - lam_hat) / lam_hat
-    weights = quad.weights
     inflows = inflow_values(boundary, mus)
-
-    factors = list(_sweep_factors(medium, mus))
-    const = weights @ _sweep_averages(factors, medium, medium.q, inflows, None)
-    use_matrix = quad.n <= _MATRIX_PATH_MAX_ORDINATES
-    if use_matrix:
-        scatter = _response_matrix(factors, medium, weights, medium.sigma_s)
-
-    phi = np.zeros(medium.ncells)
-    residuals: list[float] = []
-    converged = False
-    final_residual = float("inf")
-    iterations = 0
-    for k in range(1, max_iter + 1):
-        if use_matrix:
-            phi_next = scatter @ phi + const
-        else:
-            source = medium.sigma_s * phi + medium.q
-            phi_next = weights @ _sweep_averages(factors, medium, source, inflows, None)
-        final_residual = weighted_norm_of(phi_next - phi, medium)
-        residuals.append(final_residual)
-        phi = phi_next
-        iterations = k
-        if final_residual <= threshold:
-            converged = True
-            break
-
-    report = SolveReport(
-        iterations=iterations,
-        final_residual=final_residual,
-        converged=converged,
-        contraction_estimate=_contraction_estimate(residuals),
-        stop_threshold=threshold,
-    )
+    sat = medium.q / medium.sigma_t
+    ratio = medium.sigma_s / medium.sigma_t
+    const = np.zeros(medium.ncells)
+    system = np.zeros((medium.ncells, medium.ncells))  # -S, then I - S
+    for f in _sweep_factors(medium, mus):
+        w = weights[f.sel]
+        avg, _ = _swept_half(f, sat[f.flip], inflows[f.sel])
+        const[f.flip] += w @ avg
+        system[f.flip, f.flip] -= _response_half(f, ratio[f.flip], w)
+        del f, avg  # free this group's arrays before the next group's are built
+    system[np.diag_indices(medium.ncells)] += 1.0
+    phi = np.linalg.solve(system, const)
+    bound = weighted_norm_of(const - system @ phi, medium) / (1.0 - medium.lam)
+    report = SolveReport(iterations=1, converged=bool(bound <= tol), error_bound=bound)
     return ScalarFlux(phi, medium.grid), report
 
 

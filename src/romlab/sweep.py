@@ -290,13 +290,14 @@ def _response_matrix(factors, medium: MediumProfile, w, scale) -> np.ndarray:
 def _response_half(f: _Half, r_up, w):
     wu = w[:, None] * (f.G * f.decay[:, :-1])
     # column j: exit value of a unit source in cell j, carried to the entry
-    # of the block of rows being filled; tril drops the unfilled upper part
+    # of the block of rows being filled; the unfilled upper part is zeroed
     v = r_up[None, :] * f.one_minus_e * f.exp_c
     full = np.empty((r_up.size, r_up.size))
     for start, stop in f.blocks:
         if start:
             v[:, :start] /= f.exp_c[:, start - 1 : start]
         np.matmul(wu[:, start:stop].T, v[:, :stop], out=full[start:stop, :stop])
-    b = np.tril(full, k=-1)
-    np.fill_diagonal(b, r_up * (w.sum() - w @ f.G))
-    return b
+    # in place: np.tril would copy the M x M array
+    np.copyto(full, 0.0, where=np.tri(r_up.size, dtype=bool).T)
+    np.fill_diagonal(full, r_up * (w.sum() - w @ f.G))
+    return full

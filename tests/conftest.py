@@ -6,10 +6,14 @@ from hypothesis import settings
 
 from romlab import BoundarySpec, ConstantBoundary, SpatialGrid, StudyConfig, make_medium
 from romlab.config import load_config, study_config
+from romlab.medium import weighted_norm_of
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# Property tests draw the same examples on every run and never fail on timing.
+# Property tests never fail on timing, and derandomize fixes their random
+# choices.  The examples still depend on what the session has imported:
+# Hypothesis mixes constants it finds in loaded local modules into its
+# draws, so a property test can draw other examples alone than in the suite.
 settings.register_profile("romlab", derandomize=True, deadline=None, database=None)
 settings.load_profile("romlab")
 
@@ -31,6 +35,24 @@ def random_medium(rng, ncells=None, scattering=True):
         sigma_s = np.zeros(ncells)
     q = rng.uniform(0.0, 2.0, ncells)
     return make_medium(grid, sigma_t, sigma_s, q)
+
+
+def source_iteration(medium, sweep, eps):
+    """Fixed point of phi -> sweep(sigma_s * phi + q), iterated from phi = 0.
+
+    ``sweep`` maps a per-cell source to the weighted ordinate sum of its
+    sweeps with the inflow data.  Stops once the step certifies
+    ||phi - phi*|| <= eps: an oracle for solve that makes no linear solve.
+    """
+    phi = np.zeros(medium.ncells)
+    for _ in range(100_000):
+        nxt = sweep(medium.sigma_s * phi + medium.q)
+        step = weighted_norm_of(nxt - phi, medium)
+        phi = nxt
+        # ||phi - phi*|| <= lambda / (1 - lambda) * step
+        if step <= eps * (1.0 - medium.lam):
+            return phi
+    raise AssertionError("source iteration did not reach eps")
 
 
 def small_config(**overrides):

@@ -33,7 +33,7 @@ def write_config(path: Path, **overrides) -> Path:
         "delta": 0.05,
         "seed": 11,
         "quadrature": {"kind": "midpoint", "n": 8},
-        "solver": {"tol": 1e-9, "max_iter": 50000},
+        "solver": {"tol": 1e-9},
         "study": {"n_list": [4, 8], "samples": 16, "ref_nodes": 64},
     }
 
@@ -125,13 +125,28 @@ class TestSolve:
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         assert out.name in manifest["outputs"]
 
-    def test_max_iter_exit_code_with_partial_result(self, tmp_path):
-        cfg = write_config(tmp_path, medium={"sigma_s": 0.9}, solver={"max_iter": 1})
+    def test_uncertified_solve_exit_code_with_partial_result(self, tmp_path, capsys):
+        # no residual reaches 1e-300, so the certificate stays above tol
+        cfg = write_config(tmp_path, medium={"sigma_s": 0.9}, solver={"tol": 1e-300})
         out = tmp_path / "phi.csv"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error bound" in capsys.readouterr().err
         assert out.exists()
         report = json.loads(out.with_suffix(".report.json").read_text())
         assert report["converged"] is False
+        assert report["error_bound"] > 1e-300
+
+    def test_max_iter_key_is_unread(self, tmp_path):
+        # configs written for source iteration carry /solver/max_iter; it is
+        # accepted and read by nothing, like any other unread key
+        fluxes = []
+        for name, solver in (("cap", {"max_iter": 1}), ("other", {"unread": 1})):
+            cfg = write_config(tmp_path, solver=solver)
+            assert main(["validate", "--config", str(cfg)]) == 0
+            out = tmp_path / f"{name}.csv"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            fluxes.append(out.read_bytes())
+        assert fluxes[0] == fluxes[1]
 
     def test_rom_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, quadrature={"kind": "rom", "n": 8, "sample_index": 0})
@@ -222,11 +237,11 @@ class TestStudy:
         assert all(r.satisfied for r in table.rows)
 
     @pytest.mark.parametrize("study", ["single-run", "dom"])
-    def test_iteration_cap_exit_code(self, tmp_path, capsys, study):
-        cfg = write_config(tmp_path, solver={"max_iter": 1})
+    def test_uncertified_study_exit_code(self, tmp_path, capsys, study):
+        cfg = write_config(tmp_path, solver={"tol": 1e-300})
         rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "iteration" in capsys.readouterr().err
+        assert "error bound" in capsys.readouterr().err
 
     @staticmethod
     def _count_certifications(monkeypatch) -> list:
@@ -258,10 +273,12 @@ class TestStudy:
         assert rc == 0
         assert len(calls) == 1
 
+    SOLVER_TOL_KINDS = [kind for kind in STUDY_KINDS if kind != "regularization"]
+
     @pytest.mark.parametrize(
         "command",
-        [["validate"]] + [["study", "--study", kind] for kind in STUDY_KINDS],
-        ids=["validate", *STUDY_KINDS],
+        [["validate"]] + [["study", "--study", kind] for kind in SOLVER_TOL_KINDS],
+        ids=["validate", *SOLVER_TOL_KINDS],
     )
     def test_tolerance_above_study_cap_rejected(self, tmp_path, capsys, command):
         # 1e-5 is above the cap 1e-3 * n_max^-3 = 1.95e-6 for n_list [4, 8]
@@ -271,6 +288,21 @@ class TestStudy:
         assert main([*command, "--config", str(cfg), *extra]) == 1
         assert "/solver/tol" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_regularization_exempt_from_tol_cap(self, tmp_path):
+        # regularization solves at its own fixed tolerance, so a /solver/tol
+        # above the study cap changes nothing in its table
+        tables = []
+        for name, solver in (("capped", {}), ("above", {"tol": 1e-5})):
+            cfg = write_config(
+                tmp_path, solver=solver,
+                study={"delta_list": [0.2, 0.1], "reference_delta": 0.05, "ref_nodes": 64},
+            )
+            out = tmp_path / name
+            assert main(["study", "--config", str(cfg), "--study", "regularization",
+                         "--out", str(out)]) == 0
+            tables.append((out / "regularization.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_bad_jobs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -36,6 +36,7 @@ from romlab.sweep import (
     batched_sweep,
     transmission_averages,
 )
+from conftest import source_iteration
 
 DELTA = 0.05
 # sigma_t ranges: thin keeps sigma_t / delta below the guard on the unit slab,
@@ -44,14 +45,20 @@ SIGMA_T = {"thin": (0.05, 5.0), "thick": (40.0, 80.0), "mixed": (0.05, 80.0)}
 REGIMES = list(SIGMA_T)
 
 
+def _array(draw, lo, hi, size):
+    """``size`` floats in [lo, hi], none subnormal: the kernels' relative
+    tolerances assume normal-range data."""
+    return np.array(draw(st.lists(st.floats(lo, hi, allow_subnormal=False),
+                                  min_size=size, max_size=size)))
+
+
 @st.composite
 def cases(draw, regime):
     ncells = draw(st.integers(1, 8))
-    lo, hi = SIGMA_T[regime]
-    sigma_t = np.array(draw(st.lists(st.floats(lo, hi), min_size=ncells, max_size=ncells)))
-    ratio = np.array(draw(st.lists(st.floats(0.0, 0.9), min_size=ncells, max_size=ncells)))
-    q = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=ncells, max_size=ncells)))
-    widths = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=ncells, max_size=ncells)))
+    sigma_t = _array(draw, *SIGMA_T[regime], ncells)
+    ratio = _array(draw, 0.0, 0.9, ncells)
+    q = _array(draw, 0.0, 2.0, ncells)
+    widths = _array(draw, 0.1, 1.0, ncells)
     edges = np.concatenate([[0.0], np.cumsum(widths / widths.sum())])
     edges[-1] = 1.0
     medium = make_medium(SpatialGrid(edges), sigma_t, ratio * sigma_t, q)
@@ -67,8 +74,8 @@ def cases(draw, regime):
         flips = draw(st.lists(st.booleans(), min_size=mus.size, max_size=mus.size))
         flips[1] = not flips[0]
         mus = np.where(flips, -mus, mus)
-    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=mus.size, max_size=mus.size)))
-    inflows = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=mus.size, max_size=mus.size)))
+    weights = _array(draw, 0.01, 1.0, mus.size)
+    inflows = _array(draw, 0.0, 3.0, mus.size)
     return medium, mus, weights, inflows
 
 
@@ -215,7 +222,7 @@ def test_cells_deeper_than_the_guard_match_march():
     _close(matrix, expected)
 
 
-@pytest.mark.parametrize("nodes", [16, 160])  # 32 ordinates: matrix path; 320: sweep path
+@pytest.mark.parametrize("nodes", [16, 160])  # 32 and 320 ordinates
 def test_solve_on_cells_deeper_than_the_guard_matches_march(nodes):
     medium = _deep_medium()
     quad = reference_quadrature(0.0125, nodes)
@@ -224,28 +231,12 @@ def test_solve_on_cells_deeper_than_the_guard_matches_march(nodes):
         phi, report = solve(medium, boundary, quad, tol=1e-10)
     assert report.converged
     inflows = inflow_values(boundary, quad.mus)
-    march = np.zeros(medium.ncells)
-    for _ in range(report.iterations):
-        source = medium.sigma_s * march + medium.q
-        march = sum(w * sweep_direction(medium, mu, source, inflow).cell_avg
-                    for mu, w, inflow in zip(quad.mus, quad.weights, inflows))
-    np.testing.assert_allclose(phi.values, march, rtol=1e-12)
 
+    def march(source):
+        return sum(w * sweep_direction(medium, mu, source, inflow).cell_avg
+                   for mu, w, inflow in zip(quad.mus, quad.weights, inflows))
 
-def _public_sweep_loop(medium, boundary, quad, tol):
-    """Source iteration that sweeps sigma_s * phi + q with batched_sweep each time."""
-    lam_hat = max(medium.lam, 0.1)
-    threshold = tol * (1.0 - lam_hat) / lam_hat
-    inflows = inflow_values(boundary, quad.mus)
-    phi = np.zeros(medium.ncells)
-    for k in range(1, 100_000):
-        avg, _ = batched_sweep(medium, quad.mus, medium.sigma_s * phi + medium.q, inflows)
-        phi_next = quad.weights @ avg
-        residual = weighted_norm_of(phi_next - phi, medium)
-        phi = phi_next
-        if residual <= threshold:
-            return phi, k
-    raise AssertionError("reference loop did not converge")
+    np.testing.assert_allclose(phi.values, source_iteration(medium, march, 1e-14), rtol=1e-12)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -253,13 +244,18 @@ def _public_sweep_loop(medium, boundary, quad, tol):
 @given(data=st.data())
 def test_sweep_path_solve_matches_public_sweep_loop(regime, data):
     medium, _, _, inflows = data.draw(cases(regime))
-    quad = reference_quadrature(DELTA, 160)  # 320 ordinates: the solver's sweep path
+    quad = reference_quadrature(DELTA, 160)  # 320 ordinates
     _check_regime(medium, quad.mus, regime)
     boundary = BoundarySpec(ConstantBoundary(inflows[0]), ConstantBoundary(inflows[-1]))
     phi, report = solve(medium, boundary, quad, tol=1e-9)
-    expected, iterations = _public_sweep_loop(medium, boundary, quad, 1e-9)
-    assert report.iterations == iterations
-    assert np.array_equal(phi.values, expected)
+    assert report.converged and report.error_bound <= 1e-9
+    sweep_inflows = inflow_values(boundary, quad.mus)
+    expected = source_iteration(
+        medium,
+        lambda source: quad.weights @ batched_sweep(medium, quad.mus, source, sweep_inflows)[0],
+        1e-11,
+    )
+    assert weighted_norm_of(phi.values - expected, medium) <= 1e-9
 
 
 def _weighted_dot(weight, a, b):
@@ -274,8 +270,8 @@ def test_weighted_adjoint_and_gram_trace(regime, data):
     _check_regime(medium, mus, regime)
     assume(medium.lam > 0)
     m = medium.ncells
-    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
-    y = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    x = _array(data.draw, -1.0, 1.0, m)
+    y = _array(data.draw, -1.0, 1.0, m)
     quad = QuadratureSet(mus, weights, "drawn")
     for op in (transport_matrix(medium, mus[0]), iteration_matrix(medium, quad)):
         d = op.weight
