@@ -49,6 +49,26 @@ class TestSolve:
         assert report.iterations == 1
         assert report.converged
 
+    def test_monotone_iterates(self):
+        # with nonnegative data the source iteration from phi = 0 rises
+        # monotonically towards the direct solve and never passes it
+        grid = SpatialGrid.uniform(0.0, 1.0, 12)
+        medium = make_medium(grid, np.ones(12), 0.8 * np.ones(12), np.ones(12))
+        quad = dom_quadrature(build_partition(4, 0.1))
+        bc = BoundarySpec(ConstantBoundary(0.5), ConstantBoundary(0.2))
+        phi, report = solve(medium, bc, quad, tol=1e-13)
+        assert report.converged
+        inflows = inflow_values(bc, quad.mus)
+        previous = np.zeros(12)
+        for _ in range(6):
+            avg, _ = batched_sweep(
+                medium, quad.mus, medium.sigma_s * previous + medium.q, inflows
+            )
+            iterate = quad.weights @ avg
+            assert np.all(iterate >= previous - 1e-15)
+            assert np.all(iterate <= phi.values + 1e-13)
+            previous = iterate
+
     def test_fixed_point_residual(self, rng):
         tol = 1e-10
         for _ in range(10):
