@@ -2,11 +2,11 @@
 
 Validation failures raise ConfigError carrying a JSON-pointer-style path
 ("/medium/sigma_t") so the CLI can name the offending field.  Every command
-loads through load_config.  ``validate`` and every study kind but
-``regularization`` also build the StudyConfig, which rejects an explicit
-/solver/tol above the study cap.  ``solve`` runs no study and accepts any
-positive tolerance; ``regularization`` solves at its own fixed tolerance and
-reads no /solver/tol.
+loads through load_config, which turns JSON into values: types, lists, even
+ordinate counts, truncations and the ref_nodes cap.  ``validate`` and every
+study kind also build the StudyConfig, which checks the study values and
+rejects an explicit /solver/tol above the study cap.  ``solve`` runs no
+study, so it reads no study value and accepts any positive tolerance.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from .medium import (
 )
 
 _QUAD_KINDS = ("midpoint", "gauss", "rom", "reference")
-STUDY_KINDS = ("single-run", "bias", "dom", "delta-t", "delta-b", "regularization")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,31 +237,20 @@ def load_config(path: str | Path) -> LoadedConfig:
                 _positive(quadrature["order"], "/quadrature/order")
 
     study = _require_object(merged["study"], "/study")
-    n_list = _get(study, "n_list", "/study")
+    n_list = study["n_list"]
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError("/study/n_list", "must be a nonempty list")
-    ns = [_integer(v, f"/study/n_list/{i}") for i, v in enumerate(n_list)]
-    for i, n in enumerate(ns):
-        _validate_even_n(n, f"/study/n_list/{i}")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("/study/n_list", "must be strictly increasing")
-    samples = _positive(_get(study, "samples", "/study"), "/study/samples")
+    ns = [_validate_even_n(_integer(v, f"/study/n_list/{i}"), f"/study/n_list/{i}")
+          for i, v in enumerate(n_list)]
+    samples = _integer(study["samples"], "/study/samples")
     ref_nodes = _positive(study.get("ref_nodes", doc["reference"]["initial_nodes_per_half"]), "/study/ref_nodes")
     if ref_nodes > defaults.REF_MAX_NODES // 2:
         raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
-    rule = study.get("dom_rule", "midpoint")
-    if rule not in ("midpoint", "gauss"):
-        raise ConfigError("/study/dom_rule", "must be midpoint or gauss")
-    dlist = study.get("delta_list", doc["study"]["delta_list"])
+    dlist = study["delta_list"]
     if not isinstance(dlist, list) or not dlist:
         raise ConfigError("/study/delta_list", "must be a nonempty list")
-    for i, d in enumerate(dlist):
-        _validate_delta(d, f"/study/delta_list/{i}")
-    ref_delta = _validate_delta(
-        study.get("reference_delta", doc["study"]["reference_delta"]), "/study/reference_delta"
-    )
-    if ref_delta >= min(_number(d, "/study/delta_list") for d in dlist):
-        raise ConfigError("/study/reference_delta", "must be below every entry of delta_list")
+    dlist = [_validate_delta(d, f"/study/delta_list/{i}") for i, d in enumerate(dlist)]
+    ref_delta = _validate_delta(study["reference_delta"], "/study/reference_delta")
 
     tol_explicit = isinstance(user.get("solver"), dict) and "tol" in user["solver"]
     return LoadedConfig(
@@ -273,8 +261,8 @@ def load_config(path: str | Path) -> LoadedConfig:
         solver_tol=tol,
         tol_explicit=tol_explicit,
         quadrature=quadrature,
-        study=dict(study, n_list=ns, samples=samples, ref_nodes=ref_nodes, dom_rule=rule,
-                   delta_list=[float(d) for d in dlist], reference_delta=ref_delta),
+        study=dict(study, n_list=ns, samples=samples, ref_nodes=ref_nodes, delta_list=dlist,
+                   reference_delta=ref_delta),
         merged=merged,
     )
 
@@ -305,11 +293,9 @@ def build_quadrature(cfg: LoadedConfig, seed: int | None = None) -> QuadratureSe
 def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
     """StudyConfig from the loaded document; ``seed`` overrides the config's.
 
-    An explicitly configured solver tolerance must respect the study cap; a
-    defaulted one is tightened automatically.
+    A defaulted /solver/tol passes None, which StudyConfig tightens to the
+    study cap; an explicit one must respect that cap.
     """
-    cap = defaults.SOLVER_TOL_COEFF * max(cfg.study["n_list"]) ** -3
-    tol = cfg.solver_tol if cfg.tol_explicit else min(cfg.solver_tol, cap)
     return StudyConfig(
         medium=cfg.medium,
         boundary=cfg.boundary,
@@ -317,6 +303,9 @@ def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
         n_list=tuple(cfg.study["n_list"]),
         sample_count=cfg.study["samples"],
         master_seed=cfg.seed if seed is None else seed,
-        solver_tol=tol,
+        dom_rule=cfg.study["dom_rule"],
+        delta_list=cfg.study["delta_list"],
+        reference_delta=cfg.study["reference_delta"],
+        solver_tol=cfg.solver_tol if cfg.tol_explicit else None,
         ref_nodes=cfg.study["ref_nodes"],
     )

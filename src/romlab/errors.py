@@ -50,7 +50,7 @@ class NoConvergence(RomlabError):
 
 
 class TooFewPoints(RomlabError):
-    """A slope fit needs at least three unflagged rows."""
+    """A slope fit needs at least three unflagged rows, all with positive estimates."""
 
 
 class ReferenceNotConverged(RomlabError):

@@ -79,13 +79,15 @@ class RegularizationTable:
 
 @dataclass(frozen=True, eq=False)
 class StudyConfig:
-    """Everything a convergence study needs, with derived safeguards.
+    """Everything a convergence study needs, and the one check of each study value.
 
     The solver tolerance must sit at least three orders below the cubic
     velocity-error scale of the largest n, so measured errors are purely
-    velocity discretization; None derives the cap value.  ``ref_target``
-    is the certification gap for the reference solution, one hundredth of
-    that same scale.
+    velocity discretization; None takes the default solver tolerance,
+    tightened to that cap.  ``ref_target`` is the certification gap for the
+    reference solution, one hundredth of that same scale.  ``dom_rule`` is
+    the dom study's rule; ``delta_list`` and ``reference_delta`` are the
+    regularization study's truncations.
     """
 
     medium: MediumProfile
@@ -94,6 +96,9 @@ class StudyConfig:
     n_list: tuple[int, ...]
     sample_count: int
     master_seed: int
+    dom_rule: str
+    delta_list: tuple[float, ...]
+    reference_delta: float
     solver_tol: float | None = None
     ref_nodes: int = defaults.REF_INITIAL_NODES
 
@@ -102,8 +107,15 @@ class StudyConfig:
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("/study/n_list", "must be a strictly increasing list")
         object.__setattr__(self, "n_list", n_list)
+        if self.sample_count < 1:
+            raise ConfigError("/study/samples", "must be at least 1")
+        if self.dom_rule not in ("midpoint", "gauss"):
+            raise ConfigError("/study/dom_rule", "must be midpoint or gauss")
+        object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
+        if any(self.reference_delta >= d for d in self.delta_list):
+            raise ConfigError("/study/reference_delta", "must be below every entry of delta_list")
         cap = defaults.SOLVER_TOL_COEFF * max(n_list) ** -3
-        tol = cap if self.solver_tol is None else float(self.solver_tol)
+        tol = min(defaults.SOLVER_TOL, cap) if self.solver_tol is None else float(self.solver_tol)
         if tol > cap:
             raise ConfigError(
                 "/solver/tol",
@@ -111,8 +123,6 @@ class StudyConfig:
                 f"solver error below the velocity errors measured, got {tol:.3g}",
             )
         object.__setattr__(self, "solver_tol", tol)
-        if self.sample_count < 1:
-            raise ConfigError("/study/samples", "must be at least 1")
 
     @property
     def n_max(self) -> int:
@@ -248,18 +258,16 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
     return ErrorTable("bias", _error_rows(config.n_list, config.delta, measure))
 
 
-def dom_error_study(config: StudyConfig, rule: str = "midpoint") -> ErrorTable:
-    """Deterministic-quadrature error against the same reference, per n."""
-    if rule not in ("midpoint", "gauss"):
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+def dom_error_study(config: StudyConfig) -> ErrorTable:
+    """Error of the config's deterministic rule against the same reference, per n."""
     ref, _, _ = _certified_reference(config)
 
     def measure(partition):
-        quad = dom_quadrature(partition, rule)
+        quad = dom_quadrature(partition, config.dom_rule)
         phi = _solved(config.medium, config.boundary, quad, config.solver_tol)
         return weighted_norm_of(phi - ref, config.medium), 0.0, 1, False
 
-    return ErrorTable(f"dom-{rule}", _error_rows(config.n_list, config.delta, measure))
+    return ErrorTable(f"dom-{config.dom_rule}", _error_rows(config.n_list, config.delta, measure))
 
 
 def deviation_study(config: StudyConfig, kind: str, jobs: int) -> ErrorTable:
@@ -294,7 +302,7 @@ def fit_slope(table: ErrorTable) -> SlopeFit:
     if len(rows) < 3:
         raise TooFewPoints(f"slope fit needs >= 3 unflagged rows, got {len(rows)}")
     if any(r.estimate <= 0 for r in rows):
-        raise ValueError("slope fit needs positive estimates")
+        raise TooFewPoints("slope fit needs positive estimates on every unflagged row")
     x = np.log([r.n for r in rows])
     y = np.log([r.estimate for r in rows])
     slope, intercept = np.polyfit(x, y, 1)
@@ -304,17 +312,12 @@ def fit_slope(table: ErrorTable) -> SlopeFit:
     return SlopeFit(float(slope), float(intercept), r_sq)
 
 
-def regularization_study(
-    medium: MediumProfile,
-    boundary: BoundarySpec,
-    delta_list,
-    reference_delta: float,
-    ref_nodes: int = defaults.REF_INITIAL_NODES,
-) -> RegularizationTable:
-    """Truncation error against the stability bound, per truncation level.
+def regularization_study(config: StudyConfig) -> RegularizationTable:
+    """Truncation error against the stability bound, per entry of delta_list.
 
-    The near-untruncated model at reference_delta stands in for the full
-    one.  For each delta the measured flux difference is checked against
+    Reads the config's medium, boundary, delta_list, reference_delta and
+    ref_nodes.  The near-untruncated model at reference_delta stands in for
+    the full one.  For each delta the measured flux difference is checked against
     ||f|| / (1 - lambda) plus the certification allowance, where f is the
     consistency error of the truncated direction average evaluated on the
     reference angular flux.  Every solve is certified to the fixed tolerance
@@ -322,14 +325,12 @@ def regularization_study(
     and each certified solve refines its quadrature to a gap of
     defaults.REGULARIZATION_TARGET.
     """
-    delta_list = [float(d) for d in delta_list]
-    if reference_delta >= min(delta_list):
-        raise ValueError("reference_delta must be below every studied delta")
+    medium, boundary, ref_nodes = config.medium, config.boundary, config.ref_nodes
     if medium.lam == 0:
         raise PureAbsorber("regularization bound needs lambda > 0")
 
     ref_flux, ref_nodes_used, ref_gap = _certified_solve(
-        medium, boundary, reference_delta, ref_nodes, defaults.REGULARIZATION_TARGET,
+        medium, boundary, config.reference_delta, ref_nodes, defaults.REGULARIZATION_TARGET,
         defaults.REGULARIZATION_SOLVER_TOL,
     )
     frozen_source = medium.sigma_s * ref_flux + medium.q
@@ -341,9 +342,9 @@ def regularization_study(
             _sweep_factors(medium, quad.mus), medium, frozen_source, inflows, None
         )
 
-    i_ref = direction_average(reference_delta, ref_nodes_used)
+    i_ref = direction_average(config.reference_delta, ref_nodes_used)
     rows = []
-    for delta in delta_list:
+    for delta in config.delta_list:
         start = time.perf_counter()
         phi_d, nodes_d, gap_d = _certified_solve(
             medium, boundary, delta, ref_nodes, defaults.REGULARIZATION_TARGET,

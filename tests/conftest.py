@@ -68,6 +68,9 @@ def small_config(**overrides):
         n_list=(4, 8, 16),
         sample_count=24,
         master_seed=5,
+        dom_rule="midpoint",
+        delta_list=(0.2, 0.1, 0.05),
+        reference_delta=0.0125,
     )
     defaults.update(overrides)
     return StudyConfig(**defaults)

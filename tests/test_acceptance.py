@@ -270,7 +270,7 @@ def test_criterion_7_bias_order():
 def test_criterion_8_dom_midpoint_order():
     start = time.perf_counter()
     config = shipped_config("benchmark")
-    table = dom_error_study(config, "midpoint")
+    table = dom_error_study(config)
     fit = fit_slope(table)
     elapsed = time.perf_counter() - start
     _report(
@@ -284,12 +284,7 @@ def test_criterion_8_dom_midpoint_order():
 
 def test_criterion_9_regularization_bound():
     start = time.perf_counter()
-    ncells = 200
-    grid = SpatialGrid.uniform(0.0, 1.0, ncells)
-    ones = np.ones(ncells)
-    medium = make_medium(grid, ones, 0.5 * ones, 0.0 * ones)
-    boundary = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-    table = regularization_study(medium, boundary, [0.2, 0.1, 0.05], 0.0125)
+    table = regularization_study(shipped_config("benchmark"))
     all_ok = all(r.satisfied for r in table.rows)
     elapsed = time.perf_counter() - start
     detail = ", ".join(

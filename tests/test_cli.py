@@ -5,15 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from romlab import operators
+from romlab import cli, operators
 from romlab.angular import certify_by_doubling
-from romlab.cli import flux_to_csv, main, parse_table_csv, table_to_csv
-from romlab.config import STUDY_KINDS
+from romlab.cli import STUDY_KINDS, flux_to_csv, main, parse_table_csv, table_to_csv
 from romlab.experiments import (
     ErrorRow,
     ErrorTable,
     RegularizationRow,
     RegularizationTable,
+    StudyConfig,
 )
 from romlab.solver import SolveReport
 
@@ -273,12 +273,10 @@ class TestStudy:
         assert rc == 0
         assert len(calls) == 1
 
-    SOLVER_TOL_KINDS = [kind for kind in STUDY_KINDS if kind != "regularization"]
-
     @pytest.mark.parametrize(
         "command",
-        [["validate"]] + [["study", "--study", kind] for kind in SOLVER_TOL_KINDS],
-        ids=["validate", *SOLVER_TOL_KINDS],
+        [["validate"]] + [["study", "--study", kind] for kind in STUDY_KINDS],
+        ids=["validate", *STUDY_KINDS],
     )
     def test_tolerance_above_study_cap_rejected(self, tmp_path, capsys, command):
         # 1e-5 is above the cap 1e-3 * n_max^-3 = 1.95e-6 for n_list [4, 8]
@@ -289,20 +287,65 @@ class TestStudy:
         assert "/solver/tol" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_regularization_exempt_from_tol_cap(self, tmp_path):
-        # regularization solves at its own fixed tolerance, so a /solver/tol
-        # above the study cap changes nothing in its table
+    def test_regularization_table_independent_of_tol_under_cap(self, tmp_path):
+        # regularization solves at its own fixed tolerance, so a defaulted
+        # /solver/tol and an explicit 1e-12, both under the cap, give one table
         tables = []
-        for name, solver in (("capped", {}), ("above", {"tol": 1e-5})):
+        for name, tol in (("default", None), ("explicit", 1e-12)):
             cfg = write_config(
-                tmp_path, solver=solver,
-                study={"delta_list": [0.2, 0.1], "reference_delta": 0.05, "ref_nodes": 64},
+                tmp_path, study={"delta_list": [0.2, 0.1], "reference_delta": 0.05, "ref_nodes": 64}
             )
+            doc = json.loads(cfg.read_text())
+            doc["solver"] = {} if tol is None else {"tol": tol}
+            cfg.write_text(json.dumps(doc))
             out = tmp_path / name
             assert main(["study", "--config", str(cfg), "--study", "regularization",
                          "--out", str(out)]) == 0
             tables.append((out / "regularization.csv").read_bytes())
         assert tables[0] == tables[1]
+
+    _STUDY_FUNCTIONS = {
+        "single-run": "single_run_error_study",
+        "bias": "bias_study",
+        "dom": "dom_error_study",
+        "delta-t": "deviation_study",
+        "delta-b": "deviation_study",
+        "regularization": "regularization_study",
+    }
+
+    @pytest.mark.parametrize("study", STUDY_KINDS)
+    def test_study_kind_calls_its_function(self, tmp_path, monkeypatch, study):
+        # the function is looked up in romlab.cli when the study runs, so a
+        # replacement set there (as a tracer does) is the one called
+        calls = []
+
+        def fake(config, *args):
+            calls.append((config, *args))
+            if study == "regularization":
+                return RegularizationTable((RegularizationRow(0.1, 0.0, 0.0, 0.0, True, 0.0),))
+            return ErrorTable(study, (ErrorRow(4, 1.0, 0.0, 1, False, 0.0),))
+
+        monkeypatch.setattr(cli, self._STUDY_FUNCTIONS[study], fake)
+        cfg = write_config(tmp_path)
+        assert main(["study", "--config", str(cfg), "--study", study,
+                     "--out", str(tmp_path / "x")]) == 0
+        assert len(calls) == 1 and isinstance(calls[0][0], StudyConfig)
+        if study.startswith("delta-"):
+            assert calls[0][1] == study
+
+    def test_zero_estimates_leave_the_slope_fit_empty(self, tmp_path):
+        # q = 0 and no inflow: every dom error is 0, which no log-log fit takes
+        cfg = write_config(
+            tmp_path, boundary={"left": {"kind": "constant", "value": 0.0}},
+            study={"n_list": [4, 8, 16]},
+        )
+        out = tmp_path / "x"
+        assert main(["study", "--config", str(cfg), "--study", "dom", "--out", str(out)]) == 0
+        summary = json.loads((out / "dom_summary.json").read_text())
+        assert all(row["estimate"] == 0.0 for row in summary["rows"])
+        assert summary["slope_fit"] is None
+        assert "positive estimates" in summary["slope_fit_error"]
+        assert (out / "manifest.json").exists()
 
     def test_bad_jobs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -11,7 +11,6 @@ from romlab import (
     NoConvergence,
     PureAbsorber,
     SpatialGrid,
-    StudyConfig,
     TooFewPoints,
     bias_study,
     deviation_study,
@@ -66,12 +65,21 @@ class TestStudyConfig:
             small_config(solver_tol=1e-5)
 
     def test_derived_tolerance(self):
-        cfg = small_config()
-        assert cfg.solver_tol == pytest.approx(1e-3 * 16**-3)
+        # the default solver tolerance 1e-10, tightened to the cap 1e-3 * n_max^-3
+        assert small_config().solver_tol == pytest.approx(1e-10)
+        assert small_config(n_list=(64, 256)).solver_tol == pytest.approx(1e-3 * 256**-3)
 
     def test_n_list_must_increase(self):
         with pytest.raises(ConfigError):
             small_config(n_list=(8, 8, 16))
+
+    def test_unknown_rule(self):
+        with pytest.raises(ConfigError, match="/study/dom_rule"):
+            small_config(dom_rule="trapezoid")
+
+    def test_reference_delta_must_be_smallest(self):
+        with pytest.raises(ConfigError, match="/study/reference_delta"):
+            small_config(delta_list=(0.1,), reference_delta=0.2)
 
 
 class TestUncertifiedSolve:
@@ -91,7 +99,7 @@ class TestReferenceSolution:
         grid = SpatialGrid.uniform(0.0, 1.0, 1)
         medium = make_medium(grid, [1.0], [0.0], [1.0])
         delta = 0.05
-        cfg = StudyConfig(
+        cfg = small_config(
             medium=medium,
             boundary=ZERO_BC,
             delta=delta,
@@ -196,7 +204,7 @@ class TestBiasStudy:
         grid = SpatialGrid.uniform(0.0, 1.0, ncells)
         medium = make_medium(grid, np.ones(ncells), np.zeros(ncells), np.ones(ncells))
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        cfg = StudyConfig(
+        cfg = small_config(
             medium=medium,
             boundary=bc,
             delta=0.05,
@@ -231,11 +239,11 @@ class TestDomStudy:
         grid = SpatialGrid.uniform(0.0, 1.0, ncells)
         medium = make_medium(grid, np.ones(ncells), 0.5 * np.ones(ncells), np.ones(ncells))
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(1.0))
-        cfg = StudyConfig(
+        cfg = small_config(
             medium=medium, boundary=bc, delta=0.3, n_list=(8, 16), sample_count=4,
-            master_seed=0,
+            master_seed=0, dom_rule="gauss",
         )
-        table = dom_error_study(cfg, "gauss")
+        table = dom_error_study(cfg)
         assert table.rows[-1].estimate <= 1e-9
 
     def test_midpoint_second_order_on_smooth_data(self):
@@ -243,11 +251,11 @@ class TestDomStudy:
         grid = SpatialGrid.uniform(0.0, 1.0, ncells)
         medium = make_medium(grid, np.ones(ncells), 0.5 * np.ones(ncells), np.ones(ncells))
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(1.0))
-        cfg = StudyConfig(
+        cfg = small_config(
             medium=medium, boundary=bc, delta=0.3, n_list=(16, 32), sample_count=4,
             master_seed=0,
         )
-        table = dom_error_study(cfg, "midpoint")
+        table = dom_error_study(cfg)
         ratio = table.rows[0].estimate / table.rows[1].estimate
         assert 3.0 <= ratio <= 5.0
 
@@ -255,10 +263,6 @@ class TestDomStudy:
         cfg = small_config(n_list=(4, 8))
         table = dom_error_study(cfg)
         assert all(r.se == 0.0 and r.samples == 1 for r in table.rows)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            dom_error_study(small_config(), "trapezoid")
 
 
 class TestDeviationStudy:
@@ -283,44 +287,33 @@ class TestMeanVsBiasOrdering:
         cfg = small_config(
             ncells=100, delta=0.003125, n_list=(8, 16, 32), sample_count=64, master_seed=20240901
         )
-        dom = dom_error_study(cfg, "midpoint").rows[-1]
+        dom = dom_error_study(cfg).rows[-1]
         mean_row = bias_study(cfg, row_cap_power=0.0).rows[-1]
         assert mean_row.estimate <= dom.estimate + 3 * max(mean_row.se, 1e-300)
 
 
 class TestRegularizationStudy:
-    def _medium(self, ncells=100):
-        grid = SpatialGrid.uniform(0.0, 1.0, ncells)
-        ones = np.ones(ncells)
-        return make_medium(grid, ones, 0.5 * ones, 0.0 * ones)
-
+    # small_config's medium on 100 cells, with unit inflow on the left only
     def test_bound_satisfied_every_row(self):
-        bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        table = regularization_study(self._medium(), bc, [0.2, 0.1, 0.05], 0.0125)
+        table = regularization_study(small_config(ncells=100, delta_list=(0.2, 0.1, 0.05)))
         for row in table.rows:
             assert row.satisfied
             assert row.error <= row.bound
 
     def test_consistency_error_shrinks_with_delta(self):
-        bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        table = regularization_study(self._medium(), bc, [0.2, 0.1, 0.05], 0.0125)
+        table = regularization_study(small_config(ncells=100, delta_list=(0.2, 0.1, 0.05)))
         f_norms = [row.f_norm for row in table.rows]
         assert f_norms[0] > f_norms[1] > f_norms[2]
 
     def test_error_vanishes_as_delta_approaches_reference(self):
-        bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        table = regularization_study(self._medium(), bc, [0.1, 0.025], 0.0125)
+        table = regularization_study(small_config(ncells=100, delta_list=(0.1, 0.025)))
         assert table.rows[-1].error < table.rows[0].error / 3
 
     def test_requires_scattering(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 10)
         absorber = make_medium(grid, np.ones(10), np.zeros(10), np.ones(10))
         with pytest.raises(PureAbsorber):
-            regularization_study(absorber, ZERO_BC, [0.1], 0.0125)
-
-    def test_reference_delta_must_be_smallest(self):
-        with pytest.raises(ValueError):
-            regularization_study(self._medium(), ZERO_BC, [0.1], 0.2)
+            regularization_study(small_config(medium=absorber, boundary=ZERO_BC, delta_list=(0.1,)))
 
 
 class TestShippedConfigs:
