@@ -3,14 +3,16 @@
 Commands
 --------
 ``romlab validate --config c.json``
-    Schema and invariant checks only; prints derived quantities.
+    Checks all that does not depend on the study kind; prints derived values.
 ``romlab solve --config c.json --out phi.csv [--seed S]``
     One solve; writes the flux CSV, a report JSON, and a manifest.
 ``romlab study --config c.json --study KIND --out DIR [--seed S] [--jobs K] [--force]``
     KIND is one of single-run, bias, dom, delta-t, delta-b, regularization,
-    each one experiments call on the StudyConfig from config.study_config.
-    Writes the result table CSV, a summary JSON with slope fits and
-    timings, and a manifest.
+    each one experiments call on the StudyConfig from config.study_config
+    that checks the kind's own rules before any solve: single-run needs
+    samples >= 16, bias and delta-b samples >= 2, delta-t samples >= 2 and
+    lambda > 0, regularization lambda > 0.  Writes the result table CSV, a
+    summary JSON with slope fits and timings, and a manifest.
 
 Exit codes: 0 success, 1 usage/config error, 2 uncertified computation
 (a solve whose error bound exceeds its tolerance, or a reference that
@@ -87,10 +89,7 @@ def table_to_csv(table: ErrorTable | RegularizationTable) -> str:
 
 
 def parse_table_csv(text: str) -> ErrorTable | RegularizationTable:
-    """Read table_to_csv output back; the header picks the table type.
-
-    A parsed error table is labelled "parsed".
-    """
+    """Read table_to_csv output back; the header picks the table type."""
     header, *lines = [ln for ln in text.strip().splitlines() if ln]
     for row_type in (ErrorRow, RegularizationRow):
         if header == _header(row_type):
@@ -99,7 +98,7 @@ def parse_table_csv(text: str) -> ErrorTable | RegularizationTable:
                 row_type(*(_CELL_PARSERS[k](cell) for k, cell in zip(kinds, ln.split(","))))
                 for ln in lines
             )
-            return ErrorTable("parsed", rows) if row_type is ErrorRow else RegularizationTable(rows)
+            return ErrorTable(rows) if row_type is ErrorRow else RegularizationTable(rows)
     raise ValueError(f"unexpected header: {header!r}")
 
 
@@ -138,16 +137,15 @@ def _fail(message: str) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    if cfg.quadrature is not None:
+    if cfg.merged.get("quadrature") is not None:
         build_quadrature(cfg)
-    partitions = {n: build_partition(n, cfg.delta) for n in cfg.study["n_list"]}
     sc = study_config(cfg)
-    alpha_max = max(float(p.alpha.max()) for p in partitions.values())
+    alpha_max = max(float(build_partition(n, cfg.delta).alpha.max()) for n in sc.n_list)
     print(f"config ok: {args.config}")
     print(f"lambda = {cfg.medium.lam:.6g}")
     print(f"spatial_cells = {cfg.medium.ncells}")
     print(f"delta = {cfg.delta:.6g}")
-    print(f"n_list = {list(cfg.study['n_list'])}")
+    print(f"n_list = {list(sc.n_list)}")
     print(f"alpha_max = {alpha_max:.6g}")
     print(f"solver_tol (study) = {sc.solver_tol:.6g}")
     print(f"config_hash = {config_hash(cfg)}")

@@ -2,11 +2,12 @@
 
 Validation failures raise ConfigError carrying a JSON-pointer-style path
 ("/medium/sigma_t") so the CLI can name the offending field.  Every command
-loads through load_config, which turns JSON into values: types, lists, even
-ordinate counts, truncations and the ref_nodes cap.  ``validate`` and every
-study kind also build the StudyConfig, which checks the study values and
-rejects an explicit /solver/tol above the study cap.  ``solve`` runs no
-study, so it reads no study value and accepts any positive tolerance.
+loads through load_config, which parses what every command reads: medium,
+boundary, delta, seed and /solver/tol.  ``merged`` is the document
+config_hash hashes, and each remaining section has one reader that checks
+its values where it reads them: study_config builds the StudyConfig from
+/study (and rejects an explicit /solver/tol above the study cap), and
+build_quadrature builds the solve's quadrature from /quadrature.
 """
 from __future__ import annotations
 
@@ -36,15 +37,14 @@ from .medium import (
     make_medium,
 )
 
-_QUAD_KINDS = ("midpoint", "gauss", "rom", "reference")
-
-
 @dataclass(frozen=True, eq=False)
 class LoadedConfig:
     """Validated configuration with constructed domain objects.
 
     ``tol_explicit`` records whether the user pinned the solver tolerance;
-    studies derive their own cap-compliant tolerance otherwise.
+    studies derive their own cap-compliant tolerance otherwise.  ``merged``
+    is the defaults-merged document: what config_hash hashes, and what
+    study_config and build_quadrature read.
     """
 
     medium: MediumProfile
@@ -53,8 +53,6 @@ class LoadedConfig:
     seed: int
     solver_tol: float
     tol_explicit: bool
-    quadrature: dict | None
-    study: dict
     merged: dict
 
 
@@ -161,7 +159,8 @@ def _build_boundary_side(section, path: str):
     raise ConfigError(f"{path}/kind", f"must be one of constant, linear, table; got {kind!r}")
 
 
-def _validate_even_n(n: int, path: str) -> int:
+def _even_n(value, path: str) -> int:
+    n = _integer(value, path)
     if n < 2 or n % 2 != 0:
         raise ConfigError(path, f"ordinate count must be an even integer >= 2, got {n}")
     return n
@@ -219,39 +218,6 @@ def load_config(path: str | Path) -> LoadedConfig:
     if tol <= 0:
         raise ConfigError("/solver/tol", "must be positive")
 
-    quadrature = merged.get("quadrature")
-    if quadrature is not None:
-        quadrature = _require_object(quadrature, "/quadrature")
-        kind = _get(quadrature, "kind", "/quadrature")
-        if kind not in _QUAD_KINDS:
-            raise ConfigError("/quadrature/kind", f"must be one of {', '.join(_QUAD_KINDS)}")
-        if kind == "reference":
-            _positive(_get(quadrature, "nodes_per_half", "/quadrature"), "/quadrature/nodes_per_half")
-        else:
-            _validate_even_n(_integer(_get(quadrature, "n", "/quadrature"), "/quadrature/n"), "/quadrature/n")
-            if kind == "rom":
-                idx = _integer(quadrature.get("sample_index", 0), "/quadrature/sample_index")
-                if idx < 0:
-                    raise ConfigError("/quadrature/sample_index", "must be nonnegative")
-            if kind == "gauss" and "order" in quadrature:
-                _positive(quadrature["order"], "/quadrature/order")
-
-    study = _require_object(merged["study"], "/study")
-    n_list = study["n_list"]
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigError("/study/n_list", "must be a nonempty list")
-    ns = [_validate_even_n(_integer(v, f"/study/n_list/{i}"), f"/study/n_list/{i}")
-          for i, v in enumerate(n_list)]
-    samples = _integer(study["samples"], "/study/samples")
-    ref_nodes = _positive(study.get("ref_nodes", doc["reference"]["initial_nodes_per_half"]), "/study/ref_nodes")
-    if ref_nodes > defaults.REF_MAX_NODES // 2:
-        raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
-    dlist = study["delta_list"]
-    if not isinstance(dlist, list) or not dlist:
-        raise ConfigError("/study/delta_list", "must be a nonempty list")
-    dlist = [_validate_delta(d, f"/study/delta_list/{i}") for i, d in enumerate(dlist)]
-    ref_delta = _validate_delta(study["reference_delta"], "/study/reference_delta")
-
     tol_explicit = isinstance(user.get("solver"), dict) and "tol" in user["solver"]
     return LoadedConfig(
         medium=medium,
@@ -260,9 +226,6 @@ def load_config(path: str | Path) -> LoadedConfig:
         seed=seed,
         solver_tol=tol,
         tol_explicit=tol_explicit,
-        quadrature=quadrature,
-        study=dict(study, n_list=ns, samples=samples, ref_nodes=ref_nodes, delta_list=dlist,
-                   reference_delta=ref_delta),
         merged=merged,
     )
 
@@ -274,38 +237,60 @@ def config_hash(cfg: LoadedConfig) -> str:
 
 
 def build_quadrature(cfg: LoadedConfig, seed: int | None = None) -> QuadratureSet:
-    """Quadrature set for the solve command; ``seed`` overrides the config's."""
-    if cfg.quadrature is None:
+    """Quadrature set for the solve command from /quadrature; ``seed`` overrides the config's."""
+    section = cfg.merged.get("quadrature")
+    if section is None:
         raise ConfigError("/quadrature", "missing required field (needed by solve)")
-    kind = cfg.quadrature["kind"]
+    section = _require_object(section, "/quadrature")
+    kind = _get(section, "kind", "/quadrature")
+    if kind not in ("midpoint", "gauss", "rom", "reference"):
+        raise ConfigError("/quadrature/kind", "must be one of midpoint, gauss, rom, reference")
     if kind == "reference":
-        return reference_quadrature(cfg.delta, int(cfg.quadrature["nodes_per_half"]))
-    partition = build_partition(int(cfg.quadrature["n"]), cfg.delta)
-    if kind == "midpoint":
-        return dom_quadrature(partition, "midpoint")
-    if kind == "gauss":
-        order = cfg.quadrature.get("order")
-        return dom_quadrature(partition, "gauss", None if order is None else int(order))
-    effective = cfg.seed if seed is None else seed
-    return rom_sample(partition, effective, int(cfg.quadrature.get("sample_index", 0)))
+        nodes = _positive(_get(section, "nodes_per_half", "/quadrature"), "/quadrature/nodes_per_half")
+        return reference_quadrature(cfg.delta, nodes)
+    n = _even_n(_get(section, "n", "/quadrature"), "/quadrature/n")
+    if kind == "rom":
+        index = _integer(section.get("sample_index", 0), "/quadrature/sample_index")
+        if index < 0:
+            raise ConfigError("/quadrature/sample_index", "must be nonnegative")
+        return rom_sample(build_partition(n, cfg.delta), cfg.seed if seed is None else seed, index)
+    order = None
+    if kind == "gauss" and "order" in section:
+        order = _positive(section["order"], "/quadrature/order")
+    return dom_quadrature(build_partition(n, cfg.delta), kind, order)
 
 
 def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
-    """StudyConfig from the loaded document; ``seed`` overrides the config's.
+    """StudyConfig from /study; ``seed`` overrides the config's.
 
-    A defaulted /solver/tol passes None, which StudyConfig tightens to the
+    Turns the JSON into values (types, lists, even n, truncations in (0, 1),
+    the ref_nodes cap); StudyConfig checks the values themselves.  A
+    defaulted /solver/tol passes None, which StudyConfig tightens to the
     study cap; an explicit one must respect that cap.
     """
+    study = _require_object(cfg.merged["study"], "/study")
+    n_list = study["n_list"]
+    if not isinstance(n_list, list) or not n_list:
+        raise ConfigError("/study/n_list", "must be a nonempty list")
+    n_list = tuple(_even_n(v, f"/study/n_list/{i}") for i, v in enumerate(n_list))
+    samples = _integer(study["samples"], "/study/samples")
+    ref_nodes = _positive(study.get("ref_nodes", defaults.REF_INITIAL_NODES), "/study/ref_nodes")
+    if ref_nodes > defaults.REF_MAX_NODES // 2:
+        raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
+    delta_list = study["delta_list"]
+    if not isinstance(delta_list, list) or not delta_list:
+        raise ConfigError("/study/delta_list", "must be a nonempty list")
+    delta_list = [_validate_delta(d, f"/study/delta_list/{i}") for i, d in enumerate(delta_list)]
     return StudyConfig(
         medium=cfg.medium,
         boundary=cfg.boundary,
         delta=cfg.delta,
-        n_list=tuple(cfg.study["n_list"]),
-        sample_count=cfg.study["samples"],
+        n_list=n_list,
+        sample_count=samples,
         master_seed=cfg.seed if seed is None else seed,
-        dom_rule=cfg.study["dom_rule"],
-        delta_list=cfg.study["delta_list"],
-        reference_delta=cfg.study["reference_delta"],
+        dom_rule=study["dom_rule"],
+        delta_list=delta_list,
+        reference_delta=_validate_delta(study["reference_delta"], "/study/reference_delta"),
         solver_tol=cfg.solver_tol if cfg.tol_explicit else None,
-        ref_nodes=cfg.study["ref_nodes"],
+        ref_nodes=ref_nodes,
     )

@@ -46,7 +46,6 @@ class ErrorRow:
 
 @dataclass(frozen=True, eq=False)
 class ErrorTable:
-    kind: str
     rows: tuple[ErrorRow, ...]
 
     def unflagged(self) -> tuple[ErrorRow, ...]:
@@ -201,7 +200,7 @@ def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
         errors = np.array(indexed_map(one, config.sample_count, jobs))
         return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(errors.size)), errors.size, False
 
-    return ErrorTable("single-run", _error_rows(config.n_list, config.delta, measure))
+    return ErrorTable(_error_rows(config.n_list, config.delta, measure))
 
 
 def _jackknife_norm_se(phis: np.ndarray, ref: np.ndarray, weights: np.ndarray) -> float:
@@ -217,7 +216,7 @@ def _jackknife_norm_se(phis: np.ndarray, ref: np.ndarray, weights: np.ndarray) -
     return float(np.sqrt((count - 1) / count * ((theta - theta.mean()) ** 2).sum()))
 
 
-def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -> ErrorTable:
+def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     """Error of the sample-mean flux per n, with a noise-floor guard.
 
     Samples are added in deterministic doubling stages until the jackknife
@@ -226,7 +225,7 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
     are flagged and excluded from slope fits.  ``sample_count`` caps the
     largest n.  Resolving the n^-3 bias against the n^-3/2 single-run
     noise needs sample counts growing like n^3, so smaller n may draw up
-    to sample_count * (n_max / n)**row_cap_power.
+    to sample_count * (n_max / n)**3.
     """
     if config.sample_count < 2:
         raise ConfigError("/study/samples", "bias study needs at least 2 samples")
@@ -236,7 +235,7 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
     fraction = defaults.BIAS_SE_FRACTION
 
     def measure(partition):
-        cap = int(np.ceil(config.sample_count * (config.n_max / partition.n) ** row_cap_power))
+        cap = int(np.ceil(config.sample_count * (config.n_max / partition.n) ** 3))
 
         def one(i: int) -> np.ndarray:
             quad = rom_sample(partition, config.master_seed, i)
@@ -255,7 +254,7 @@ def bias_study(config: StudyConfig, jobs: int = 1, row_cap_power: float = 3.0) -
             count = min(2 * count, cap)
         return estimate, se, count, bool(se > fraction * estimate)
 
-    return ErrorTable("bias", _error_rows(config.n_list, config.delta, measure))
+    return ErrorTable(_error_rows(config.n_list, config.delta, measure))
 
 
 def dom_error_study(config: StudyConfig) -> ErrorTable:
@@ -267,7 +266,7 @@ def dom_error_study(config: StudyConfig) -> ErrorTable:
         phi = _solved(config.medium, config.boundary, quad, config.solver_tol)
         return weighted_norm_of(phi - ref, config.medium), 0.0, 1, False
 
-    return ErrorTable(f"dom-{config.dom_rule}", _error_rows(config.n_list, config.delta, measure))
+    return ErrorTable(_error_rows(config.n_list, config.delta, measure))
 
 
 def deviation_study(config: StudyConfig, kind: str, jobs: int) -> ErrorTable:
@@ -293,7 +292,7 @@ def deviation_study(config: StudyConfig, kind: str, jobs: int) -> ErrorTable:
         stats = stats_of(partition, reference, config.master_seed, config.sample_count, jobs)
         return stats.mean_sq_norm, stats.se_mean_sq, stats.samples, False
 
-    return ErrorTable(kind, _error_rows(config.n_list, config.delta, measure))
+    return ErrorTable(_error_rows(config.n_list, config.delta, measure))
 
 
 def fit_slope(table: ErrorTable) -> SlopeFit:

@@ -127,7 +127,6 @@ class DeltaStats:
     standard error, used to verify that the deviations are mean-zero.
     """
 
-    n: int
     samples: int
     mean_norm: float
     mean_sq_norm: float
@@ -137,23 +136,20 @@ class DeltaStats:
     entry_se: np.ndarray
 
 
-def _collect_stats(n: int, results: list) -> DeltaStats:
+def _collect_stats(results: list) -> DeltaStats:
     """Statistics of per-sample (norm, deviation) pairs, in sample order."""
     norms = np.array([r[0] for r in results])
     entries = np.stack([r[1] for r in results])
     count = norms.size
     sq = norms**2
-    entry_mean = entries.mean(axis=0)
-    entry_var = entries.var(axis=0, ddof=1)
     return DeltaStats(
-        n=n,
         samples=count,
         mean_norm=float(norms.mean()),
         mean_sq_norm=float(sq.mean()),
         se_mean_sq=float(sq.std(ddof=1) / np.sqrt(count)),
         max_norm=float(norms.max()),
-        entry_mean=entry_mean,
-        entry_se=np.sqrt(entry_var / count),
+        entry_mean=entries.mean(axis=0),
+        entry_se=np.sqrt(entries.var(axis=0, ddof=1) / count),
     )
 
 
@@ -181,7 +177,7 @@ def iteration_deviation_stats(
         norm = weighted_operator_norm(DenseOperator(delta, medium.cell_weights))
         return norm, delta
 
-    return _collect_stats(partition.n, indexed_map(one, sample_count, jobs))
+    return _collect_stats(indexed_map(one, sample_count, jobs))
 
 
 def _boundary_average(medium: MediumProfile, boundary: BoundarySpec, quad: QuadratureSet) -> np.ndarray:
@@ -224,4 +220,4 @@ def boundary_deviation_stats(
         delta = _boundary_average(medium, boundary, rom_sample(partition, master_seed, i)) - reference
         return weighted_norm_of(delta, medium), delta
 
-    return _collect_stats(partition.n, indexed_map(one, sample_count, jobs))
+    return _collect_stats(indexed_map(one, sample_count, jobs))

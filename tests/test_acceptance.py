@@ -190,7 +190,7 @@ def test_criterion_4_operator_deviation_scaling():
             medium, build_partition(n, 0.05), reference, 77, 2000
         )
         rows.append(ErrorRow(n, stats.mean_sq_norm, stats.se_mean_sq, 2000, False, 0.0))
-    fit = fit_slope(ErrorTable("delta-t", tuple(rows)))
+    fit = fit_slope(ErrorTable(tuple(rows)))
     elapsed = time.perf_counter() - start
     _report(
         "criterion-4 mean-square operator deviation decays cubically",
@@ -218,7 +218,7 @@ def test_criterion_5_boundary_deviation_scaling():
                 stats.entry_se > 0, stats.entry_se, 1.0
             )
             mean_zero_ok = float(np.max(scaled)) <= 4.0
-    fit = fit_slope(ErrorTable("delta-b", tuple(rows)))
+    fit = fit_slope(ErrorTable(tuple(rows)))
     elapsed = time.perf_counter() - start
     _report(
         "criterion-5 boundary quadrature deviation decays cubically and is mean-zero",

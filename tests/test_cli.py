@@ -323,7 +323,7 @@ class TestStudy:
             calls.append((config, *args))
             if study == "regularization":
                 return RegularizationTable((RegularizationRow(0.1, 0.0, 0.0, 0.0, True, 0.0),))
-            return ErrorTable(study, (ErrorRow(4, 1.0, 0.0, 1, False, 0.0),))
+            return ErrorTable((ErrorRow(4, 1.0, 0.0, 1, False, 0.0),))
 
         monkeypatch.setattr(cli, self._STUDY_FUNCTIONS[study], fake)
         cfg = write_config(tmp_path)
@@ -354,13 +354,50 @@ class TestStudy:
         assert rc == 1
 
 
+class TestSectionReaders:
+    # /study is read only by validate and study, /quadrature only by
+    # validate and solve
+    BAD_STUDY = {"study": {"n_list": "x"}}
+    BAD_QUADRATURE = {"quadrature": {"kind": "midpoint", "n": 7}}
+
+    def test_solve_does_not_read_study(self, tmp_path):
+        fluxes = []
+        for name, overrides in (("good", {}), ("bad", self.BAD_STUDY)):
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, **overrides)
+            out = tmp_path / name / "phi.csv"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            fluxes.append(out.read_bytes())
+        assert fluxes[0] == fluxes[1]
+
+    def test_study_does_not_read_quadrature(self, tmp_path):
+        cfg = write_config(tmp_path, **self.BAD_QUADRATURE)
+        assert main(["study", "--config", str(cfg), "--study", "dom",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("overrides, path", [(BAD_STUDY, "/study/n_list"),
+                                                  (BAD_QUADRATURE, "/quadrature/n")],
+                             ids=["study", "quadrature"])
+    def test_validate_reads_both(self, tmp_path, capsys, overrides, path):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert path in capsys.readouterr().err
+
+    def test_null_quadrature_needed_only_by_solve(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quadrature=None)
+        assert main(["validate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "/quadrature: missing required field (needed by solve)" in capsys.readouterr().err
+
+
 class TestRoundTrip:
     def test_error_table(self):
         rows = (
             ErrorRow(8, 1.2345678901234567e-3, 4.5e-5, 64, False, 3.25),
             ErrorRow(16, 9.87654321e-5, 1.1e-6, 128, True, 1.5),
         )
-        table = ErrorTable("single-run", rows)
+        table = ErrorTable(rows)
         text = table_to_csv(table)
         assert text.splitlines()[0] == "n,estimate,se,samples,flagged,wall_time_s"
         assert text.splitlines()[2] == "16,9.8765432099999994e-05,1.1000000000000001e-06,128,true,0"
