@@ -12,6 +12,7 @@ from .angular import (
     composite_gauss,
     dom_quadrature,
     reference_quadrature,
+    rom_pair,
     rom_sample,
     uniform_stream,
 )

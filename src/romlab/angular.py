@@ -262,3 +262,21 @@ def rom_sample(partition: VelocityPartition, master_seed: int, sample_index: int
         partition.weights,
         f"rom(seed={master_seed},index={sample_index},n={n},delta={partition.delta})",
     )
+
+
+def rom_pair(partition: VelocityPartition, master_seed: int,
+             sample_index: int) -> tuple[QuadratureSet, QuadratureSet]:
+    """``rom_sample``'s draw and its antithetic reflection, u -> 1 - u in every cell.
+
+    Each ordinate mu becomes lo + hi - mu, clipped to its cell against
+    rounding: again Uniform(S_j), and mirrored exactly because the cells
+    are, so the pair's mean flux has one draw's expectation.
+    """
+    quad = rom_sample(partition, master_seed, sample_index)
+    lo, hi = partition.lower, partition.upper
+    reflected = QuadratureSet(
+        _frozen_array(np.clip(lo + hi - quad.mus, lo, hi)),
+        partition.weights,
+        quad.provenance[:-1] + ",antithetic)",
+    )
+    return quad, reflected

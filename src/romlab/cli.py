@@ -10,9 +10,10 @@ Commands
     KIND is one of single-run, bias, dom, delta-t, delta-b, regularization,
     each one experiments call on the StudyConfig from config.study_config
     that checks the kind's own rules before any solve: single-run needs
-    samples >= 16, bias and delta-b samples >= 2, delta-t samples >= 2 and
-    lambda > 0, regularization lambda > 0.  Writes the result table CSV, a
-    summary JSON with slope fits and timings, and a manifest.
+    samples >= 16, bias samples >= 4 (two antithetic pairs), delta-b
+    samples >= 2, delta-t samples >= 2 and lambda > 0, regularization
+    lambda > 0.  Writes the result table CSV, a summary JSON with slope
+    fits and timings, and a manifest.
 
 Exit codes: 0 success, 1 usage/config error, 2 uncertified computation
 (a solve whose error bound exceeds its tolerance, or a reference that
@@ -229,6 +230,10 @@ def _cmd_study(args) -> int:
     }
     csv_path.write_text(table_to_csv(table))
     summary["rows"] = [asdict(r) for r in table.rows]
+    if args.study == "bias":  # bias_study draws antithetic pairs, two samples each
+        summary["sampling"] = "antithetic-pairs"
+        for row in summary["rows"]:
+            row["pairs"] = row["samples"] // 2
     if isinstance(table, RegularizationTable):
         summary["all_satisfied"] = all(r.satisfied for r in table.rows)
     else:

@@ -22,6 +22,7 @@ from .angular import (
     certify_by_doubling,
     dom_quadrature,
     reference_quadrature,
+    rom_pair,
     rom_sample,
 )
 from .errors import ConfigError, NoConvergence, PureAbsorber, TooFewPoints
@@ -54,11 +55,16 @@ class ErrorTable:
 
 @dataclass(frozen=True)
 class SlopeFit:
-    """Least-squares slope of log(estimate) against log(n)."""
+    """Least-squares slope of log(estimate) against log(n).
+
+    ``slope_se`` propagates the row SEs through the fit, taking
+    var(log estimate) = (se / estimate)^2 for each row.
+    """
 
     slope: float
     intercept: float
     r_squared: float
+    slope_se: float
 
 
 @dataclass(frozen=True)
@@ -219,40 +225,49 @@ def _jackknife_norm_se(phis: np.ndarray, ref: np.ndarray, weights: np.ndarray) -
 def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     """Error of the sample-mean flux per n, with a noise-floor guard.
 
-    Samples are added in deterministic doubling stages until the jackknife
-    SE drops below the configured fraction of the estimate (default a
-    fifth) or the row's cap is hit; rows still noise-dominated at the cap
-    are flagged and excluded from slope fits.  ``sample_count`` caps the
-    largest n.  Resolving the n^-3 bias against the n^-3/2 single-run
-    noise needs sample counts growing like n^3, so smaller n may draw up
-    to sample_count * (n_max / n)**3.
+    Ordinates come in antithetic pairs (angular.rom_pair); the pair mean
+    (phi(u) + phi(1 - u)) / 2 has one draw's expectation, so the bias is
+    unchanged, and far less variance.  It is the unit of the mean and the
+    jackknife.  Pairs are added in deterministic doubling stages from
+    bias_initial_samples / 2 until the jackknife SE drops below the
+    configured fraction of the estimate (default a fifth) or the row's cap
+    is hit; ``samples`` counts two per pair.  Rows still noise-dominated at
+    the cap, or stopped below bias_initial_samples, where so few pairs do
+    not certify the guard, are flagged and excluded from slope fits.
+    ``sample_count`` caps the largest n.  Resolving the n^-3 bias against
+    the n^-3/2 single-run noise needs sample counts growing like n^3, so
+    smaller n may draw up to sample_count * (n_max / n)**3, rounded down to
+    whole pairs.
     """
-    if config.sample_count < 2:
-        raise ConfigError("/study/samples", "bias study needs at least 2 samples")
+    if config.sample_count < 4:  # before certifying a reference that no row would use
+        raise ConfigError("/study/samples", "bias study needs at least 4 samples (two pairs)")
     ref, _, _ = _certified_reference(config)
     weights = config.medium.cell_weights
     initial = defaults.BIAS_INITIAL_SAMPLES
     fraction = defaults.BIAS_SE_FRACTION
 
     def measure(partition):
-        cap = int(np.ceil(config.sample_count * (config.n_max / partition.n) ** 3))
+        pair_cap = int(np.ceil(config.sample_count * (config.n_max / partition.n) ** 3)) // 2
 
         def one(i: int) -> np.ndarray:
-            quad = rom_sample(partition, config.master_seed, i)
-            return _solved(config.medium, config.boundary, quad, config.solver_tol)
+            first, second = (
+                _solved(config.medium, config.boundary, quad, config.solver_tol)
+                for quad in rom_pair(partition, config.master_seed, i)
+            )
+            return 0.5 * (first + second)
 
-        count = min(initial, cap)
-        phis = np.empty((0, config.medium.ncells))
+        pairs = min(initial // 2, pair_cap)
+        means = np.empty((0, config.medium.ncells))
         while True:
-            done = phis.shape[0]
-            block = indexed_map(lambda i: one(done + i), count - done, jobs)
-            phis = np.vstack([phis, np.stack(block)])
-            estimate = weighted_norm_of(phis.mean(axis=0) - ref, config.medium)
-            se = _jackknife_norm_se(phis, ref, weights)
-            if se <= fraction * estimate or count >= cap:
+            done = means.shape[0]
+            block = indexed_map(lambda i: one(done + i), pairs - done, jobs)
+            means = np.vstack([means, np.stack(block)])
+            estimate = weighted_norm_of(means.mean(axis=0) - ref, config.medium)
+            se = _jackknife_norm_se(means, ref, weights)
+            if se <= fraction * estimate or pairs >= pair_cap:
                 break
-            count = min(2 * count, cap)
-        return estimate, se, count, bool(se > fraction * estimate)
+            pairs = min(2 * pairs, pair_cap)
+        return estimate, se, 2 * pairs, bool(se > fraction * estimate or 2 * pairs < initial)
 
     return ErrorTable(_error_rows(config.n_list, config.delta, measure))
 
@@ -308,7 +323,10 @@ def fit_slope(table: ErrorTable) -> SlopeFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r_sq = 1.0 if ss_tot == 0 else 1.0 - float((resid**2).sum()) / ss_tot
-    return SlopeFit(float(slope), float(intercept), r_sq)
+    # the slope is sum(c_i y_i) with c_i = (x_i - mean x) / sum (x_j - mean x)^2
+    c = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
+    rel_se = np.array([r.se / r.estimate for r in rows])
+    return SlopeFit(float(slope), float(intercept), r_sq, float(np.sqrt(((c * rel_se) ** 2).sum())))
 
 
 def regularization_study(config: StudyConfig) -> RegularizationTable:

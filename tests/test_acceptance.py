@@ -260,8 +260,8 @@ def test_criterion_7_bias_order():
         and len(unflagged) >= 3
         and enforcement_ok
         and cap_ok,
-        f"slope {fit.slope:.3f} in [-3.5, -2.5] over {len(unflagged)} unflagged rows, "
-        f"SE<=estimate/5 enforced: {enforcement_ok}, samples at n_max: {table.rows[-1].samples}",
+        f"slope {fit.slope:.3f} ± {fit.slope_se:.3f} in [-3.5, -2.5] over {len(unflagged)} "
+        f"unflagged rows, SE<=estimate/5 enforced: {enforcement_ok}, samples at n_max: {table.rows[-1].samples}",
         elapsed,
         600.0,
     )

@@ -16,6 +16,7 @@ from romlab import (
     composite_gauss,
     dom_quadrature,
     reference_quadrature,
+    rom_pair,
     rom_sample,
     uniform_stream,
 )
@@ -227,6 +228,48 @@ class TestRomSample:
         part = build_partition(8, 0.05)
         quad = rom_sample(part, 5, 0)
         np.testing.assert_array_equal(quad.weights, part.weights)
+
+
+class TestRomPair:
+    @settings(max_examples=80)
+    @given(
+        m=st.integers(1, 12),
+        delta=st.floats(0.001, 0.5),
+        layout=st.sampled_from([("uniform", 1.0), ("graded", 0.8), ("graded", 1.25)]),
+        seed=st.integers(0, 2**63 - 1),
+        index=st.integers(0, 10**6),
+    )
+    def test_reflection_in_cell_mirrored_and_centred(self, m, delta, layout, seed, index):
+        part = build_partition(2 * m, delta, *layout)
+        draw, reflected = rom_pair(part, seed, index)
+        np.testing.assert_array_equal(draw.mus, rom_sample(part, seed, index).mus)
+        assert np.all(part.lower <= reflected.mus) and np.all(reflected.mus <= part.upper)
+        np.testing.assert_array_equal(reflected.mus, -reflected.mus[::-1])
+        # |mu| <= 1: the two roundings in lo + hi - mu stay within a few eps
+        midpoints = 0.5 * (part.lower + part.upper)
+        np.testing.assert_allclose(
+            0.5 * (draw.mus + reflected.mus), midpoints, rtol=0, atol=4 * np.finfo(float).eps
+        )
+        np.testing.assert_array_equal(reflected.weights, part.weights)
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_reflected_cell_edge_stays_in_cell(self, monkeypatch, edge):
+        # at n = 16, delta = 0.05, lo + hi - mu rounds outside the cell for
+        # some cells when mu sits on either edge
+        part = build_partition(16, 0.05)
+        pos_mu = getattr(part, edge)[part.m:]
+        edges = angular.QuadratureSet(
+            np.concatenate([-pos_mu[::-1], pos_mu]), part.weights, "rom(edges)"
+        )
+        monkeypatch.setattr(angular, "rom_sample", lambda *args: edges)
+        _, reflected = rom_pair(part, 0, 0)
+        assert np.all(part.lower <= reflected.mus) and np.all(reflected.mus <= part.upper)
+
+    def test_provenance_names_the_reflection(self):
+        draw, reflected = rom_pair(build_partition(8, 0.05), 42, 3)
+        assert "antithetic" in reflected.provenance
+        assert "antithetic" not in draw.provenance
+        assert reflected.provenance.startswith("rom(seed=42,index=3,")
 
 
 class TestCertifyByDoubling:

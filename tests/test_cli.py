@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from romlab import cli, operators
+from romlab import cli, experiments, operators
 from romlab.angular import certify_by_doubling
 from romlab.cli import STUDY_KINDS, flux_to_csv, main, parse_table_csv, table_to_csv
 from romlab.experiments import (
@@ -263,6 +263,44 @@ class TestStudy:
         assert rc == 1
         assert "/study/samples" in capsys.readouterr().err
         assert len(calls) == 0
+
+    def test_bias_study_needs_two_pairs(self, tmp_path, capsys, monkeypatch):
+        # 3 samples hold one antithetic pair, too few units for a jackknife;
+        # the count is checked before the reference is certified
+        calls = []
+        monkeypatch.setattr(experiments, "certify_by_doubling",
+                            lambda *args: calls.append(args) or certify_by_doubling(*args))
+        cfg = write_config(tmp_path, study={"samples": 3})
+        rc = main(["study", "--config", str(cfg), "--study", "bias", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "/study/samples" in capsys.readouterr().err
+        assert len(calls) == 0
+
+    def test_bias_jobs_do_not_change_bytes(self, tmp_path):
+        cfg = write_config(tmp_path)
+        tables = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["study", "--config", str(cfg), "--study", "bias", "--out", str(out),
+                         "--jobs", jobs]) == 0
+            tables.append((out / "bias.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_summary_schema(self, tmp_path):
+        # bias records its sampling mode and each row's pair count; every
+        # slope fit carries the slope's SE
+        cfg = write_config(tmp_path, study={"n_list": [4, 8, 16]})
+        summaries = {}
+        for study in ("bias", "dom"):
+            out = tmp_path / study
+            assert main(["study", "--config", str(cfg), "--study", study, "--out", str(out)]) == 0
+            summaries[study] = json.loads((out / f"{study}_summary.json").read_text())
+        bias = summaries["bias"]
+        assert bias["sampling"] == "antithetic-pairs"
+        assert all(row["samples"] == 2 * row["pairs"] for row in bias["rows"])
+        assert "sampling" not in summaries["dom"]
+        assert "pairs" not in summaries["dom"]["rows"][0]
+        assert set(summaries["dom"]["slope_fit"]) == {"slope", "intercept", "r_squared", "slope_se"}
 
     @pytest.mark.parametrize("study", ["delta-t", "delta-b"])
     def test_operator_study_certifies_once(self, tmp_path, monkeypatch, study):

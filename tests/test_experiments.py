@@ -35,6 +35,14 @@ class TestFitSlope:
         fit = fit_slope(ErrorTable(rows))
         assert fit.slope == pytest.approx(-3.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert fit.slope_se == 0.0
+
+    def test_slope_se_from_row_ses(self):
+        # se / estimate = 0.1 on every row: slope SE = 0.1 / sqrt(sum (x - mean x)^2),
+        # and log n = (2..5) log 2 gives sum (x - mean x)^2 = 5 (log 2)^2
+        rows = tuple(ErrorRow(n, n**-3.0, 0.1 * n**-3.0, 1, False, 0.0) for n in (4, 8, 16, 32))
+        fit = fit_slope(ErrorTable(rows))
+        assert fit.slope_se == pytest.approx(0.1 / (math.sqrt(5) * math.log(2)), rel=1e-12)
 
     def test_scaled_power_law(self):
         rows = tuple(ErrorRow(n, 5.0 * n**-1.5, 0.0, 1, False, 0.0) for n in (4, 8, 16))
@@ -223,7 +231,25 @@ class TestBiasStudy:
         table = bias_study(cfg)
         for row in table.rows:
             assert row.samples <= math.ceil(16 * (16 / row.n) ** 3)
-            assert row.flagged == (row.se > row.estimate / 5)
+            assert row.flagged == (row.se > row.estimate / 5 or row.samples < 512)
+
+    def test_row_below_first_stage_is_flagged(self):
+        # configs/bias.json's problem on 24 cells: at its cap of 64 pairs the
+        # n = 4 row passes SE <= estimate/5, but so few pairs do not certify it
+        grid = SpatialGrid.uniform(0.0, 1.0, 24)
+        medium = make_medium(grid, np.ones(24), 0.9 * np.ones(24), np.ones(24))
+        cfg = small_config(medium=medium, boundary=ZERO_BC, delta=0.0125, n_list=(4,),
+                           sample_count=128)
+        row = bias_study(cfg).rows[0]
+        assert row.samples == 128 and row.se <= row.estimate / 5
+        assert row.flagged
+
+    def test_odd_cap_rounds_down_to_whole_pairs(self):
+        # caps 5 (n = 8) and 40 (n = 4): 2 and 20 pairs
+        table = bias_study(small_config(n_list=(4, 8), sample_count=5))
+        assert [row.samples for row in table.rows] == [40, 4]
+        for row in table.rows:
+            assert row.samples % 2 == 0 and row.samples <= math.ceil(5 * (8 / row.n) ** 3)
 
     def test_determinism_across_jobs(self):
         cfg = small_config(n_list=(4, 8), sample_count=64)
