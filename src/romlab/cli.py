@@ -3,17 +3,16 @@
 Commands
 --------
 ``romlab validate --config c.json``
-    Checks all that does not depend on the study kind; prints derived values.
+    Checks the config and prints derived values, then one ``cannot run KIND``
+    line per study-kind rule it breaks (StudyConfig.check_kind); exit 0.
 ``romlab solve --config c.json --out phi.csv [--seed S]``
     One solve; writes the flux CSV, a report JSON, and a manifest.
 ``romlab study --config c.json --study KIND --out DIR [--seed S] [--jobs K] [--force]``
     KIND is one of single-run, bias, dom, delta-t, delta-b, regularization,
-    each one experiments call on the StudyConfig from config.study_config
-    that checks the kind's own rules before any solve: single-run needs
-    samples >= 16, bias samples >= 4 (two antithetic pairs), delta-b
-    samples >= 2, delta-t samples >= 2 and lambda > 0, regularization
-    lambda > 0.  Writes the result table CSV, a summary JSON with slope
-    fits and timings, and a manifest.
+    each one experiments call on the StudyConfig from config.study_config,
+    which first checks the kind's own rules (StudyConfig.check_kind).
+    Writes the result table CSV, a summary JSON with slope fits and
+    timings, and a manifest.
 
 Exit codes: 0 success, 1 usage/config error, 2 uncertified computation
 (a solve whose error bound exceeds its tolerance, or a reference that
@@ -29,7 +28,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -37,8 +36,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .angular import build_partition
-from .config import build_quadrature, config_hash, load_config, study_config
+from .config import LoadedConfig, build_quadrature, config_hash, load_config, study_config
 from .errors import NoConvergence, ReferenceNotConverged, RomlabError, TooFewPoints
 from .experiments import (
     ErrorRow,
@@ -110,25 +108,16 @@ def flux_to_csv(values: np.ndarray, edges: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
-
-    config_hash: str
-    master_seed: int
-    version: str
-    command: str
-    started: str
-    finished: str
-    outputs: list
-
-
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    path.write_text(json.dumps(asdict(manifest), indent=2) + "\n")
+def _write_manifest(path: Path, cfg: LoadedConfig, seed: int, command: str, started: str,
+                    outputs: list) -> None:
+    """Reproducibility record written next to every command's outputs."""
+    manifest = {"config_hash": config_hash(cfg), "master_seed": seed, "version": __version__,
+                "command": command, "started": started, "finished": _utcnow(), "outputs": outputs}
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _fail(message: str) -> int:
@@ -141,15 +130,16 @@ def _cmd_validate(args) -> int:
     if cfg.merged.get("quadrature") is not None:
         build_quadrature(cfg)
     sc = study_config(cfg)
-    alpha_max = max(float(build_partition(n, cfg.delta).alpha.max()) for n in sc.n_list)
     print(f"config ok: {args.config}")
     print(f"lambda = {cfg.medium.lam:.6g}")
     print(f"spatial_cells = {cfg.medium.ncells}")
     print(f"delta = {cfg.delta:.6g}")
     print(f"n_list = {list(sc.n_list)}")
-    print(f"alpha_max = {alpha_max:.6g}")
     print(f"solver_tol (study) = {sc.solver_tol:.6g}")
     print(f"config_hash = {config_hash(cfg)}")
+    for kind in STUDY_KINDS:
+        for error in sc.unmet_rules(kind):
+            print(f"cannot run {kind}: {error}")
     return 0
 
 
@@ -165,18 +155,9 @@ def _cmd_solve(args) -> int:
     report_path = out.with_suffix(".report.json")
     record = {**asdict(report), "lambda": cfg.medium.lam, "quadrature": quad.provenance, "ordinates": quad.n}
     report_path.write_text(json.dumps(record, indent=2) + "\n")
-    manifest_path = out.with_suffix(".manifest.json")
     _write_manifest(
-        manifest_path,
-        RunManifest(
-            config_hash=config_hash(cfg),
-            master_seed=cfg.seed if args.seed is None else args.seed,
-            version=__version__,
-            command=f"solve --config {args.config} --out {args.out}",
-            started=started,
-            finished=_utcnow(),
-            outputs=[out.name, report_path.name],
-        ),
+        out.with_suffix(".manifest.json"), cfg, cfg.seed if args.seed is None else args.seed,
+        f"solve --config {args.config} --out {args.out}", started, [out.name, report_path.name],
     )
     if not report.converged:
         print(
@@ -222,14 +203,9 @@ def _cmd_study(args) -> int:
 
     csv_path = out_dir / f"{args.study}.csv"
     summary_path = out_dir / f"{args.study}_summary.json"
-    summary: dict = {
-        "study": args.study,
-        "config_hash": config_hash(cfg),
-        "master_seed": seed,
-        "elapsed_s": elapsed,
-    }
     csv_path.write_text(table_to_csv(table))
-    summary["rows"] = [asdict(r) for r in table.rows]
+    summary: dict = {"study": args.study, "config_hash": config_hash(cfg), "master_seed": seed,
+                     "elapsed_s": elapsed, "rows": [asdict(r) for r in table.rows]}
     if args.study == "bias":  # bias_study draws antithetic pairs, two samples each
         summary["sampling"] = "antithetic-pairs"
         for row in summary["rows"]:
@@ -244,18 +220,10 @@ def _cmd_study(args) -> int:
             summary["slope_fit"] = None
             summary["slope_fit_error"] = str(exc)
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    manifest_path = out_dir / "manifest.json"
     _write_manifest(
-        manifest_path,
-        RunManifest(
-            config_hash=config_hash(cfg),
-            master_seed=seed,
-            version=__version__,
-            command=f"study --config {args.config} --study {args.study} --out {args.out}",
-            started=started,
-            finished=_utcnow(),
-            outputs=[csv_path.name, summary_path.name],
-        ),
+        out_dir / "manifest.json", cfg, seed,
+        f"study --config {args.config} --study {args.study} --out {args.out}",
+        started, [csv_path.name, summary_path.name],
     )
     print(f"wrote {csv_path} and {summary_path}")
     return 0

@@ -43,8 +43,8 @@ class LoadedConfig:
 
     ``tol_explicit`` records whether the user pinned the solver tolerance;
     studies derive their own cap-compliant tolerance otherwise.  ``merged``
-    is the defaults-merged document: what config_hash hashes, and what
-    study_config and build_quadrature read.
+    is the document merged onto the "config" section of defaults.json: what
+    config_hash hashes, and what study_config and build_quadrature read.
     """
 
     medium: MediumProfile
@@ -195,14 +195,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError("/", f"invalid JSON: {exc}") from exc
     user = _require_object(user, "/")
 
-    doc = defaults.document()
-    merged = {
-        "delta": doc["delta"],
-        "seed": 0,
-        "solver": doc["solver"],
-        "study": doc["study"],
-    }
-    merged = _merge(merged, user)
+    merged = _merge(defaults.config_document(), user)
 
     medium = _build_medium(_get(merged, "medium", ""))
     bsec = _require_object(_get(merged, "boundary", ""), "/boundary")
@@ -274,7 +267,7 @@ def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
         raise ConfigError("/study/n_list", "must be a nonempty list")
     n_list = tuple(_even_n(v, f"/study/n_list/{i}") for i, v in enumerate(n_list))
     samples = _integer(study["samples"], "/study/samples")
-    ref_nodes = _positive(study.get("ref_nodes", defaults.REF_INITIAL_NODES), "/study/ref_nodes")
+    ref_nodes = _positive(study["ref_nodes"], "/study/ref_nodes")
     if ref_nodes > defaults.REF_MAX_NODES // 2:
         raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
     delta_list = study["delta_list"]

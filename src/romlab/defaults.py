@@ -2,7 +2,8 @@
 
 Every tunable the package pins (truncation, caps, tolerances, study sizes)
 lives in that one document so that emitted artifacts are auditable against
-a single source.
+a single source.  Its "config" section holds the default of every value a
+run configuration can set; the rest are the package's own constants.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ LAMBDA_MAX: float = _DOC["lambda_max"]
 ALPHA_MAX: float = _DOC["alpha_max"]
 TAU_TAYLOR: float = _DOC["tau_taylor_threshold"]
 EXP_PRODUCT_GUARD: float = _DOC["exp_product_guard"]
-SOLVER_TOL: float = _DOC["solver"]["tol"]
-REF_INITIAL_NODES: int = _DOC["reference"]["initial_nodes_per_half"]
+SOLVER_TOL: float = _DOC["config"]["solver"]["tol"]
+REF_INITIAL_NODES: int = _DOC["config"]["study"]["ref_nodes"]
 REF_MAX_NODES: int = _DOC["reference"]["max_nodes_per_half"]
 REF_ENTRY_TOL: float = _DOC["reference"]["entry_tol"]
 SOLVER_TOL_COEFF: float = _DOC["study"]["solver_tol_coeff"]
@@ -30,6 +31,6 @@ REGULARIZATION_TARGET: float = _DOC["study"]["regularization_target"]
 REGULARIZATION_SOLVER_TOL: float = _DOC["regularization_solver_tol"]
 
 
-def document() -> dict:
-    """A mutable copy of the full defaults document."""
-    return copy.deepcopy(_DOC)
+def config_document() -> dict:
+    """A mutable copy of the defaults every run configuration is merged onto."""
+    return copy.deepcopy(_DOC["config"])

@@ -25,7 +25,7 @@ from .angular import (
     rom_pair,
     rom_sample,
 )
-from .errors import ConfigError, NoConvergence, PureAbsorber, TooFewPoints
+from .errors import ConfigError, NoConvergence, PureAbsorber, RomlabError, TooFewPoints
 from .medium import BoundarySpec, MediumProfile, ScalarFlux, inflow_values, weighted_norm_of
 from .operators import (boundary_deviation_stats, iteration_deviation_stats,
                         reference_boundary_average, reference_iteration_matrix)
@@ -82,6 +82,12 @@ class RegularizationTable:
     rows: tuple[RegularizationRow, ...]
 
 
+# Each study kind's own rules: the fewest samples it can use (for bias, two
+# antithetic pairs, the fewest units for a jackknife) and whether it needs lambda > 0.
+_KIND_RULES = {"single-run": (16, False), "bias": (4, False), "dom": (1, False),
+               "delta-t": (2, True), "delta-b": (2, False), "regularization": (1, True)}
+
+
 @dataclass(frozen=True, eq=False)
 class StudyConfig:
     """Everything a convergence study needs, and the one check of each study value.
@@ -128,6 +134,23 @@ class StudyConfig:
                 f"solver error below the velocity errors measured, got {tol:.3g}",
             )
         object.__setattr__(self, "solver_tol", tol)
+
+    def unmet_rules(self, kind: str) -> list[RomlabError]:
+        """One error per rule of study ``kind`` that this config breaks; [] if it can run."""
+        if kind not in _KIND_RULES:
+            raise ValueError(f"unknown study kind {kind!r}")
+        min_samples, needs_scattering = _KIND_RULES[kind]
+        unmet = []
+        if self.sample_count < min_samples:
+            unmet.append(ConfigError("/study/samples", f"{kind} study needs at least {min_samples} samples"))
+        if needs_scattering and self.medium.lam == 0:
+            unmet.append(PureAbsorber(f"{kind} study needs lambda > 0"))
+        return unmet
+
+    def check_kind(self, kind: str) -> None:
+        """Raise the first unmet rule of study ``kind``; each study calls this before any solve."""
+        for error in self.unmet_rules(kind):
+            raise error
 
     @property
     def n_max(self) -> int:
@@ -193,8 +216,7 @@ def _error_rows(n_list, delta: float, measure) -> tuple[ErrorRow, ...]:
 
 def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     """Mean single-sample error against the certified reference, per n."""
-    if config.sample_count < 16:
-        raise ConfigError("/study/samples", "single-run study needs at least 16 samples")
+    config.check_kind("single-run")
     ref, _, _ = _certified_reference(config)
 
     def measure(partition):
@@ -239,8 +261,7 @@ def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     smaller n may draw up to sample_count * (n_max / n)**3, rounded down to
     whole pairs.
     """
-    if config.sample_count < 4:  # before certifying a reference that no row would use
-        raise ConfigError("/study/samples", "bias study needs at least 4 samples (two pairs)")
+    config.check_kind("bias")
     ref, _, _ = _certified_reference(config)
     weights = config.medium.cell_weights
     initial = defaults.BIAS_INITIAL_SAMPLES
@@ -274,6 +295,7 @@ def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
 
 def dom_error_study(config: StudyConfig) -> ErrorTable:
     """Error of the config's deterministic rule against the same reference, per n."""
+    config.check_kind("dom")
     ref, _, _ = _certified_reference(config)
 
     def measure(partition):
@@ -292,8 +314,7 @@ def deviation_study(config: StudyConfig, kind: str, jobs: int) -> ErrorTable:
     """
     if kind not in ("delta-t", "delta-b"):
         raise ValueError(f"unknown deviation study {kind!r}")
-    if config.sample_count < 2:  # before certifying a reference that no row would use
-        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
+    config.check_kind(kind)
     if kind == "delta-t":
         reference, _ = reference_iteration_matrix(config.medium, config.delta, config.ref_nodes)
         stats_of = partial(iteration_deviation_stats, config.medium)
@@ -342,9 +363,8 @@ def regularization_study(config: StudyConfig) -> RegularizationTable:
     and each certified solve refines its quadrature to a gap of
     defaults.REGULARIZATION_TARGET.
     """
+    config.check_kind("regularization")
     medium, boundary, ref_nodes = config.medium, config.boundary, config.ref_nodes
-    if medium.lam == 0:
-        raise PureAbsorber("regularization bound needs lambda > 0")
 
     ref_flux, ref_nodes_used, ref_gap = _certified_solve(
         medium, boundary, config.reference_delta, ref_nodes, defaults.REGULARIZATION_TARGET,

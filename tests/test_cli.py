@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CONFIGS
 from romlab import cli, experiments, operators
 from romlab.angular import certify_by_doubling
 from romlab.cli import STUDY_KINDS, flux_to_csv, main, parse_table_csv, table_to_csv
+from romlab.config import config_hash, load_config, study_config
 from romlab.experiments import (
     ErrorRow,
     ErrorTable,
@@ -56,7 +58,8 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "lambda = 0.5" in out
-        assert "alpha_max" in out
+        assert "n_list = [4, 8]" in out
+        assert "cannot run" not in out
 
     def test_rejects_lambda_at_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, medium={"sigma_s": 1.0})
@@ -100,6 +103,55 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({"study": {"samples": 8}}, ["single-run: /study/samples"]),
+        ({"medium": {"sigma_s": 0.0}}, ["delta-t: delta-t study needs lambda > 0",
+                                        "regularization: regularization study needs lambda > 0"]),
+        ({"study": {"samples": 1}, "medium": {"sigma_s": 0.0}},
+         ["single-run", "bias", "delta-t: /study/samples", "delta-t: delta-t study needs lambda > 0",
+          "delta-b", "regularization"]),
+    ], ids=["few-samples", "pure-absorber", "both"])
+    def test_reports_each_unmet_kind_rule(self, tmp_path, capsys, monkeypatch, overrides, expected):
+        # a config that some study kinds cannot run is still valid: validate
+        # names every unmet rule, one line each, and exits 0 without a solve
+        monkeypatch.setattr(cli, "solve", None)
+        monkeypatch.setattr(experiments, "solve", None)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(cfg)]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("cannot run ")]
+        assert len(lines) == len(expected)
+        for line, text in zip(lines, expected):
+            assert line.startswith(f"cannot run {text}")
+
+    @pytest.mark.parametrize("name", ["benchmark", "bias"])
+    def test_shipped_configs_run_every_kind(self, capsys, name):
+        assert main(["validate", "--config", str(CONFIGS / f"{name}.json")]) == 0
+        assert "cannot run" not in capsys.readouterr().out
+
+    def test_defaulted_ref_nodes_hash_as_explicit(self, tmp_path):
+        # the defaults a config can set are merged in before hashing, and
+        # nothing else is: an omitted value hashes as its explicit default
+        hashes = []
+        for name, study in (("omitted", {"n_list": [4, 8]}),
+                            ("explicit", {"n_list": [4, 8], "ref_nodes": 256})):
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name)
+            doc = json.loads(cfg.read_text())
+            doc["study"] = study
+            cfg.write_text(json.dumps(doc))
+            loaded = load_config(cfg)
+            assert set(loaded.merged["study"]) == {
+                "n_list", "samples", "ref_nodes", "dom_rule", "delta_list", "reference_delta"}
+            hashes.append(config_hash(loaded))
+        assert hashes[0] == hashes[1]
+
+    def test_check_kind_knows_only_study_kinds(self, tmp_path):
+        sc = study_config(load_config(write_config(tmp_path)))
+        for kind in STUDY_KINDS:
+            sc.check_kind(kind)
+        with pytest.raises(ValueError, match="unknown study kind"):
+            sc.check_kind("delta-x")
 
     def test_same_diagnostics_as_solve(self, tmp_path, capsys):
         cfg = write_config(tmp_path, delta=0.0)
@@ -274,6 +326,23 @@ class TestStudy:
         rc = main(["study", "--config", str(cfg), "--study", "bias", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "/study/samples" in capsys.readouterr().err
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("study, overrides, message", [
+        ("single-run", {"study": {"samples": 8}}, "/study/samples"),
+        ("regularization", {"medium": {"sigma_s": 0.0}}, "regularization study needs lambda > 0"),
+        ("delta-t", {"medium": {"sigma_s": 0.0}}, "delta-t study needs lambda > 0"),
+    ], ids=["single-run", "regularization", "delta-t"])
+    def test_unmet_kind_rule_fails_before_any_certification(self, tmp_path, capsys, monkeypatch,
+                                                             study, overrides, message):
+        calls = []
+        for module in (experiments, operators):
+            monkeypatch.setattr(module, "certify_by_doubling",
+                                lambda *args: calls.append(args) or certify_by_doubling(*args))
+        cfg = write_config(tmp_path, **overrides)
+        rc = main(["study", "--config", str(cfg), "--study", study, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert len(calls) == 0
 
     def test_bias_jobs_do_not_change_bytes(self, tmp_path):
