@@ -9,8 +9,8 @@ Commands
     One solve; writes the flux CSV, a report JSON, and a manifest.
 ``romlab study --config c.json --study KIND --out DIR [--seed S] [--jobs K] [--force]``
     KIND is one of single-run, bias, dom, delta-t, delta-b, regularization,
-    each one experiments call on the StudyConfig from config.study_config,
-    which first checks the kind's own rules (StudyConfig.check_kind).
+    each one experiments call on the StudyConfig from config.study_config.
+    The kind's own rules (StudyConfig.check_kind) are checked before DIR is made.
     Writes the result table CSV, a summary JSON with slope fits and
     timings, and a manifest.
 
@@ -189,6 +189,7 @@ def _cmd_study(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     sc = study_config(cfg, seed)
+    sc.check_kind(args.study)  # before mkdir: an unmet rule leaves no directory behind
     out_dir = Path(args.out)
     if out_dir.exists():
         if not out_dir.is_dir():

@@ -30,7 +30,7 @@ from .medium import BoundarySpec, MediumProfile, ScalarFlux, inflow_values, weig
 from .operators import (boundary_deviation_stats, iteration_deviation_stats,
                         reference_boundary_average, reference_iteration_matrix)
 from .solver import solve
-from .sweep import _sweep_averages, _sweep_factors
+from .sweep import averaged_sweep
 
 
 @dataclass(frozen=True)
@@ -375,9 +375,7 @@ def regularization_study(config: StudyConfig) -> RegularizationTable:
     def direction_average(delta: float, nodes: int) -> np.ndarray:
         quad = reference_quadrature(delta, nodes)
         inflows = inflow_values(boundary, quad.mus)
-        return quad.weights @ _sweep_averages(
-            _sweep_factors(medium, quad.mus), medium, frozen_source, inflows, None
-        )
+        return averaged_sweep(medium, quad.mus, quad.weights, frozen_source, inflows)
 
     i_ref = direction_average(config.reference_delta, ref_nodes_used)
     rows = []

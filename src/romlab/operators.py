@@ -24,7 +24,7 @@ from .angular import (
 )
 from .errors import ConfigError, PureAbsorber
 from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
-from .sweep import averaged_response_matrix, transmission_averages
+from .sweep import averaged_response_matrix, averaged_sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +182,8 @@ def iteration_deviation_stats(
 
 def _boundary_average(medium: MediumProfile, boundary: BoundarySpec, quad: QuadratureSet) -> np.ndarray:
     """Ordinate-weighted average of the boundary-propagated cell profiles."""
-    values = inflow_values(boundary, quad.mus)
-    return (quad.weights * values) @ transmission_averages(medium, quad.mus)
+    inflows = inflow_values(boundary, quad.mus)
+    return averaged_sweep(medium, quad.mus, quad.weights, np.zeros(medium.ncells), inflows)
 
 
 def reference_boundary_average(

@@ -11,7 +11,8 @@ marched in the upwind direction.  ``sweep_direction`` is the plain scalar
 march and serves as the reference route; the batched helpers below compute
 the same quantities for many ordinates at once via cumulative optical
 depths, one path for every depth, cross-checked against the march in the
-tests.  Their exponentials are built once per solve and shared by its sweeps.
+tests.  Each batched call builds one sign group's exponentials at a time
+(``_half_factors``) and runs one source kernel over them (``_swept_half``).
 """
 from __future__ import annotations
 
@@ -53,15 +54,14 @@ def _escape_scalar(tau: float) -> float:
     return -math.expm1(-tau) / tau
 
 
-def _escape_factor(tau: np.ndarray) -> np.ndarray:
-    """(1 - exp(-tau))/tau elementwise, with a 4-term series below 1e-6."""
-    out = np.empty_like(tau)
+def _escape_factor(tau: np.ndarray, one_minus_e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(1 - exp(-tau))/tau into ``out`` from one_minus_e = -expm1(-tau), with
+    a 4-term series below TAU_TAYLOR."""
+    np.divide(one_minus_e, tau, out=out)
     small = tau < TAU_TAYLOR
     if np.any(small):
         ts = tau[small]
         out[small] = 1.0 - ts / 2.0 + ts * ts / 6.0 - ts**3 / 24.0
-    big = ~small
-    out[big] = -np.expm1(-tau[big]) / tau[big]
     return out
 
 
@@ -132,7 +132,8 @@ def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> S
 # ---------------------------------------------------------------------------
 # Batch layer: many ordinates at once via cumulative optical depth.  The
 # exponentials depend on the medium and the ordinates, never on the source:
-# one factor set per (medium, ordinates) serves every sweep over that pair.
+# each sign group's factor set is built once per call and freed before the
+# next group's.
 # ---------------------------------------------------------------------------
 
 
@@ -163,8 +164,9 @@ def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
     buf = np.empty(L * (4 * m + 1))
     decay = buf[: L * (m + 1)].reshape(L, m + 1)
     G, one_minus_e, exp_c = buf[L * (m + 1) :].reshape(3, L, m)
-    G[...] = _escape_factor(tau)
-    np.negative(np.expm1(-tau), out=one_minus_e)
+    np.expm1(np.negative(tau, out=one_minus_e), out=one_minus_e)
+    np.negative(one_minus_e, out=one_minus_e)
+    _escape_factor(tau, one_minus_e, G)
     np.cumsum(tau, axis=1, out=exp_c)
     blocks = [(0, m)]
     if exp_c[:, -1].max(initial=0.0) > _EXP_GUARD:
@@ -186,18 +188,25 @@ def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
     return _Half(sel, flip, G, one_minus_e, decay, exp_c, blocks)
 
 
-def _sign_groups(medium: MediumProfile, mus: np.ndarray):
-    """Yield (sel, flip, upwind sigma_t, upwind widths, |mu|) per nonempty sign group."""
+def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
+    """The _Half of each nonempty sign group, mu > 0 first; built lazily, one group at a time."""
     if np.any(mus == 0):
         raise ZeroMu("transport sweep undefined at mu = 0")
     for sel, flip in ((mus > 0, slice(None)), (mus < 0, slice(None, None, -1))):
         if np.any(sel):
-            yield sel, flip, medium.sigma_t[flip], medium.grid.widths[flip], np.abs(mus[sel])
+            yield _half_factors(sel, flip, medium.sigma_t[flip], medium.grid.widths[flip],
+                                np.abs(mus[sel]))
 
 
-def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
-    """The _Half of each sign group, mu > 0 first; consumed lazily, one group at a time."""
-    return (_half_factors(*group) for group in _sign_groups(medium, mus))
+def _sweep_inputs(medium: MediumProfile, mus, cell_source, inflows):
+    """mus and the inflows as float arrays of one shape, and the saturation s / sigma_t."""
+    mus = np.asarray(mus, dtype=float)
+    inflows = np.broadcast_to(np.asarray(inflows, dtype=float), mus.shape)
+    s = np.asarray(cell_source, dtype=float)
+    m = medium.ncells
+    if s.shape != (m,):
+        raise LengthMismatch(f"cell_source has length {s.size}, grid has {m} cells")
+    return mus, s / medium.sigma_t, inflows
 
 
 def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
@@ -206,29 +215,27 @@ def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
     Returns (avg, edges) with shapes (L, M) and (L, M+1), rows in the order
     of ``mus``.  Equivalent to stacking sweep_direction results.
     """
-    mus = np.asarray(mus, dtype=float)
-    inflows = np.broadcast_to(np.asarray(inflows, dtype=float), mus.shape)
-    s = np.asarray(cell_source, dtype=float)
-    m = medium.ncells
-    if s.shape != (m,):
-        raise LengthMismatch(f"cell_source has length {s.size}, grid has {m} cells")
-    edges = np.empty((mus.size, m + 1))
-    return _sweep_averages(_sweep_factors(medium, mus), medium, s, inflows, edges), edges
-
-
-def _sweep_averages(factors, medium: MediumProfile, cell_source, inflows, edges) -> np.ndarray:
-    """(L, M) cell averages of one source's sweeps over a factor set; also
-    fills ``edges`` (L, M+1) with the edge values unless it is None.
-    """
-    sat = cell_source / medium.sigma_t
-    avg = np.empty((inflows.size, medium.ncells))
-    for f in factors:
+    mus, sat, inflows = _sweep_inputs(medium, mus, cell_source, inflows)
+    avg = np.empty((mus.size, medium.ncells))
+    edges = np.empty((mus.size, medium.ncells + 1))
+    for f in _sweep_factors(medium, mus):
         a_up, e_up = _swept_half(f, sat[f.flip], inflows[f.sel])
         avg[f.sel] = a_up[:, f.flip]
-        if edges is not None:
-            edges[f.sel] = e_up[:, f.flip]
+        edges[f.sel] = e_up[:, f.flip]
         del f, a_up, e_up  # free this group's arrays before the next group's are built
-    return avg
+    return avg, edges
+
+
+def averaged_sweep(medium: MediumProfile, mus, weights, cell_source, inflows) -> np.ndarray:
+    """sum_l weights[l] * (cell averages of the sweep at mus[l]): the
+    ordinate-weighted batched_sweep averages, without the (L, M) arrays."""
+    mus, sat, inflows = _sweep_inputs(medium, mus, cell_source, inflows)
+    w = np.asarray(weights, dtype=float)
+    out = np.zeros(medium.ncells)
+    for f in _sweep_factors(medium, mus):
+        out[f.flip] += w[f.sel] @ _swept_half(f, sat[f.flip], inflows[f.sel])[0]
+        del f  # free this group's factors before the next group's are built
+    return out
 
 
 def _swept_half(f: _Half, sat, inflow):
@@ -250,14 +257,7 @@ def _swept_half(f: _Half, sat, inflow):
 
 def transmission_averages(medium: MediumProfile, mus) -> np.ndarray:
     """(L, M) cell averages of the unit-inflow, zero-source sweep per ordinate."""
-    mus = np.asarray(mus, dtype=float)
-    out = np.empty((mus.size, medium.ncells))
-    for sel, flip, sigma_up, h_up, mu_abs in _sign_groups(medium, mus):
-        # only the entry decays and G of a one-block _Half: same expressions
-        tau = sigma_up[None, :] * h_up[None, :] / mu_abs[:, None]
-        entry = np.concatenate([np.zeros((tau.shape[0], 1)), np.cumsum(tau[:, :-1], axis=1)], axis=1)
-        out[sel] = (np.exp(np.negative(entry)) * _escape_factor(tau))[:, flip]
-    return out
+    return batched_sweep(medium, mus, np.zeros(medium.ncells), 1.0)[0]
 
 
 def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) -> np.ndarray:
@@ -274,14 +274,9 @@ def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) ->
     m = medium.ncells
     if scale.shape != (m,):
         raise LengthMismatch(f"scale has length {scale.size}, grid has {m} cells")
-    return _response_matrix(_sweep_factors(medium, mus), medium, w, scale)
-
-
-def _response_matrix(factors, medium: MediumProfile, w, scale) -> np.ndarray:
-    """averaged_response_matrix over a factor set."""
     r = scale / medium.sigma_t
-    out = np.zeros((medium.ncells, medium.ncells))
-    for f in factors:
+    out = np.zeros((m, m))
+    for f in _sweep_factors(medium, mus):
         out += _response_half(f, r[f.flip], w[f.sel])[f.flip, f.flip]
         del f  # free this group's factors before the next group's are built
     return out

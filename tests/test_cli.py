@@ -394,6 +394,14 @@ class TestStudy:
         assert "/solver/tol" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unmet_kind_rule_leaves_no_output_directory(self, tmp_path, capsys):
+        # single-run needs 16 samples; the rule is checked before the directory is made
+        cfg = write_config(tmp_path, study={"samples": 8})
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(cfg), "--study", "single-run", "--out", str(out)]) == 1
+        assert "/study/samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_regularization_table_independent_of_tol_under_cap(self, tmp_path):
         # regularization solves at its own fixed tolerance, so a defaulted
         # /solver/tol and an explicit 1e-12, both under the cap, give one table

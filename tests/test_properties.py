@@ -1,5 +1,5 @@
 """Property tests of the batched sweep kernels against the scalar march,
-of the reuse of one sweep factor set, and of the weighted-adjoint identities.
+of the layout of one sweep factor set, and of the weighted-adjoint identities.
 
 Media are drawn thin (every cumulative optical depth below the exp-product
 guard, so each sign group is one block), thick (an ordinate just above
@@ -29,10 +29,9 @@ from romlab.defaults import EXP_PRODUCT_GUARD
 from romlab.medium import inflow_values, weighted_norm_of
 from romlab.operators import gram_trace, iteration_matrix, transport_matrix
 from romlab.sweep import (
-    _response_matrix,
-    _sweep_averages,
     _sweep_factors,
     averaged_response_matrix,
+    averaged_sweep,
     batched_sweep,
     transmission_averages,
 )
@@ -136,33 +135,21 @@ def test_response_matrix_matches_march(regime, data):
 @pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=40)
 @given(data=st.data())
-def test_factor_set_reuse_is_bitwise(regime, data):
-    # three sources and a response matrix through one factor set give the
-    # same bits as fresh public calls, so no kernel alters the shared factors
+def test_averaged_sweep_is_weighted_batched_sweep(regime, data):
     medium, mus, weights, inflows = data.draw(cases(regime))
     _check_regime(medium, mus, regime)
-    factors = list(_sweep_factors(medium, mus))
-    for source in (medium.q, medium.sigma_s, 2.0 * medium.q + 0.5):
-        edges = np.empty((mus.size, medium.ncells + 1))
-        avg = _sweep_averages(factors, medium, source, inflows, edges)
-        fresh_avg, fresh_edges = batched_sweep(medium, mus, source, inflows)
-        assert np.array_equal(avg, fresh_avg) and np.array_equal(edges, fresh_edges)
-        assert np.array_equal(_sweep_averages(factors, medium, source, inflows, None), fresh_avg)
-    scale = medium.sigma_t * 0.5
-    assert np.array_equal(
-        _response_matrix(factors, medium, weights, scale),
-        averaged_response_matrix(medium, mus, weights, scale),
-    )
-
+    for source in (medium.q, np.zeros(medium.ncells)):
+        expected = weights @ batched_sweep(medium, mus, source, inflows)[0]
+        _close(averaged_sweep(medium, mus, weights, source, inflows), expected)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=20)
 @given(data=st.data())
 def test_factor_set_is_one_allocation_per_group(regime, data):
-    # a solve keeps its factors through every iteration; as four separate
-    # arrays with freed temporaries between them they fragmented the heap,
-    # and peak memory varied from run to run
+    # a sign group's factors live while its share of a sweep or solve is
+    # built; as four separate arrays with freed temporaries between them they
+    # fragmented the heap, and peak memory varied from run to run
     medium, mus, _, _ = data.draw(cases(regime))
     _check_regime(medium, mus, regime)
     for f in _sweep_factors(medium, mus):
@@ -210,16 +197,23 @@ def test_cells_deeper_than_the_guard_match_march():
     with np.errstate(over="raise", invalid="raise"):
         avg, edges = batched_sweep(medium, mus, medium.q, inflows)
         matrix = averaged_response_matrix(medium, mus, weights, medium.sigma_s)
+        transmitted = transmission_averages(medium, mus)
+        boundary_average = averaged_sweep(medium, mus, weights, np.zeros(10), inflows)
     expected = np.zeros((10, 10))
+    expected_boundary = np.zeros(10)
     for row, (mu, w, inflow) in enumerate(zip(mus, weights, inflows)):
         ref = sweep_direction(medium, mu, medium.q, inflow)
         _close(avg[row], ref.cell_avg)
         _close(edges[row], ref.edge_values)
+        unit_inflow = sweep_direction(medium, mu, np.zeros(10), 1.0).cell_avg
+        _close(transmitted[row], unit_inflow)
+        expected_boundary += w * inflow * unit_inflow
         for j in range(10):
             unit = np.zeros(10)
             unit[j] = medium.sigma_s[j]
             expected[:, j] += w * sweep_direction(medium, mu, unit, 0.0).cell_avg
     _close(matrix, expected)
+    _close(boundary_average, expected_boundary)
 
 
 @pytest.mark.parametrize("nodes", [16, 160])  # 32 and 320 ordinates

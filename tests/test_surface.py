@@ -1,11 +1,14 @@
-"""Pin the number of settable values and of source lines in romlab.
+"""Pin the number of settable values and of source lines in romlab, and
+the layering of its sweep kernels.
 
 A settable value is a function parameter with a default or a dataclass
 field with a default: each is a knob that callers can turn and that tests
 and benchmarks must cover.  A change that adds or removes one updates
 SETTABLE_VALUES in the same diff.  SOURCE_LINES is the line count of
 src/romlab/*.py (the total of ``wc -l``), tracked like a benchmark; a change
-that moves it updates SOURCE_LINES in the same diff.
+that moves it updates SOURCE_LINES in the same diff.  The private kernels
+of sweep.py are for solver.py alone; every other module sweeps through the
+public batched calls.
 """
 import ast
 from pathlib import Path
@@ -13,7 +16,7 @@ from pathlib import Path
 import romlab
 
 SETTABLE_VALUES = 17
-SOURCE_LINES = 2304
+SOURCE_LINES = 2298
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -60,3 +63,15 @@ def test_source_line_count_is_pinned():
         "Count = the total of `wc -l src/romlab/*.py`. If the change adds or "
         "removes lines on purpose, update SOURCE_LINES in this file in the same diff."
     )
+
+
+def test_only_the_solver_imports_sweep_privates():
+    package_dir = Path(romlab.__file__).parent
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        if path.name in ("sweep.py", "solver.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("sweep", "romlab.sweep"):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not found, f"modules other than solver.py import sweep privates: {found}"

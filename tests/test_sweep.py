@@ -109,17 +109,20 @@ class TestSweepDirection:
 
 
 class TestEscapeFactor:
+    @staticmethod
+    def escape(taus):
+        out = np.empty_like(taus)
+        assert _escape_factor(taus, -np.expm1(-taus), out) is out
+        return out
+
     def test_series_matches_expm1_at_threshold(self):
         taus = np.array([1e-8, 1e-7, 9.9e-7, 1.01e-6, 1e-5])
-        ours = _escape_factor(taus)
         direct = -np.expm1(-taus) / taus
-        np.testing.assert_allclose(ours, direct, rtol=1e-12)
+        np.testing.assert_allclose(self.escape(taus), direct, rtol=1e-12)
 
     def test_moderate_values(self):
         taus = np.array([0.1, 1.0, 10.0])
-        np.testing.assert_allclose(
-            _escape_factor(taus), (1.0 - np.exp(-taus)) / taus, rtol=1e-14
-        )
+        np.testing.assert_allclose(self.escape(taus), (1.0 - np.exp(-taus)) / taus, rtol=1e-14)
 
 
 class TestApplyTransport:
