@@ -68,10 +68,10 @@ from .experiments import (
     SlopeFit,
     StudyConfig,
     bias_study,
+    certified_reference,
     deviation_study,
     dom_error_study,
     fit_slope,
-    reference_solution,
     regularization_study,
     single_run_error_study,
 )

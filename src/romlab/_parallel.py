@@ -6,12 +6,14 @@ degree never changes numerical output.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 
-def indexed_map(fn, count: int, jobs: int = 1) -> list:
-    """[fn(0), ..., fn(count-1)], computed with up to ``jobs`` threads."""
-    if jobs <= 1 or count <= 1:
+def indexed_map(fn, count: int, jobs: int) -> list:
+    """[fn(0), ..., fn(count-1)], on at most min(jobs, count, CPU count) threads."""
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))

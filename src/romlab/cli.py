@@ -1,5 +1,10 @@
 """Command-line front end: validate configs, run solves, run studies.
 
+It does I/O only, the bias summary's ``sampling`` and ``pairs`` fields aside:
+it loads the config, with ``--seed`` replacing its seed once (config_hash
+still hashes the file), makes one solve or experiments.STUDIES call, and
+writes the outputs.
+
 Commands
 --------
 ``romlab validate --config c.json``
@@ -8,9 +13,9 @@ Commands
 ``romlab solve --config c.json --out phi.csv [--seed S]``
     One solve; writes the flux CSV, a report JSON, and a manifest.
 ``romlab study --config c.json --study KIND --out DIR [--seed S] [--jobs K] [--force]``
-    KIND is one of single-run, bias, dom, delta-t, delta-b, regularization,
-    each one experiments call on the StudyConfig from config.study_config.
-    The kind's own rules (StudyConfig.check_kind) are checked before DIR is made.
+    KIND is a key of experiments.STUDIES: single-run, bias, dom, delta-t,
+    delta-b or regularization.  Its rules (StudyConfig.check_kind) are
+    checked before DIR is made.
     Writes the result table CSV, a summary JSON with slope fits and
     timings, and a manifest.
 
@@ -28,7 +33,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -38,18 +43,8 @@ import numpy as np
 from . import __version__
 from .config import LoadedConfig, build_quadrature, config_hash, load_config, study_config
 from .errors import NoConvergence, ReferenceNotConverged, RomlabError, TooFewPoints
-from .experiments import (
-    ErrorRow,
-    ErrorTable,
-    RegularizationRow,
-    RegularizationTable,
-    bias_study,
-    deviation_study,
-    dom_error_study,
-    fit_slope,
-    regularization_study,
-    single_run_error_study,
-)
+from .experiments import (STUDIES, STUDY_KINDS, ErrorRow, ErrorTable, RegularizationRow,
+                          RegularizationTable, fit_slope)
 from .solver import solve
 
 
@@ -112,10 +107,10 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(path: Path, cfg: LoadedConfig, seed: int, command: str, started: str,
+def _write_manifest(path: Path, cfg: LoadedConfig, command: str, started: str,
                     outputs: list) -> None:
     """Reproducibility record written next to every command's outputs."""
-    manifest = {"config_hash": config_hash(cfg), "master_seed": seed, "version": __version__,
+    manifest = {"config_hash": config_hash(cfg), "master_seed": cfg.seed, "version": __version__,
                 "command": command, "started": started, "finished": _utcnow(), "outputs": outputs}
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -143,10 +138,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _load(args) -> LoadedConfig:
+    """The config at --config, its seed replaced by --seed if one is given."""
+    cfg = load_config(args.config)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
 def _cmd_solve(args) -> int:
     started = _utcnow()
-    cfg = load_config(args.config)
-    quad = build_quadrature(cfg, seed=args.seed)
+    cfg = _load(args)
+    quad = build_quadrature(cfg)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         return _fail(f"output directory {out.parent} does not exist")
@@ -156,8 +157,8 @@ def _cmd_solve(args) -> int:
     record = {**asdict(report), "lambda": cfg.medium.lam, "quadrature": quad.provenance, "ordinates": quad.n}
     report_path.write_text(json.dumps(record, indent=2) + "\n")
     _write_manifest(
-        out.with_suffix(".manifest.json"), cfg, cfg.seed if args.seed is None else args.seed,
-        f"solve --config {args.config} --out {args.out}", started, [out.name, report_path.name],
+        out.with_suffix(".manifest.json"), cfg, f"solve --config {args.config} --out {args.out}",
+        started, [out.name, report_path.name],
     )
     if not report.converged:
         print(
@@ -170,25 +171,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# Study call per kind.  Each entry looks its function up in this module when
-# it runs, so a wrapper set over the module's name (perfbench/tracing.py's
-# spans) is the one called.
-_STUDIES = {
-    "single-run": lambda sc, kind, jobs: single_run_error_study(sc, jobs),
-    "bias": lambda sc, kind, jobs: bias_study(sc, jobs),
-    "dom": lambda sc, kind, jobs: dom_error_study(sc),
-    "delta-t": lambda sc, kind, jobs: deviation_study(sc, kind, jobs),
-    "delta-b": lambda sc, kind, jobs: deviation_study(sc, kind, jobs),
-    "regularization": lambda sc, kind, jobs: regularization_study(sc),
-}
-STUDY_KINDS = tuple(_STUDIES)
-
-
 def _cmd_study(args) -> int:
     started = _utcnow()
-    cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
-    sc = study_config(cfg, seed)
+    cfg = _load(args)
+    sc = study_config(cfg)
     sc.check_kind(args.study)  # before mkdir: an unmet rule leaves no directory behind
     out_dir = Path(args.out)
     if out_dir.exists():
@@ -199,13 +185,13 @@ def _cmd_study(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    table = _STUDIES[args.study](sc, args.study, args.jobs)
+    table = STUDIES[args.study].run(sc, args.jobs)
     elapsed = time.perf_counter() - t0
 
     csv_path = out_dir / f"{args.study}.csv"
     summary_path = out_dir / f"{args.study}_summary.json"
     csv_path.write_text(table_to_csv(table))
-    summary: dict = {"study": args.study, "config_hash": config_hash(cfg), "master_seed": seed,
+    summary: dict = {"study": args.study, "config_hash": config_hash(cfg), "master_seed": cfg.seed,
                      "elapsed_s": elapsed, "rows": [asdict(r) for r in table.rows]}
     if args.study == "bias":  # bias_study draws antithetic pairs, two samples each
         summary["sampling"] = "antithetic-pairs"
@@ -222,7 +208,7 @@ def _cmd_study(args) -> int:
             summary["slope_fit_error"] = str(exc)
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     _write_manifest(
-        out_dir / "manifest.json", cfg, seed,
+        out_dir / "manifest.json", cfg,
         f"study --config {args.config} --study {args.study} --out {args.out}",
         started, [csv_path.name, summary_path.name],
     )

@@ -45,6 +45,7 @@ class LoadedConfig:
     studies derive their own cap-compliant tolerance otherwise.  ``merged``
     is the document merged onto the "config" section of defaults.json: what
     config_hash hashes, and what study_config and build_quadrature read.
+    The CLI's ``--seed`` replaces ``seed`` only, so the hash stays the file's.
     """
 
     medium: MediumProfile
@@ -229,8 +230,8 @@ def config_hash(cfg: LoadedConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def build_quadrature(cfg: LoadedConfig, seed: int | None = None) -> QuadratureSet:
-    """Quadrature set for the solve command from /quadrature; ``seed`` overrides the config's."""
+def build_quadrature(cfg: LoadedConfig) -> QuadratureSet:
+    """Quadrature set for the solve command from /quadrature; a rom set draws with cfg.seed."""
     section = cfg.merged.get("quadrature")
     if section is None:
         raise ConfigError("/quadrature", "missing required field (needed by solve)")
@@ -246,15 +247,15 @@ def build_quadrature(cfg: LoadedConfig, seed: int | None = None) -> QuadratureSe
         index = _integer(section.get("sample_index", 0), "/quadrature/sample_index")
         if index < 0:
             raise ConfigError("/quadrature/sample_index", "must be nonnegative")
-        return rom_sample(build_partition(n, cfg.delta), cfg.seed if seed is None else seed, index)
+        return rom_sample(build_partition(n, cfg.delta), cfg.seed, index)
     order = None
     if kind == "gauss" and "order" in section:
         order = _positive(section["order"], "/quadrature/order")
     return dom_quadrature(build_partition(n, cfg.delta), kind, order)
 
 
-def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
-    """StudyConfig from /study; ``seed`` overrides the config's.
+def study_config(cfg: LoadedConfig) -> StudyConfig:
+    """StudyConfig from /study, with cfg.seed as the master seed.
 
     Turns the JSON into values (types, lists, even n, truncations in (0, 1),
     the ref_nodes cap); StudyConfig checks the values themselves.  A
@@ -280,7 +281,7 @@ def study_config(cfg: LoadedConfig, seed: int | None = None) -> StudyConfig:
         delta=cfg.delta,
         n_list=n_list,
         sample_count=samples,
-        master_seed=cfg.seed if seed is None else seed,
+        master_seed=cfg.seed,
         dom_rule=study["dom_rule"],
         delta_list=delta_list,
         reference_delta=_validate_delta(study["reference_delta"], "/study/reference_delta"),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .angular import (
     rom_sample,
 )
 from .errors import ConfigError, NoConvergence, PureAbsorber, RomlabError, TooFewPoints
-from .medium import BoundarySpec, MediumProfile, ScalarFlux, inflow_values, weighted_norm_of
+from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
 from .operators import (boundary_deviation_stats, iteration_deviation_stats,
                         reference_boundary_average, reference_iteration_matrix)
 from .solver import solve
@@ -82,12 +83,6 @@ class RegularizationTable:
     rows: tuple[RegularizationRow, ...]
 
 
-# Each study kind's own rules: the fewest samples it can use (for bias, two
-# antithetic pairs, the fewest units for a jackknife) and whether it needs lambda > 0.
-_KIND_RULES = {"single-run": (16, False), "bias": (4, False), "dom": (1, False),
-               "delta-t": (2, True), "delta-b": (2, False), "regularization": (1, True)}
-
-
 @dataclass(frozen=True, eq=False)
 class StudyConfig:
     """Everything a convergence study needs, and the one check of each study value.
@@ -137,9 +132,9 @@ class StudyConfig:
 
     def unmet_rules(self, kind: str) -> list[RomlabError]:
         """One error per rule of study ``kind`` that this config breaks; [] if it can run."""
-        if kind not in _KIND_RULES:
+        if kind not in STUDIES:
             raise ValueError(f"unknown study kind {kind!r}")
-        min_samples, needs_scattering = _KIND_RULES[kind]
+        _, min_samples, needs_scattering = STUDIES[kind]
         unmet = []
         if self.sample_count < min_samples:
             unmet.append(ConfigError("/study/samples", f"{kind} study needs at least {min_samples} samples"))
@@ -183,22 +178,10 @@ def _certified_solve(medium, boundary, delta, nodes, target, tol):
     )
 
 
-def _certified_reference(config: StudyConfig) -> tuple[np.ndarray, int, float]:
-    """Reference flux values with a doubling certificate on the quadrature order."""
-    return _certified_solve(
-        config.medium,
-        config.boundary,
-        config.delta,
-        config.ref_nodes,
-        config.ref_target,
-        config.solver_tol,
-    )
-
-
-def reference_solution(config: StudyConfig) -> ScalarFlux:
-    """Certified high-order quadrature solve on the study's spatial mesh."""
-    values, _, _ = _certified_reference(config)
-    return ScalarFlux(values, config.medium.grid)
+def certified_reference(config: StudyConfig) -> tuple[np.ndarray, int, float]:
+    """The study's reference flux values and certificate: (values, nodes per half, gap)."""
+    return _certified_solve(config.medium, config.boundary, config.delta, config.ref_nodes,
+                            config.ref_target, config.solver_tol)
 
 
 def _error_rows(n_list, delta: float, measure) -> tuple[ErrorRow, ...]:
@@ -217,7 +200,7 @@ def _error_rows(n_list, delta: float, measure) -> tuple[ErrorRow, ...]:
 def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     """Mean single-sample error against the certified reference, per n."""
     config.check_kind("single-run")
-    ref, _, _ = _certified_reference(config)
+    ref, _, _ = certified_reference(config)
 
     def measure(partition):
         def one(i: int) -> float:
@@ -262,7 +245,7 @@ def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     whole pairs.
     """
     config.check_kind("bias")
-    ref, _, _ = _certified_reference(config)
+    ref, _, _ = certified_reference(config)
     weights = config.medium.cell_weights
     initial = defaults.BIAS_INITIAL_SAMPLES
     fraction = defaults.BIAS_SE_FRACTION
@@ -296,7 +279,7 @@ def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
 def dom_error_study(config: StudyConfig) -> ErrorTable:
     """Error of the config's deterministic rule against the same reference, per n."""
     config.check_kind("dom")
-    ref, _, _ = _certified_reference(config)
+    ref, _, _ = certified_reference(config)
 
     def measure(partition):
         quad = dom_quadrature(partition, config.dom_rule)
@@ -401,3 +384,26 @@ def regularization_study(config: StudyConfig) -> RegularizationTable:
             )
         )
     return RegularizationTable(tuple(rows))
+
+
+class StudyKind(NamedTuple):
+    """A study kind: its call, the fewest samples it can use, whether it needs lambda > 0."""
+
+    run: Callable[[StudyConfig, int], ErrorTable | RegularizationTable]
+    min_samples: int
+    needs_scattering: bool
+
+
+# The one table of study kinds; bias needs two antithetic pairs, the fewest units
+# for a jackknife.  Each run looks its study function up in this module when it
+# is called, so a wrapper set over the module's name (perfbench/tracing.py's
+# spans) is the one called.
+STUDIES = {
+    "single-run": StudyKind(lambda sc, jobs: single_run_error_study(sc, jobs), 16, False),
+    "bias": StudyKind(lambda sc, jobs: bias_study(sc, jobs), 4, False),
+    "dom": StudyKind(lambda sc, jobs: dom_error_study(sc), 1, False),
+    "delta-t": StudyKind(lambda sc, jobs: deviation_study(sc, "delta-t", jobs), 2, True),
+    "delta-b": StudyKind(lambda sc, jobs: deviation_study(sc, "delta-b", jobs), 2, False),
+    "regularization": StudyKind(lambda sc, jobs: regularization_study(sc), 1, True),
+}
+STUDY_KINDS = tuple(STUDIES)

@@ -136,20 +136,28 @@ class DeltaStats:
     entry_se: np.ndarray
 
 
-def _collect_stats(results: list) -> DeltaStats:
-    """Statistics of per-sample (norm, deviation) pairs, in sample order."""
+def _deviation_stats(deviation, partition: VelocityPartition, master_seed: int, sample_count: int,
+                     jobs: int) -> DeltaStats:
+    """Statistics of ``deviation(quad) -> (norm, deviation)`` over the partition's draws.
+
+    Sample i is drawn as rom_sample(partition, master_seed, i); the results
+    are reduced in sample order, so ``jobs`` never changes a number.
+    """
+    if sample_count < 2:
+        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
+    results = indexed_map(lambda i: deviation(rom_sample(partition, master_seed, i)),
+                          sample_count, jobs)
     norms = np.array([r[0] for r in results])
     entries = np.stack([r[1] for r in results])
-    count = norms.size
     sq = norms**2
     return DeltaStats(
-        samples=count,
+        samples=sample_count,
         mean_norm=float(norms.mean()),
         mean_sq_norm=float(sq.mean()),
-        se_mean_sq=float(sq.std(ddof=1) / np.sqrt(count)),
+        se_mean_sq=float(sq.std(ddof=1) / np.sqrt(sample_count)),
         max_norm=float(norms.max()),
         entry_mean=entries.mean(axis=0),
-        entry_se=np.sqrt(entries.var(axis=0, ddof=1) / count),
+        entry_se=np.sqrt(entries.var(axis=0, ddof=1) / sample_count),
     )
 
 
@@ -167,17 +175,12 @@ def iteration_deviation_stats(
     and measures its weighted-norm distance to ``reference``, the certified
     operator of reference_iteration_matrix at the partition's delta.
     """
-    if sample_count < 2:
-        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
-
-    def one(i: int):
-        quad = rom_sample(partition, master_seed, i)
+    def deviation(quad: QuadratureSet):
         t = averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
         delta = t - reference.entries
-        norm = weighted_operator_norm(DenseOperator(delta, medium.cell_weights))
-        return norm, delta
+        return weighted_operator_norm(DenseOperator(delta, medium.cell_weights)), delta
 
-    return _collect_stats(indexed_map(one, sample_count, jobs))
+    return _deviation_stats(deviation, partition, master_seed, sample_count, jobs)
 
 
 def _boundary_average(medium: MediumProfile, boundary: BoundarySpec, quad: QuadratureSet) -> np.ndarray:
@@ -213,11 +216,8 @@ def boundary_deviation_stats(
     at the partition's delta; statistics are over the L2(sigma_t) norms,
     with elementwise means kept for the mean-zero check.
     """
-    if sample_count < 2:
-        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
-
-    def one(i: int):
-        delta = _boundary_average(medium, boundary, rom_sample(partition, master_seed, i)) - reference
+    def deviation(quad: QuadratureSet):
+        delta = _boundary_average(medium, boundary, quad) - reference
         return weighted_norm_of(delta, medium), delta
 
-    return _collect_stats(indexed_map(one, sample_count, jobs))
+    return _deviation_stats(deviation, partition, master_seed, sample_count, jobs)

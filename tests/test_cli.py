@@ -8,9 +8,10 @@ import pytest
 from conftest import CONFIGS
 from romlab import cli, experiments, operators
 from romlab.angular import certify_by_doubling
-from romlab.cli import STUDY_KINDS, flux_to_csv, main, parse_table_csv, table_to_csv
+from romlab.cli import flux_to_csv, main, parse_table_csv, table_to_csv
 from romlab.config import config_hash, load_config, study_config
 from romlab.experiments import (
+    STUDY_KINDS,
     ErrorRow,
     ErrorTable,
     RegularizationRow,
@@ -209,6 +210,20 @@ class TestSolve:
         assert a.read_text() != b.read_text()
         assert b.read_text() == c.read_text()
 
+    def test_seed_override_reaches_every_record(self, tmp_path):
+        # --seed replaces the seed every reader sees; the hash stays the file's
+        cfg = write_config(tmp_path, quadrature={"kind": "rom", "n": 8, "sample_index": 0})
+        manifests = []
+        for name, extra in (("plain", []), ("seeded", ["--seed", "99"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["solve", "--config", str(cfg), "--out", str(out), *extra]) == 0
+            manifests.append(json.loads(out.with_suffix(".manifest.json").read_text()))
+        assert manifests[0]["master_seed"] == 11
+        assert manifests[1]["master_seed"] == 99
+        assert manifests[1]["config_hash"] == manifests[0]["config_hash"]
+        report = json.loads((tmp_path / "seeded.report.json").read_text())
+        assert report["quadrature"].startswith("rom(seed=99,")
+
     def test_quadrature_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         doc = json.loads(cfg.read_text())
@@ -273,6 +288,21 @@ class TestStudy:
         main(["study", "--config", str(cfg), "--study", "single-run", "--out", str(out2),
               "--seed", "77"])
         assert (out1 / "single-run.csv").read_text() != (out2 / "single-run.csv").read_text()
+
+    def test_seed_override_reaches_every_record(self, tmp_path):
+        cfg = write_config(tmp_path)
+        records = []
+        for name, extra in (("plain", []), ("seeded", ["--seed", "77"])):
+            out = tmp_path / name
+            assert main(["study", "--config", str(cfg), "--study", "delta-b", "--out", str(out),
+                         *extra]) == 0
+            records.append((json.loads((out / "manifest.json").read_text()),
+                            json.loads((out / "delta-b_summary.json").read_text())))
+        (manifest, summary), (seeded_manifest, seeded_summary) = records
+        assert manifest["master_seed"] == summary["master_seed"] == 11
+        assert seeded_manifest["master_seed"] == seeded_summary["master_seed"] == 77
+        assert seeded_manifest["config_hash"] == seeded_summary["config_hash"]
+        assert seeded_manifest["config_hash"] == manifest["config_hash"]
 
     def test_regularization_study_csv(self, tmp_path):
         cfg = write_config(
@@ -430,8 +460,8 @@ class TestStudy:
 
     @pytest.mark.parametrize("study", STUDY_KINDS)
     def test_study_kind_calls_its_function(self, tmp_path, monkeypatch, study):
-        # the function is looked up in romlab.cli when the study runs, so a
-        # replacement set there (as a tracer does) is the one called
+        # each kind's run looks its function up in romlab.experiments when it
+        # is called, so a replacement set there (as a tracer does) is the one called
         calls = []
 
         def fake(config, *args):
@@ -440,7 +470,7 @@ class TestStudy:
                 return RegularizationTable((RegularizationRow(0.1, 0.0, 0.0, 0.0, True, 0.0),))
             return ErrorTable((ErrorRow(4, 1.0, 0.0, 1, False, 0.0),))
 
-        monkeypatch.setattr(cli, self._STUDY_FUNCTIONS[study], fake)
+        monkeypatch.setattr(experiments, self._STUDY_FUNCTIONS[study], fake)
         cfg = write_config(tmp_path)
         assert main(["study", "--config", str(cfg), "--study", study,
                      "--out", str(tmp_path / "x")]) == 0

@@ -15,15 +15,15 @@ from romlab import (
     SpatialGrid,
     TooFewPoints,
     bias_study,
+    certified_reference,
     deviation_study,
     dom_error_study,
     fit_slope,
     make_medium,
-    reference_solution,
     regularization_study,
     single_run_error_study,
 )
-from romlab.experiments import _certified_reference, _jackknife_norm_se
+from romlab.experiments import _jackknife_norm_se
 from conftest import shipped_config, small_config
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
@@ -117,12 +117,12 @@ class TestReferenceSolution:
             sample_count=4,
             master_seed=0,
         )
-        phi = reference_solution(cfg)
+        values, _, _ = certified_reference(cfg)
         t, w = leggauss(2000)
         mu = delta + 0.5 * (t + 1.0) * (1.0 - delta)
         vals = 1.0 - mu * (1.0 - np.exp(-1.0 / mu))
         oracle = (w * vals).sum() / 2.0  # symmetric halves, normalized
-        assert phi.values[0] == pytest.approx(oracle, abs=1e-10)
+        assert values[0] == pytest.approx(oracle, abs=1e-10)
 
     def test_zero_data(self):
         cfg = small_config(
@@ -134,12 +134,12 @@ class TestReferenceSolution:
             ),
             boundary=ZERO_BC,
         )
-        phi = reference_solution(cfg)
-        assert np.all(phi.values == 0.0)
+        values, _, _ = certified_reference(cfg)
+        assert np.all(values == 0.0)
 
     def test_certificate_gap_below_target(self):
         cfg = small_config()
-        _, nodes, gap = _certified_reference(cfg)
+        _, nodes, gap = certified_reference(cfg)
         assert gap <= cfg.ref_target
         assert nodes >= 2 * cfg.ref_nodes
 

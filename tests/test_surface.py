@@ -8,15 +8,16 @@ SETTABLE_VALUES in the same diff.  SOURCE_LINES is the line count of
 src/romlab/*.py (the total of ``wc -l``), tracked like a benchmark; a change
 that moves it updates SOURCE_LINES in the same diff.  The private kernels
 of sweep.py are for solver.py alone; every other module sweeps through the
-public batched calls.
+public batched calls.  experiments.STUDIES is the one table of study kinds,
+so the CLI imports no study function.
 """
 import ast
 from pathlib import Path
 
 import romlab
 
-SETTABLE_VALUES = 17
-SOURCE_LINES = 2298
+SETTABLE_VALUES = 14
+SOURCE_LINES = 2293
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -75,3 +76,15 @@ def test_only_the_solver_imports_sweep_privates():
             if isinstance(node, ast.ImportFrom) and node.module in ("sweep", "romlab.sweep"):
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, f"modules other than solver.py import sweep privates: {found}"
+
+
+def test_cli_imports_no_study_function():
+    cli_path = Path(romlab.__file__).parent / "cli.py"
+    found = [
+        alias.name
+        for node in ast.walk(ast.parse(cli_path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("experiments", "romlab.experiments")
+        for alias in node.names
+        if alias.name.endswith("_study")
+    ]
+    assert not found, f"cli.py imports study functions {found}; call them through experiments.STUDIES"
