@@ -20,7 +20,6 @@ from .errors import (
     AlphaUnbounded,
     ConfigError,
     DeltaOutOfRange,
-    GridMismatch,
     LambdaAtLeastOne,
     LengthMismatch,
     NoConvergence,
@@ -38,13 +37,12 @@ from .medium import (
     ConstantBoundary,
     LinearBoundary,
     MediumProfile,
-    ScalarFlux,
     SpatialGrid,
     TabulatedBoundary,
     eval_boundary,
     inflow_values,
     make_medium,
-    weighted_l2_norm,
+    weighted_norm_of,
 )
 from .operators import (
     DeltaStats,

@@ -152,7 +152,7 @@ def _cmd_solve(args) -> int:
     if out.parent and not out.parent.exists():
         return _fail(f"output directory {out.parent} does not exist")
     phi, report = solve(cfg.medium, cfg.boundary, quad, cfg.solver_tol)
-    out.write_text(flux_to_csv(phi.values, cfg.medium.grid.edges))
+    out.write_text(flux_to_csv(phi, cfg.medium.grid.edges))
     report_path = out.with_suffix(".report.json")
     record = {**asdict(report), "lambda": cfg.medium.lam, "quadrature": quad.provenance, "ordinates": quad.n}
     report_path.write_text(json.dumps(record, indent=2) + "\n")

@@ -4,10 +4,10 @@ Validation failures raise ConfigError carrying a JSON-pointer-style path
 ("/medium/sigma_t") so the CLI can name the offending field.  Every command
 loads through load_config, which parses what every command reads: medium,
 boundary, delta, seed and /solver/tol.  ``merged`` is the document
-config_hash hashes, and each remaining section has one reader that checks
-its values where it reads them: study_config builds the StudyConfig from
-/study (and rejects an explicit /solver/tol above the study cap), and
-build_quadrature builds the solve's quadrature from /quadrature.
+config_hash hashes, and each remaining section has one reader: study_config
+types /study into a StudyConfig, which checks every study value (an
+explicit /solver/tol above the study cap included), and build_quadrature
+builds and checks the solve's quadrature from /quadrature.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .errors import (
     LambdaAtLeastOne,
     NonPositiveSigmaT,
 )
-from .experiments import StudyConfig
+from .experiments import StudyConfig, _even_n, _truncation
 from .medium import (
     BoundarySpec,
     ConstantBoundary,
@@ -160,20 +160,6 @@ def _build_boundary_side(section, path: str):
     raise ConfigError(f"{path}/kind", f"must be one of constant, linear, table; got {kind!r}")
 
 
-def _even_n(value, path: str) -> int:
-    n = _integer(value, path)
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(path, f"ordinate count must be an even integer >= 2, got {n}")
-    return n
-
-
-def _validate_delta(value, path: str) -> float:
-    delta = _number(value, path)
-    if not (0.0 < delta < 1.0):
-        raise ConfigError(path, f"truncation must lie strictly inside (0, 1), got {delta}")
-    return delta
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -204,7 +190,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         _build_boundary_side(_get(bsec, "left", "/boundary"), "/boundary/left"),
         _build_boundary_side(_get(bsec, "right", "/boundary"), "/boundary/right"),
     )
-    delta = _validate_delta(merged["delta"], "/delta")
+    delta = _truncation(_number(merged["delta"], "/delta"), "/delta")
     seed = _integer(merged["seed"], "/seed")
 
     solver = _require_object(merged["solver"], "/solver")
@@ -242,7 +228,7 @@ def build_quadrature(cfg: LoadedConfig) -> QuadratureSet:
     if kind == "reference":
         nodes = _positive(_get(section, "nodes_per_half", "/quadrature"), "/quadrature/nodes_per_half")
         return reference_quadrature(cfg.delta, nodes)
-    n = _even_n(_get(section, "n", "/quadrature"), "/quadrature/n")
+    n = _even_n(_integer(_get(section, "n", "/quadrature"), "/quadrature/n"), "/quadrature/n")
     if kind == "rom":
         index = _integer(section.get("sample_index", 0), "/quadrature/sample_index")
         if index < 0:
@@ -257,34 +243,28 @@ def build_quadrature(cfg: LoadedConfig) -> QuadratureSet:
 def study_config(cfg: LoadedConfig) -> StudyConfig:
     """StudyConfig from /study, with cfg.seed as the master seed.
 
-    Turns the JSON into values (types, lists, even n, truncations in (0, 1),
-    the ref_nodes cap); StudyConfig checks the values themselves.  A
-    defaulted /solver/tol passes None, which StudyConfig tightens to the
-    study cap; an explicit one must respect that cap.
+    Turns the JSON into typed values (integers, numbers, lists);
+    StudyConfig checks the values themselves.  A defaulted /solver/tol
+    passes None, which StudyConfig tightens to the study cap; an explicit
+    one must respect that cap.
     """
     study = _require_object(cfg.merged["study"], "/study")
     n_list = study["n_list"]
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError("/study/n_list", "must be a nonempty list")
-    n_list = tuple(_even_n(v, f"/study/n_list/{i}") for i, v in enumerate(n_list))
-    samples = _integer(study["samples"], "/study/samples")
-    ref_nodes = _positive(study["ref_nodes"], "/study/ref_nodes")
-    if ref_nodes > defaults.REF_MAX_NODES // 2:
-        raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
     delta_list = study["delta_list"]
-    if not isinstance(delta_list, list) or not delta_list:
+    if not isinstance(delta_list, list):
         raise ConfigError("/study/delta_list", "must be a nonempty list")
-    delta_list = [_validate_delta(d, f"/study/delta_list/{i}") for i, d in enumerate(delta_list)]
     return StudyConfig(
         medium=cfg.medium,
         boundary=cfg.boundary,
         delta=cfg.delta,
-        n_list=n_list,
-        sample_count=samples,
+        n_list=tuple(_integer(v, f"/study/n_list/{i}") for i, v in enumerate(n_list)),
+        sample_count=_integer(study["samples"], "/study/samples"),
         master_seed=cfg.seed,
         dom_rule=study["dom_rule"],
-        delta_list=delta_list,
-        reference_delta=_validate_delta(study["reference_delta"], "/study/reference_delta"),
+        delta_list=tuple(_number(d, f"/study/delta_list/{i}") for i, d in enumerate(delta_list)),
+        reference_delta=_number(study["reference_delta"], "/study/reference_delta"),
         solver_tol=cfg.solver_tol if cfg.tol_explicit else None,
-        ref_nodes=ref_nodes,
+        ref_nodes=_integer(study["ref_nodes"], "/study/ref_nodes"),
     )

@@ -17,10 +17,6 @@ class LambdaAtLeastOne(RomlabError):
     """The scattering ratio sigma_s/sigma_t reaches the admissibility cap."""
 
 
-class GridMismatch(RomlabError):
-    """Two quantities defined on different spatial grids were combined."""
-
-
 class WrongHalf(RomlabError):
     """A boundary value was requested for a direction outside its inflow half."""
 

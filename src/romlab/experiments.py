@@ -83,6 +83,20 @@ class RegularizationTable:
     rows: tuple[RegularizationRow, ...]
 
 
+def _even_n(n: int, path: str) -> int:
+    """An ordinate count: even and at least 2, else ConfigError at ``path``."""
+    if n < 2 or n % 2 != 0:
+        raise ConfigError(path, f"ordinate count must be an even integer >= 2, got {n}")
+    return int(n)
+
+
+def _truncation(delta: float, path: str) -> float:
+    """A velocity truncation: strictly inside (0, 1), else ConfigError at ``path``."""
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(path, f"truncation must lie strictly inside (0, 1), got {delta}")
+    return float(delta)
+
+
 @dataclass(frozen=True, eq=False)
 class StudyConfig:
     """Everything a convergence study needs, and the one check of each study value.
@@ -109,7 +123,7 @@ class StudyConfig:
     ref_nodes: int = defaults.REF_INITIAL_NODES
 
     def __post_init__(self):
-        n_list = tuple(int(n) for n in self.n_list)
+        n_list = tuple(_even_n(n, f"/study/n_list/{i}") for i, n in enumerate(self.n_list))
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("/study/n_list", "must be a strictly increasing list")
         object.__setattr__(self, "n_list", n_list)
@@ -117,11 +131,21 @@ class StudyConfig:
             raise ConfigError("/study/samples", "must be at least 1")
         if self.dom_rule not in ("midpoint", "gauss"):
             raise ConfigError("/study/dom_rule", "must be midpoint or gauss")
-        object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
+        if self.ref_nodes < 1:
+            raise ConfigError("/study/ref_nodes", "must be at least 1")
+        if self.ref_nodes > defaults.REF_MAX_NODES // 2:
+            raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
+        if not self.delta_list:
+            raise ConfigError("/study/delta_list", "must be a nonempty list")
+        object.__setattr__(self, "delta_list", tuple(
+            _truncation(d, f"/study/delta_list/{i}") for i, d in enumerate(self.delta_list)))
+        _truncation(self.reference_delta, "/study/reference_delta")
         if any(self.reference_delta >= d for d in self.delta_list):
             raise ConfigError("/study/reference_delta", "must be below every entry of delta_list")
         cap = defaults.SOLVER_TOL_COEFF * max(n_list) ** -3
         tol = min(defaults.SOLVER_TOL, cap) if self.solver_tol is None else float(self.solver_tol)
+        if tol <= 0:
+            raise ConfigError("/solver/tol", "must be positive")
         if tol > cap:
             raise ConfigError(
                 "/solver/tol",
@@ -163,7 +187,7 @@ def _solved(medium, boundary, quad, tol) -> np.ndarray:
         raise NoConvergence(
             f"{quad.provenance}: solve error bound {report.error_bound:.3g} exceeds tol {tol:.3g}"
         )
-    return phi.values
+    return phi
 
 
 def _certified_solve(medium, boundary, delta, nodes, target, tol):
@@ -299,10 +323,10 @@ def deviation_study(config: StudyConfig, kind: str, jobs: int) -> ErrorTable:
         raise ValueError(f"unknown deviation study {kind!r}")
     config.check_kind(kind)
     if kind == "delta-t":
-        reference, _ = reference_iteration_matrix(config.medium, config.delta, config.ref_nodes)
+        reference, _, _ = reference_iteration_matrix(config.medium, config.delta, config.ref_nodes)
         stats_of = partial(iteration_deviation_stats, config.medium)
     else:
-        reference, _ = reference_boundary_average(
+        reference, _, _ = reference_boundary_average(
             config.medium, config.boundary, config.delta, config.ref_nodes
         )
         stats_of = partial(boundary_deviation_stats, config.medium, config.boundary)

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .errors import (
-    GridMismatch,
-    LambdaAtLeastOne,
-    LengthMismatch,
-    NonPositiveSigmaT,
-    WrongHalf,
-)
+from .errors import LambdaAtLeastOne, LengthMismatch, NonPositiveSigmaT, WrongHalf
 
 def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -63,9 +57,6 @@ class SpatialGrid:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
-
-    def same_as(self, other: "SpatialGrid") -> bool:
-        return self is other or np.array_equal(self.edges, other.edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,31 +111,8 @@ def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
     return MediumProfile(grid, sigma_t, sigma_s, q, lam, sigma_r, weights)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarFlux:
-    """Cell-averaged scalar flux on a grid."""
-
-    values: np.ndarray
-    grid: SpatialGrid
-
-    def __post_init__(self):
-        values = _frozen_array(self.values)
-        if values.shape != (self.grid.ncells,):
-            raise LengthMismatch(
-                f"flux has {values.size} values, grid has {self.grid.ncells} cells"
-            )
-        object.__setattr__(self, "values", values)
-
-
-def weighted_l2_norm(flux: ScalarFlux, medium: MediumProfile) -> float:
-    """Exact L2(sigma_t) norm of the piecewise-constant flux."""
-    if not flux.grid.same_as(medium.grid):
-        raise GridMismatch("flux and medium live on different grids")
-    return weighted_norm_of(flux.values, medium)
-
-
 def weighted_norm_of(values: np.ndarray, medium: MediumProfile) -> float:
-    """L2(sigma_t) norm of a raw cell-average vector (no grid check)."""
+    """Exact L2(sigma_t) norm of the piecewise-constant flux with these cell averages."""
     return float(np.sqrt(np.sum(np.asarray(values) ** 2 * medium.cell_weights)))
 
 

@@ -54,24 +54,25 @@ class DenseOperator:
         return (self.entries.T * d[None, :]) / d[:, None]
 
 
-def transport_matrix(medium: MediumProfile, mu: float) -> DenseOperator:
-    """Dense realization of the single-direction scattering response.
+def _averaged_transport(medium: MediumProfile, mus, weights) -> np.ndarray:
+    """sum_l weights[l] * (transport matrix at mus[l]); needs lambda > 0.
 
-    Column j is the zero-inflow sweep of the unit cell-average source
-    sigma_r * e_j, exact by linearity of the sweep.
+    Column j of each transport matrix is the zero-inflow sweep of the unit
+    cell-average source sigma_r * e_j, exact by linearity of the sweep.
     """
     if medium.lam == 0:
-        raise PureAbsorber("transport matrix needs lambda > 0")
-    entries = averaged_response_matrix(medium, [mu], [1.0], medium.sigma_r)
-    return DenseOperator(entries, medium.cell_weights)
+        raise PureAbsorber("transport and iteration matrices need lambda > 0")
+    return averaged_response_matrix(medium, mus, weights, medium.sigma_r)
+
+
+def transport_matrix(medium: MediumProfile, mu: float) -> DenseOperator:
+    """Dense realization of the single-direction scattering response."""
+    return DenseOperator(_averaged_transport(medium, [mu], [1.0]), medium.cell_weights)
 
 
 def iteration_matrix(medium: MediumProfile, quad: QuadratureSet) -> DenseOperator:
     """Quadrature average of the transport matrices over the ordinate set."""
-    if medium.lam == 0:
-        raise PureAbsorber("iteration matrix needs lambda > 0")
-    entries = averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
-    return DenseOperator(entries, medium.cell_weights)
+    return DenseOperator(_averaged_transport(medium, quad.mus, quad.weights), medium.cell_weights)
 
 
 def _entry_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -79,24 +80,21 @@ def _entry_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def reference_iteration_matrix(
-    medium: MediumProfile,
-    delta: float,
-    initial_nodes: int = defaults.REF_INITIAL_NODES,
-) -> tuple[DenseOperator, int]:
+    medium: MediumProfile, delta: float, initial_nodes: int
+) -> tuple[DenseOperator, int, float]:
     """Continuum iteration matrix via a composite Gauss rule, refined to cert.
 
     Doubles the nodes per half-interval from ``initial_nodes`` until
-    successive matrices agree entrywise to defaults.REF_ENTRY_TOL; raises
-    ReferenceNotConverged past defaults.REF_MAX_NODES.
+    successive matrices agree entrywise to defaults.REF_ENTRY_TOL; returns
+    (operator, nodes per half, gap) and raises ReferenceNotConverged past
+    defaults.REF_MAX_NODES.
     """
-    if medium.lam == 0:
-        raise PureAbsorber("iteration matrix needs lambda > 0")
-    entries, nodes, _ = certify_by_doubling(
-        lambda quad: averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r),
+    entries, nodes, gap = certify_by_doubling(
+        lambda quad: _averaged_transport(medium, quad.mus, quad.weights),
         _entry_gap, delta, initial_nodes, defaults.REF_MAX_NODES, defaults.REF_ENTRY_TOL,
         "iteration matrix",
     )
-    return DenseOperator(entries, medium.cell_weights), nodes
+    return DenseOperator(entries, medium.cell_weights), nodes, gap
 
 
 def _weighted_frame(op: DenseOperator) -> np.ndarray:
@@ -176,8 +174,7 @@ def iteration_deviation_stats(
     operator of reference_iteration_matrix at the partition's delta.
     """
     def deviation(quad: QuadratureSet):
-        t = averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
-        delta = t - reference.entries
+        delta = _averaged_transport(medium, quad.mus, quad.weights) - reference.entries
         return weighted_operator_norm(DenseOperator(delta, medium.cell_weights)), delta
 
     return _deviation_stats(deviation, partition, master_seed, sample_count, jobs)
@@ -191,13 +188,16 @@ def _boundary_average(medium: MediumProfile, boundary: BoundarySpec, quad: Quadr
 
 def reference_boundary_average(
     medium: MediumProfile, boundary: BoundarySpec, delta: float, initial_nodes: int
-) -> tuple[np.ndarray, int]:
-    """Continuum boundary average, certified as reference_iteration_matrix certifies."""
+) -> tuple[np.ndarray, int, float]:
+    """Continuum boundary average, certified as reference_iteration_matrix certifies.
+
+    Returns (average, nodes per half, gap).
+    """
     return certify_by_doubling(
         lambda quad: _boundary_average(medium, boundary, quad),
         _entry_gap, delta, initial_nodes, defaults.REF_MAX_NODES, defaults.REF_ENTRY_TOL,
         "boundary average",
-    )[:2]
+    )
 
 
 def boundary_deviation_stats(

@@ -3,11 +3,12 @@
 The scalar flux solves phi = S phi + c for whatever quadrature set is
 supplied: S is the ordinate-weighted zero-inflow sweep of sigma_s * phi,
 and c the weighted sweep of q with the inflow data.  ``solve`` assembles c
-and S in one pass over the two sign groups and solves (I - S) phi = c by
-LU.  For weights summing to one, ||S|| <= lambda in the L2(sigma_t) norm,
-so ||phi - phi*|| <= ||c - (I - S) phi|| / (1 - lambda): one residual
-certifies the distance to the exact discrete solution phi*, and ``tol``
-bounds that certificate.  The LU costs O(M^3) in the cell count M;
+and S in one pass over the two sign groups, solves (I - S) phi = c by LU,
+and returns phi as a read-only array of cell averages.  For weights summing
+to one, ||S|| <= lambda in the L2(sigma_t) norm, so
+||phi - phi*|| <= ||c - (I - S) phi|| / (1 - lambda): one residual certifies
+the distance to the exact discrete solution phi*, and ``tol`` bounds that
+certificate.  The LU costs O(M^3) in the cell count M;
 BENCH_direct_solve.json records its times up to M = 2000.
 """
 from __future__ import annotations
@@ -18,14 +19,8 @@ import numpy as np
 
 from . import defaults
 from .angular import QuadratureSet
-from .errors import ZeroMu
-from .medium import (
-    BoundarySpec,
-    MediumProfile,
-    ScalarFlux,
-    inflow_values,
-    weighted_norm_of,
-)
+from .errors import LengthMismatch, ZeroMu
+from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
 from .sweep import AngularFlux, _response_half, _swept_half, _sweep_factors, batched_sweep
 
 
@@ -47,12 +42,13 @@ def solve(
     boundary: BoundarySpec,
     quad: QuadratureSet,
     tol: float = defaults.SOLVER_TOL,
-) -> tuple[ScalarFlux, SolveReport]:
+) -> tuple[np.ndarray, SolveReport]:
     """Solve (I - S) phi = c by LU and certify phi by its residual.
 
-    Each sign group's sweep factors add the group's share of c and S and are
-    freed before the next group's are built.  converged is error_bound <= tol;
-    the flux is returned either way.
+    Returns (phi, report): phi is the read-only array of cell-average scalar
+    fluxes.  Each sign group's sweep factors add the group's share of c and S
+    and are freed before the next group's are built.  converged is
+    error_bound <= tol; the flux is returned either way.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -73,22 +69,24 @@ def solve(
     system[np.diag_indices(medium.ncells)] += 1.0
     phi = np.linalg.solve(system, const)
     bound = weighted_norm_of(const - system @ phi, medium) / (1.0 - medium.lam)
-    report = SolveReport(iterations=1, converged=bool(bound <= tol), error_bound=bound)
-    return ScalarFlux(phi, medium.grid), report
+    phi.setflags(write=False)
+    return phi, SolveReport(iterations=1, converged=bool(bound <= tol), error_bound=bound)
 
 
 def angular_fluxes(
     medium: MediumProfile,
     boundary: BoundarySpec,
     quad: QuadratureSet,
-    phi: ScalarFlux,
+    phi: np.ndarray,
 ) -> list[AngularFlux]:
-    """Per-ordinate fluxes recovered from a converged scalar flux.
+    """Per-ordinate fluxes recovered from a converged scalar-flux array.
 
     One exact sweep per ordinate with the frozen source sigma_s * phi + q;
     their weighted sum reproduces phi to within the solver tolerance.
     """
-    source = medium.sigma_s * phi.values + medium.q
+    if np.shape(phi) != (medium.ncells,):
+        raise LengthMismatch(f"phi has length {np.size(phi)}, grid has {medium.ncells} cells")
+    source = medium.sigma_s * phi + medium.q
     inflows = inflow_values(boundary, quad.mus)
     avg, edges = batched_sweep(medium, quad.mus, source, inflows)
     out = []

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import defaults
-from .errors import GridMismatch, LengthMismatch, PureAbsorber, ZeroMu
-from .medium import BoundarySpec, MediumProfile, ScalarFlux, SpatialGrid, eval_boundary
+from .errors import LengthMismatch, PureAbsorber, ZeroMu
+from .medium import BoundarySpec, MediumProfile, SpatialGrid, eval_boundary
 
 # below this, (1 - exp(-tau))/tau switches to its series
 TAU_TAYLOR = defaults.TAU_TAYLOR
@@ -104,29 +104,28 @@ def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float
     return AngularFlux(float(mu), avg, edges, grid)
 
 
-def apply_transport(medium: MediumProfile, mu: float, phi: ScalarFlux) -> ScalarFlux:
+def apply_transport(medium: MediumProfile, mu: float, phi: np.ndarray) -> np.ndarray:
     """Single-direction scattering response: zero-inflow sweep of sigma_r * phi.
 
-    This realizes the direction-wise solution operator whose averages build
-    the source-iteration map; it requires a scattering medium.
+    Takes and returns read-only cell-average arrays.  This realizes the
+    direction-wise solution operator whose averages build the source-iteration
+    map; it requires a scattering medium.
     """
     if medium.lam == 0:
         raise PureAbsorber("apply_transport needs lambda > 0; sweep the source directly")
-    if not phi.grid.same_as(medium.grid):
-        raise GridMismatch("flux and medium live on different grids")
-    flux = sweep_direction(medium, mu, medium.sigma_r * phi.values, 0.0)
-    return ScalarFlux(flux.cell_avg, medium.grid)
+    if np.shape(phi) != (medium.ncells,):
+        raise LengthMismatch(f"phi has length {np.size(phi)}, grid has {medium.ncells} cells")
+    return sweep_direction(medium, mu, medium.sigma_r * phi, 0.0).cell_avg
 
 
-def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> ScalarFlux:
-    """Cell averages of the boundary-propagated flux for one ordinate.
+def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> np.ndarray:
+    """Read-only cell averages of the boundary-propagated flux for one ordinate.
 
     The profile is the zero-source sweep carrying only the inflow value, so
     cell i averages to inflow * (exp(-tau_entry) - exp(-tau_exit)) * |mu| / (sigma_t h).
     """
     value = eval_boundary(boundary, mu)
-    flux = sweep_direction(medium, mu, np.zeros(medium.ncells), value)
-    return ScalarFlux(flux.cell_avg, medium.grid)
+    return sweep_direction(medium, mu, np.zeros(medium.ncells), value).cell_avg
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,24 @@ class TestStudyConfig:
         with pytest.raises(ConfigError, match="/study/reference_delta"):
             small_config(delta_list=(0.1,), reference_delta=0.2)
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"n_list": (4, 6, 9)}, "/study/n_list/2"),
+        ({"n_list": (0, 4)}, "/study/n_list/0"),
+        ({"ref_nodes": 0}, "/study/ref_nodes"),
+        ({"ref_nodes": 5000}, "/study/ref_nodes"),
+        ({"delta_list": ()}, "/study/delta_list"),
+        ({"delta_list": (0.2, 1.5)}, "/study/delta_list/1"),
+        ({"delta_list": (0.0,)}, "/study/delta_list/0"),
+        ({"reference_delta": -0.01}, "/study/reference_delta"),
+        ({"solver_tol": -1.0}, "/solver/tol"),
+        ({"solver_tol": 0.0}, "/solver/tol"),
+    ])
+    def test_bad_value_rejected_when_built(self, overrides, path):
+        # rejected when built, before any reference is certified or any row solved
+        with pytest.raises(ConfigError) as caught:
+            small_config(**overrides)
+        assert caught.value.path == path
+
 
 class TestUncertifiedSolve:
     @pytest.mark.parametrize("study", [single_run_error_study, bias_study, dom_error_study])

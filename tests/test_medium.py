@@ -4,12 +4,10 @@ import pytest
 from romlab import (
     BoundarySpec,
     ConstantBoundary,
-    GridMismatch,
     LambdaAtLeastOne,
     LengthMismatch,
     LinearBoundary,
     NonPositiveSigmaT,
-    ScalarFlux,
     SpatialGrid,
     TabulatedBoundary,
     WrongHalf,
@@ -17,7 +15,7 @@ from romlab import (
     eval_boundary,
     inflow_values,
     make_medium,
-    weighted_l2_norm,
+    weighted_norm_of,
 )
 from conftest import random_medium
 
@@ -98,28 +96,18 @@ class TestWeightedNorm:
     def test_unit_everything(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 4)
         medium = make_medium(grid, np.ones(4), np.zeros(4), np.zeros(4))
-        flux = ScalarFlux(np.ones(4), grid)
-        assert weighted_l2_norm(flux, medium) == pytest.approx(1.0, abs=1e-15)
+        assert weighted_norm_of(np.ones(4), medium) == pytest.approx(1.0, abs=1e-15)
 
     def test_homogeneity(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 4)
         medium = make_medium(grid, np.ones(4), np.zeros(4), np.zeros(4))
-        flux = ScalarFlux(2.0 * np.ones(4), grid)
-        assert weighted_l2_norm(flux, medium) == pytest.approx(2.0, abs=1e-15)
+        assert weighted_norm_of(2.0 * np.ones(4), medium) == pytest.approx(2.0, abs=1e-15)
 
     def test_direct_sum(self):
         # phi=[1,0], sigma_t=4, cells of width 0.5: sqrt(1 * 4 * 0.5)
         grid = SpatialGrid.uniform(0.0, 1.0, 2)
         medium = make_medium(grid, [4.0, 4.0], [0.0, 0.0], [0.0, 0.0])
-        flux = ScalarFlux([1.0, 0.0], grid)
-        assert weighted_l2_norm(flux, medium) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-    def test_grid_mismatch(self):
-        grid = SpatialGrid.uniform(0.0, 1.0, 2)
-        other = SpatialGrid.uniform(0.0, 2.0, 2)
-        medium = make_medium(grid, [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(GridMismatch):
-            weighted_l2_norm(ScalarFlux([1.0, 1.0], other), medium)
+        assert weighted_norm_of([1.0, 0.0], medium) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_triangle_inequality_and_homogeneity(self, rng):
         for _ in range(200):
@@ -127,12 +115,12 @@ class TestWeightedNorm:
             m = medium.ncells
             a = rng.normal(size=m)
             b = rng.normal(size=m)
-            na = weighted_l2_norm(ScalarFlux(a, medium.grid), medium)
-            nb = weighted_l2_norm(ScalarFlux(b, medium.grid), medium)
-            nab = weighted_l2_norm(ScalarFlux(a + b, medium.grid), medium)
+            na = weighted_norm_of(a, medium)
+            nb = weighted_norm_of(b, medium)
+            nab = weighted_norm_of(a + b, medium)
             assert nab <= na + nb + 1e-12
             c = rng.normal()
-            nca = weighted_l2_norm(ScalarFlux(c * a, medium.grid), medium)
+            nca = weighted_norm_of(c * a, medium)
             assert nca == pytest.approx(abs(c) * na, rel=1e-12, abs=1e-15)
 
 

@@ -7,10 +7,10 @@ from romlab import (
     ConstantBoundary,
     DenseOperator,
     PureAbsorber,
-    ScalarFlux,
     SpatialGrid,
     ZeroMu,
     apply_transport,
+    defaults,
     boundary_deviation_stats,
     build_partition,
     dom_quadrature,
@@ -71,7 +71,7 @@ class TestTransportMatrix:
         for j in range(9):
             e = np.zeros(9)
             e[j] = 1.0
-            col = apply_transport(medium, mu, ScalarFlux(e, medium.grid)).values
+            col = apply_transport(medium, mu, e)
             np.testing.assert_allclose(op.entries[:, j], col, rtol=1e-12, atol=1e-300)
 
     def test_guards(self):
@@ -82,6 +82,12 @@ class TestTransportMatrix:
         absorber = make_medium(grid, np.ones(3), np.zeros(3), np.ones(3))
         with pytest.raises(PureAbsorber):
             transport_matrix(absorber, 0.5)
+        part = build_partition(4, 0.1)
+        with pytest.raises(PureAbsorber):
+            iteration_matrix(absorber, dom_quadrature(part))
+        reference = DenseOperator(np.zeros((3, 3)), absorber.cell_weights)
+        with pytest.raises(PureAbsorber):
+            iteration_deviation_stats(absorber, part, reference, 0, 2)
 
     def test_norm_never_exceeds_one(self, rng):
         for _ in range(50):
@@ -115,8 +121,9 @@ class TestIterationMatrix:
 
     def test_reference_refinement(self):
         medium = scattering_medium(32)
-        ref, nodes = reference_iteration_matrix(medium, 0.05, initial_nodes=256)
-        finer, _ = reference_iteration_matrix(medium, 0.05, initial_nodes=nodes)
+        ref, nodes, gap = reference_iteration_matrix(medium, 0.05, 256)
+        assert gap <= defaults.REF_ENTRY_TOL
+        finer, _, _ = reference_iteration_matrix(medium, 0.05, nodes)
         assert np.max(np.abs(ref.entries - finer.entries)) <= 1e-10
 
 
@@ -163,7 +170,7 @@ class TestWeightedNorm:
         # criterion 4's deviation at n = 16, seed 77, sample 279: its top two
         # singular values are 0.0192242 and 0.0192236
         medium = scattering_medium(32)
-        ref, _ = reference_iteration_matrix(medium, 0.05)
+        ref, _, _ = reference_iteration_matrix(medium, 0.05, 256)
         sampled = iteration_matrix(medium, rom_sample(build_partition(16, 0.05), 77, 279))
         cases.append((sampled.entries - ref.entries, medium.cell_weights))
         for entries, weight in cases:
@@ -230,7 +237,7 @@ class TestDeviationStats:
     def test_mean_entries_match_reference(self):
         medium = scattering_medium(12)
         part = build_partition(8, 0.2)
-        ref, _ = reference_iteration_matrix(medium, 0.2)
+        ref, _, _ = reference_iteration_matrix(medium, 0.2, 256)
         stats = iteration_deviation_stats(medium, part, ref, 333, 10_000)
         # E dT = 0: every entry's sample mean within 4 standard errors of zero
         scaled = np.abs(stats.entry_mean) / np.where(stats.entry_se > 0, stats.entry_se, 1.0)
@@ -239,14 +246,14 @@ class TestDeviationStats:
     def test_jensen(self):
         medium = scattering_medium(10)
         part = build_partition(8, 0.1)
-        ref, _ = reference_iteration_matrix(medium, 0.1)
+        ref, _, _ = reference_iteration_matrix(medium, 0.1, 256)
         stats = iteration_deviation_stats(medium, part, ref, 1, 400)
         assert stats.mean_sq_norm >= stats.mean_norm**2 - 3 * stats.se_mean_sq
 
     def test_cubic_decay_ratio(self):
         medium = scattering_medium(32)
         seed = 77
-        ref, _ = reference_iteration_matrix(medium, 0.05)
+        ref, _, _ = reference_iteration_matrix(medium, 0.05, 256)
         s16 = iteration_deviation_stats(medium, build_partition(16, 0.05), ref, seed, 1500)
         s32 = iteration_deviation_stats(medium, build_partition(32, 0.05), ref, seed, 1500)
         ratio = s32.mean_sq_norm / s16.mean_sq_norm
@@ -256,7 +263,7 @@ class TestDeviationStats:
         # calibrate C at n=8, reuse at n=64: sup-norm of the deviation is C/n
         medium = scattering_medium(24)
         seed = 7
-        ref, _ = reference_iteration_matrix(medium, 0.05)
+        ref, _, _ = reference_iteration_matrix(medium, 0.05, 256)
         s8 = iteration_deviation_stats(medium, build_partition(8, 0.05), ref, seed, 500)
         cap = s8.max_norm * 8 * 1.1
         s64 = iteration_deviation_stats(medium, build_partition(64, 0.05), ref, seed, 500)
@@ -264,14 +271,14 @@ class TestDeviationStats:
 
     def test_sample_count_guard(self):
         medium = scattering_medium(8)
-        ref, _ = reference_iteration_matrix(medium, 0.1)
+        ref, _, _ = reference_iteration_matrix(medium, 0.1, 256)
         with pytest.raises(ConfigError, match="/study/samples"):
             iteration_deviation_stats(medium, build_partition(4, 0.1), ref, 0, 1)
 
     def test_jobs_do_not_change_statistics(self):
         medium = scattering_medium(10)
         part = build_partition(8, 0.1)
-        ref, _ = reference_iteration_matrix(medium, 0.1)
+        ref, _, _ = reference_iteration_matrix(medium, 0.1, 256)
         a = iteration_deviation_stats(medium, part, ref, 4, 200, jobs=1)
         b = iteration_deviation_stats(medium, part, ref, 4, 200, jobs=3)
         assert a.mean_norm == b.mean_norm
@@ -283,7 +290,7 @@ class TestBoundaryDeviation:
     def test_zero_boundary_gives_zero(self):
         medium = scattering_medium(10)
         bc = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
-        ref, _ = reference_boundary_average(medium, bc, 0.05, 256)
+        ref, _, _ = reference_boundary_average(medium, bc, 0.05, 256)
         stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), ref, 5, 50)
         assert stats.max_norm == 0.0
         assert stats.mean_sq_norm == 0.0
@@ -291,7 +298,8 @@ class TestBoundaryDeviation:
     def test_mean_entries_zero(self):
         medium = scattering_medium(16)
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        ref, _ = reference_boundary_average(medium, bc, 0.05, 256)
+        ref, _, gap = reference_boundary_average(medium, bc, 0.05, 256)
+        assert 0.0 < gap <= defaults.REF_ENTRY_TOL
         stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), ref, 17, 3000)
         scaled = np.abs(stats.entry_mean) / np.where(stats.entry_se > 0, stats.entry_se, 1.0)
         assert np.max(scaled) <= 4.0
@@ -301,7 +309,7 @@ class TestBoundaryDeviation:
         # are nonzero even for constant boundary values
         medium = scattering_medium(16)
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        ref, _ = reference_boundary_average(medium, bc, 0.05, 256)
+        ref, _, _ = reference_boundary_average(medium, bc, 0.05, 256)
         stats = boundary_deviation_stats(medium, bc, build_partition(8, 0.05), ref, 17, 100)
         assert stats.mean_norm > 0.0
 
@@ -325,4 +333,4 @@ class TestMatrixSolveCrossCheck:
             direct = np.linalg.solve(
                 np.eye(medium.ncells) - medium.lam * top.entries, const
             )
-            assert weighted_norm_of(direct - phi.values, medium) <= 2 * tol
+            assert weighted_norm_of(direct - phi, medium) <= 2 * tol

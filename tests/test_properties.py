@@ -230,7 +230,7 @@ def test_solve_on_cells_deeper_than_the_guard_matches_march(nodes):
         return sum(w * sweep_direction(medium, mu, source, inflow).cell_avg
                    for mu, w, inflow in zip(quad.mus, quad.weights, inflows))
 
-    np.testing.assert_allclose(phi.values, source_iteration(medium, march, 1e-14), rtol=1e-12)
+    np.testing.assert_allclose(phi, source_iteration(medium, march, 1e-14), rtol=1e-12)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -249,7 +249,7 @@ def test_sweep_path_solve_matches_public_sweep_loop(regime, data):
         lambda source: quad.weights @ batched_sweep(medium, quad.mus, source, sweep_inflows)[0],
         1e-11,
     )
-    assert weighted_norm_of(phi.values - expected, medium) <= 1e-9
+    assert weighted_norm_of(phi - expected, medium) <= 1e-9
 
 
 def _weighted_dot(weight, a, b):

@@ -6,8 +6,8 @@ import pytest
 from romlab import (
     BoundarySpec,
     ConstantBoundary,
+    LengthMismatch,
     QuadratureSet,
-    ScalarFlux,
     SpatialGrid,
     ZeroMu,
     angular_fluxes,
@@ -38,14 +38,17 @@ class TestSolve:
         medium = make_medium(grid, [1.0], [0.0], [1.0])
         phi, report = solve(medium, ZERO_BC, pair_quad(0.5), tol=1e-12)
         exact = 1.0 - (1.0 - np.exp(-2.0)) / 2.0
-        assert phi.values[0] == pytest.approx(exact, abs=1e-12)
+        assert phi[0] == pytest.approx(exact, abs=1e-12)
         assert report.converged
+        assert isinstance(phi, np.ndarray)
+        with pytest.raises(ValueError):
+            phi[0] = 0.0
 
     def test_zero_data_converges_immediately(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 10)
         medium = make_medium(grid, np.ones(10), 0.5 * np.ones(10), np.zeros(10))
         phi, report = solve(medium, ZERO_BC, pair_quad())
-        assert np.all(phi.values == 0.0)
+        assert np.all(phi == 0.0)
         assert report.iterations == 1
         assert report.converged
 
@@ -66,7 +69,7 @@ class TestSolve:
             )
             iterate = quad.weights @ avg
             assert np.all(iterate >= previous - 1e-15)
-            assert np.all(iterate <= phi.values + 1e-13)
+            assert np.all(iterate <= phi + 1e-13)
             previous = iterate
 
     def test_fixed_point_residual(self, rng):
@@ -79,10 +82,10 @@ class TestSolve:
             assert report.converged
             inflows = inflow_values(bc, quad.mus)
             avg, _ = batched_sweep(
-                medium, quad.mus, medium.sigma_s * phi.values + medium.q, inflows
+                medium, quad.mus, medium.sigma_s * phi + medium.q, inflows
             )
             recomposed = quad.weights @ avg
-            assert weighted_norm_of(recomposed - phi.values, medium) <= 2 * tol
+            assert weighted_norm_of(recomposed - phi, medium) <= 2 * tol
 
     def test_bound_above_tol_returns_the_flux_unconverged(self):
         # no residual reaches 1e-300: the same flux comes back, uncertified
@@ -93,7 +96,7 @@ class TestSolve:
         assert not report.converged and good.converged
         assert report.iterations == 1
         assert report.error_bound == good.error_bound > 1e-300
-        assert np.array_equal(phi.values, certified.values)
+        assert np.array_equal(phi, certified)
 
     def test_zero_mu_rejected(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 2)
@@ -117,12 +120,12 @@ class TestSolve:
         def transport_average(values):
             out = np.zeros(8)
             for w, mu in zip(quad.weights, quad.mus):
-                out += w * apply_transport(medium, mu, ScalarFlux(values, grid)).values
+                out += w * apply_transport(medium, mu, values)
             return out
 
         b_bar = np.zeros(8)
         for w, mu in zip(quad.weights, quad.mus):
-            b_bar += w * boundary_term(medium, mu, bc).values
+            b_bar += w * boundary_term(medium, mu, bc)
         q_transported = np.zeros(8)
         for w, mu in zip(quad.weights, quad.mus):
             q_transported += w * sweep_direction(medium, mu, medium.q, 0.0).cell_avg
@@ -134,7 +137,7 @@ class TestSolve:
             partial += term
         phi0_norm = weighted_norm_of(q_transported + b_bar, medium)
         bound = lam ** 21 / (1 - lam) * phi0_norm + 10 * tol
-        assert weighted_norm_of(partial - phi.values, medium) <= bound
+        assert weighted_norm_of(partial - phi, medium) <= bound
 
     def test_quadrature_consistency_smooth_data(self):
         # away from mu = 0 the integrand is analytic: doubling the reference
@@ -144,7 +147,7 @@ class TestSolve:
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(1.0))
         phi_a, _ = solve(medium, bc, reference_quadrature(0.3, 64), tol=1e-13)
         phi_b, _ = solve(medium, bc, reference_quadrature(0.3, 128), tol=1e-13)
-        assert weighted_norm_of(phi_a.values - phi_b.values, medium) <= 1e-10
+        assert weighted_norm_of(phi_a - phi_b, medium) <= 1e-10
 
     def test_sweep_path_memory_guard(self):
         # tracemalloc peak of a second solve at commit dc2587c (numpy 2.4.6),
@@ -190,7 +193,7 @@ class TestErrorBound:
             lambda source: quad.weights @ batched_sweep(medium, quad.mus, source, inflows)[0],
             self.TOL / 100,
         )
-        assert weighted_norm_of(phi.values - exact, medium) <= self.TOL
+        assert weighted_norm_of(phi - exact, medium) <= self.TOL
 
 
 class TestAngularFluxes:
@@ -203,7 +206,15 @@ class TestAngularFluxes:
         phi, _ = solve(medium, bc, quad, tol=tol)
         fluxes = angular_fluxes(medium, bc, quad, phi)
         recomposed = sum(w * f.cell_avg for w, f in zip(quad.weights, fluxes))
-        assert weighted_norm_of(recomposed - phi.values, medium) <= tol
+        assert weighted_norm_of(recomposed - phi, medium) <= tol
+
+    def test_wrong_length_rejected(self):
+        grid = SpatialGrid.uniform(0.0, 1.0, 3)
+        medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.ones(3))
+        quad = dom_quadrature(build_partition(4, 0.1))
+        for phi in ([1.0], np.ones(4)):
+            with pytest.raises(LengthMismatch):
+                angular_fluxes(medium, ZERO_BC, quad, phi)
 
     def test_pure_absorber_decouples(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 6)
@@ -225,7 +236,7 @@ class TestAngularFluxes:
         quad = dom_quadrature(build_partition(6, 0.1))
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(1.0))
         phi, _ = solve(medium, bc, quad, tol=1e-12)
-        np.testing.assert_allclose(phi.values, phi.values[::-1], rtol=1e-10)
+        np.testing.assert_allclose(phi, phi[::-1], rtol=1e-10)
         fluxes = angular_fluxes(medium, bc, quad, phi)
         n = quad.n
         for l in range(n):

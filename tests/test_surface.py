@@ -8,16 +8,18 @@ SETTABLE_VALUES in the same diff.  SOURCE_LINES is the line count of
 src/romlab/*.py (the total of ``wc -l``), tracked like a benchmark; a change
 that moves it updates SOURCE_LINES in the same diff.  The private kernels
 of sweep.py are for solver.py alone; every other module sweeps through the
-public batched calls.  experiments.STUDIES is the one table of study kinds,
-so the CLI imports no study function.
+public batched calls.  operators.py assembles every transport and iteration
+matrix through one call of averaged_response_matrix, so that assembly and
+its lambda > 0 check cannot fork.  experiments.STUDIES is the one table of
+study kinds, so the CLI imports no study function.
 """
 import ast
 from pathlib import Path
 
 import romlab
 
-SETTABLE_VALUES = 14
-SOURCE_LINES = 2293
+SETTABLE_VALUES = 13
+SOURCE_LINES = 2256
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -76,6 +78,16 @@ def test_only_the_solver_imports_sweep_privates():
             if isinstance(node, ast.ImportFrom) and node.module in ("sweep", "romlab.sweep"):
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, f"modules other than solver.py import sweep privates: {found}"
+
+
+def test_operators_assemble_transport_once():
+    tree = ast.parse((Path(romlab.__file__).parent / "operators.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "averaged_response_matrix"
+    ]
+    assert len(calls) == 1, f"operators.py calls averaged_response_matrix at lines {calls}; keep one"
 
 
 def test_cli_imports_no_study_function():

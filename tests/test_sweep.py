@@ -4,16 +4,16 @@ import pytest
 from romlab import (
     BoundarySpec,
     ConstantBoundary,
+    LengthMismatch,
     LinearBoundary,
     PureAbsorber,
-    ScalarFlux,
     SpatialGrid,
     ZeroMu,
     apply_transport,
     boundary_term,
     make_medium,
     sweep_direction,
-    weighted_l2_norm,
+    weighted_norm_of,
 )
 from romlab.sweep import (
     _escape_factor,
@@ -129,32 +129,36 @@ class TestApplyTransport:
     def test_zero_flux(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 3)
         medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.zeros(3))
-        out = apply_transport(medium, 0.7, ScalarFlux(np.zeros(3), grid))
-        assert np.all(out.values == 0.0)
+        out = apply_transport(medium, 0.7, np.zeros(3))
+        assert np.all(out == 0.0)
 
     def test_single_cell_oracle(self):
         # sigma_t = sigma_r = 1 (lambda=0.5, sigma_s=0.5), phi=[1]
         grid = SpatialGrid.uniform(0.0, 1.0, 1)
         medium = make_medium(grid, [1.0], [0.5], [0.0])
-        out = apply_transport(medium, 0.5, ScalarFlux([1.0], grid))
+        out = apply_transport(medium, 0.5, [1.0])
         exact = 1.0 - (1.0 - np.exp(-2.0)) / 2.0
-        assert out.values[0] == pytest.approx(exact, abs=1e-15)
+        assert out[0] == pytest.approx(exact, abs=1e-15)
 
     def test_pure_absorber_rejected(self):
         medium = unit_absorber()
         with pytest.raises(PureAbsorber):
-            apply_transport(medium, 0.5, ScalarFlux([1.0], medium.grid))
+            apply_transport(medium, 0.5, [1.0])
+
+    def test_wrong_length_rejected(self):
+        grid = SpatialGrid.uniform(0.0, 1.0, 3)
+        medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.zeros(3))
+        for phi in ([1.0], np.ones(4)):
+            with pytest.raises(LengthMismatch):
+                apply_transport(medium, 0.5, phi)
 
     def test_nonexpansive(self, rng):
         for _ in range(200):
             medium = random_medium(rng)
             mu = rng.choice([-1, 1]) * rng.uniform(0.01, 1.0)
-            phi = ScalarFlux(rng.normal(size=medium.ncells), medium.grid)
+            phi = rng.normal(size=medium.ncells)
             out = apply_transport(medium, mu, phi)
-            assert (
-                weighted_l2_norm(out, medium)
-                <= weighted_l2_norm(phi, medium) + 1e-12
-            )
+            assert weighted_norm_of(out, medium) <= weighted_norm_of(phi, medium) + 1e-12
 
 
 class TestBoundaryTerm:
@@ -168,7 +172,7 @@ class TestBoundaryTerm:
         medium = unit_absorber(4)
         spec = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
         out = boundary_term(medium, 0.5, spec)
-        assert np.all(out.values == 0.0)
+        assert np.all(out == 0.0)
 
     def test_linear_in_boundary_value(self):
         medium = unit_absorber(4)
@@ -176,7 +180,7 @@ class TestBoundaryTerm:
         ramp = BoundarySpec(LinearBoundary(1.0, 0.0), ConstantBoundary(0.0))
         base = boundary_term(medium, 0.5, const)
         scaled = boundary_term(medium, 0.5, ramp)
-        np.testing.assert_allclose(scaled.values, 0.5 * base.values, rtol=1e-14)
+        np.testing.assert_allclose(scaled, 0.5 * base, rtol=1e-14)
 
     def test_cell_average_formula(self, rng):
         # (|mu| / (sigma_t h)) * (e^{-tau_entry} - e^{-tau_exit}) per cell
@@ -188,7 +192,7 @@ class TestBoundaryTerm:
             tau = medium.sigma_t * medium.grid.widths / mu
             depth = np.concatenate([[0.0], np.cumsum(tau)])
             expected = (np.exp(-depth[:-1]) - np.exp(-depth[1:])) / tau
-            np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-300)
 
 
 class TestBatchKernels:
