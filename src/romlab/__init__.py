@@ -46,7 +46,6 @@ from .medium import (
 )
 from .operators import (
     DeltaStats,
-    DenseOperator,
     boundary_deviation_stats,
     gram_trace,
     iteration_deviation_stats,
@@ -54,10 +53,11 @@ from .operators import (
     reference_boundary_average,
     reference_iteration_matrix,
     transport_matrix,
+    weighted_adjoint,
     weighted_operator_norm,
 )
 from .solver import SolveReport, angular_fluxes, solve
-from .sweep import AngularFlux, apply_transport, boundary_term, sweep_direction
+from .sweep import apply_transport, boundary_term, sweep_direction
 from .experiments import (
     ErrorRow,
     ErrorTable,

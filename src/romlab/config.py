@@ -72,7 +72,10 @@ def _get(obj: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(path, "must be a number")
-    return float(value)
+    number = float(value)
+    if not np.isfinite(number):
+        raise ConfigError(path, f"must be finite, got {number}")
+    return number
 
 
 def _integer(value, path: str) -> int:

@@ -84,8 +84,9 @@ class MediumProfile:
 def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
     """Validate per-cell data and derive the scattering ratio.
 
-    Raises LengthMismatch, NonPositiveSigmaT, or LambdaAtLeastOne when the
-    admissibility constraints fail.  The scattering ratio is capped at
+    Raises LengthMismatch, NonPositiveSigmaT, LambdaAtLeastOne, or ValueError
+    (sigma_s or q not finite and nonnegative) when the admissibility
+    constraints fail.  The scattering ratio is capped at
     defaults.LAMBDA_MAX < 1, since the solver's error bound carries a
     factor 1 / (1 - lambda).
     """
@@ -98,8 +99,8 @@ def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
             raise LengthMismatch(f"{name} has length {arr.size}, grid has {m} cells")
     if not np.all(np.isfinite(sigma_t)) or np.any(sigma_t <= 0):
         raise NonPositiveSigmaT("sigma_t entries must be positive and finite")
-    if np.any(sigma_s < 0) or np.any(q < 0):
-        raise ValueError("sigma_s and q must be nonnegative")
+    if not (np.all(np.isfinite(sigma_s) & (sigma_s >= 0)) and np.all(np.isfinite(q) & (q >= 0))):
+        raise ValueError("sigma_s and q must be finite and nonnegative")
     ratios = sigma_s / sigma_t
     lam = float(np.max(ratios)) if m else 0.0
     if lam > defaults.LAMBDA_MAX:
@@ -112,8 +113,11 @@ def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
 
 
 def weighted_norm_of(values: np.ndarray, medium: MediumProfile) -> float:
-    """Exact L2(sigma_t) norm of the piecewise-constant flux with these cell averages."""
-    return float(np.sqrt(np.sum(np.asarray(values) ** 2 * medium.cell_weights)))
+    """Exact L2(sigma_t) norm of the piecewise-constant flux with these (M,) cell averages."""
+    values = np.asarray(values)
+    if values.shape != medium.cell_weights.shape:
+        raise LengthMismatch(f"values of shape {values.shape} do not match {medium.ncells} cells")
+    return float(np.sqrt(np.sum(values**2 * medium.cell_weights)))
 
 
 class _BoundaryFunction:

@@ -1,7 +1,8 @@
 """Dense-matrix laboratory for the transport and iteration operators.
 
-Matrices act on cell-average vectors; the inner product carries the per-
-cell weights sigma_t * h, so operator norms are taken on the similarity
+An operator is a plain (M, M) array acting on cell-average vectors; the
+inner product carries the per-cell weights sigma_t * h (medium.cell_weights),
+passed next to the matrix, so operator norms are taken on the similarity
 transform D^{1/2} A D^{-1/2} where they reduce to ordinary singular
 values.  This module exists to measure what the convergence analysis only
 bounds: non-expansiveness, Lipschitz behavior in the ordinate, traces of
@@ -16,63 +17,27 @@ import numpy as np
 
 from . import defaults
 from ._parallel import indexed_map
-from .angular import (
-    QuadratureSet,
-    VelocityPartition,
-    certify_by_doubling,
-    rom_sample,
-)
-from .errors import ConfigError, PureAbsorber
+from .angular import QuadratureSet, VelocityPartition, certify_by_doubling, rom_sample
+from .errors import ConfigError, LengthMismatch, PureAbsorber
 from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
 from .sweep import averaged_response_matrix, averaged_sweep
 
 
-@dataclass(frozen=True, eq=False)
-class DenseOperator:
-    """Matrix action on cell averages plus the inner-product weights."""
-
-    entries: np.ndarray
-    weight: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        weight = np.asarray(self.weight, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if weight.shape != (entries.shape[0],):
-            raise ValueError("weight length must match the matrix size")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries must be finite")
-        if np.any(weight <= 0):
-            raise ValueError("weights must be strictly positive")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "weight", weight)
-
-    def adjoint_entries(self) -> np.ndarray:
-        """Matrix of the adjoint in the weighted inner product: D^-1 A^T D."""
-        d = self.weight
-        return (self.entries.T * d[None, :]) / d[:, None]
-
-
-def _averaged_transport(medium: MediumProfile, mus, weights) -> np.ndarray:
-    """sum_l weights[l] * (transport matrix at mus[l]); needs lambda > 0.
+def iteration_matrix(medium: MediumProfile, quad: QuadratureSet) -> np.ndarray:
+    """(M, M) quadrature average of the transport matrices; needs lambda > 0.
 
     Column j of each transport matrix is the zero-inflow sweep of the unit
     cell-average source sigma_r * e_j, exact by linearity of the sweep.
     """
     if medium.lam == 0:
         raise PureAbsorber("transport and iteration matrices need lambda > 0")
-    return averaged_response_matrix(medium, mus, weights, medium.sigma_r)
+    return averaged_response_matrix(medium, quad.mus, quad.weights, medium.sigma_r)
 
 
-def transport_matrix(medium: MediumProfile, mu: float) -> DenseOperator:
-    """Dense realization of the single-direction scattering response."""
-    return DenseOperator(_averaged_transport(medium, [mu], [1.0]), medium.cell_weights)
-
-
-def iteration_matrix(medium: MediumProfile, quad: QuadratureSet) -> DenseOperator:
-    """Quadrature average of the transport matrices over the ordinate set."""
-    return DenseOperator(_averaged_transport(medium, quad.mus, quad.weights), medium.cell_weights)
+def transport_matrix(medium: MediumProfile, mu: float) -> np.ndarray:
+    """(M, M) matrix of the single-direction scattering response: the
+    iteration matrix of the one ordinate mu with weight 1."""
+    return iteration_matrix(medium, QuadratureSet(np.array([float(mu)]), np.ones(1), f"mu={mu}"))
 
 
 def _entry_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -81,31 +46,50 @@ def _entry_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 def reference_iteration_matrix(
     medium: MediumProfile, delta: float, initial_nodes: int
-) -> tuple[DenseOperator, int, float]:
+) -> tuple[np.ndarray, int, float]:
     """Continuum iteration matrix via a composite Gauss rule, refined to cert.
 
     Doubles the nodes per half-interval from ``initial_nodes`` until
     successive matrices agree entrywise to defaults.REF_ENTRY_TOL; returns
-    (operator, nodes per half, gap) and raises ReferenceNotConverged past
+    (matrix, nodes per half, gap) and raises ReferenceNotConverged past
     defaults.REF_MAX_NODES.
     """
-    entries, nodes, gap = certify_by_doubling(
-        lambda quad: _averaged_transport(medium, quad.mus, quad.weights),
+    return certify_by_doubling(
+        lambda quad: iteration_matrix(medium, quad),
         _entry_gap, delta, initial_nodes, defaults.REF_MAX_NODES, defaults.REF_ENTRY_TOL,
         "iteration matrix",
     )
-    return DenseOperator(entries, medium.cell_weights), nodes, gap
 
 
-def _weighted_frame(op: DenseOperator) -> np.ndarray:
-    """D^{1/2} entries D^{-1/2}: the weighted norm of op is its spectral norm."""
-    d = np.sqrt(op.weight)
-    return op.entries * (d[:, None] / d[None, :])
+def _weighted_frame(entries, weights) -> np.ndarray:
+    """D^{1/2} entries D^{-1/2} for D = diag(weights): the weighted norm is its spectral norm.
+
+    Raises LengthMismatch unless entries is (M, M) and weights (M,), and
+    ValueError for non-finite entries or non-positive weights.
+    """
+    entries = np.asarray(entries, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or entries.shape != weights.shape * 2:
+        raise LengthMismatch(f"entries {entries.shape}, weights {weights.shape}: need (M, M), (M,)")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("entries must be finite")
+    if np.any(weights <= 0):
+        raise ValueError("weights must be strictly positive")
+    d = np.sqrt(weights)
+    return entries * (d[:, None] / d[None, :])
 
 
-def weighted_operator_norm(op: DenseOperator) -> float:
-    """Largest singular value of D^{1/2} entries D^{-1/2}, exact (LAPACK SVD)."""
-    return float(np.linalg.norm(_weighted_frame(op), 2))
+def weighted_operator_norm(entries, weights) -> float:
+    """Norm of the (M, M) matrix ``entries`` in the inner product weighted by
+    ``weights``: the largest singular value of D^{1/2} entries D^{-1/2}, exact (LAPACK SVD)."""
+    return float(np.linalg.norm(_weighted_frame(entries, weights), 2))
+
+
+def weighted_adjoint(entries, weights) -> np.ndarray:
+    """Matrix of the adjoint in the inner product weighted by ``weights``: D^-1 A^T D."""
+    frame = _weighted_frame(entries, weights)
+    d = np.sqrt(np.asarray(weights, dtype=float))
+    return frame.T * (d[None, :] / d[:, None])
 
 
 def gram_trace(medium: MediumProfile, mu: float) -> float:
@@ -114,7 +98,7 @@ def gram_trace(medium: MediumProfile, mu: float) -> float:
     Equals the squared Hilbert-Schmidt norm: sum_ij entries_ij^2 * D_i / D_j.
     Bounded by |x_R - x_L| / |mu| * max(sigma_t)^2 * max(1/sigma_t).
     """
-    return float(np.sum(_weighted_frame(transport_matrix(medium, mu)) ** 2))
+    return float(np.sum(_weighted_frame(transport_matrix(medium, mu), medium.cell_weights) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +110,6 @@ class DeltaStats:
     """
 
     samples: int
-    mean_norm: float
     mean_sq_norm: float
     se_mean_sq: float
     max_norm: float
@@ -150,7 +133,6 @@ def _deviation_stats(deviation, partition: VelocityPartition, master_seed: int, 
     sq = norms**2
     return DeltaStats(
         samples=sample_count,
-        mean_norm=float(norms.mean()),
         mean_sq_norm=float(sq.mean()),
         se_mean_sq=float(sq.std(ddof=1) / np.sqrt(sample_count)),
         max_norm=float(norms.max()),
@@ -162,7 +144,7 @@ def _deviation_stats(deviation, partition: VelocityPartition, master_seed: int, 
 def iteration_deviation_stats(
     medium: MediumProfile,
     partition: VelocityPartition,
-    reference: DenseOperator,
+    reference: np.ndarray,
     master_seed: int,
     sample_count: int,
     jobs: int = 1,
@@ -174,8 +156,8 @@ def iteration_deviation_stats(
     operator of reference_iteration_matrix at the partition's delta.
     """
     def deviation(quad: QuadratureSet):
-        delta = _averaged_transport(medium, quad.mus, quad.weights) - reference.entries
-        return weighted_operator_norm(DenseOperator(delta, medium.cell_weights)), delta
+        delta = iteration_matrix(medium, quad) - reference
+        return weighted_operator_norm(delta, medium.cell_weights), delta
 
     return _deviation_stats(deviation, partition, master_seed, sample_count, jobs)
 

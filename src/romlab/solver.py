@@ -21,7 +21,7 @@ from . import defaults
 from .angular import QuadratureSet
 from .errors import LengthMismatch, ZeroMu
 from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
-from .sweep import AngularFlux, _response_half, _swept_half, _sweep_factors, batched_sweep
+from .sweep import _response_half, _swept_half, _sweep_factors, batched_sweep
 
 
 @dataclass(frozen=True)
@@ -78,22 +78,16 @@ def angular_fluxes(
     boundary: BoundarySpec,
     quad: QuadratureSet,
     phi: np.ndarray,
-) -> list[AngularFlux]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-ordinate fluxes recovered from a converged scalar-flux array.
 
-    One exact sweep per ordinate with the frozen source sigma_s * phi + q;
-    their weighted sum reproduces phi to within the solver tolerance.
+    The batched sweep of every ordinate with the frozen source
+    sigma_s * phi + q: (avg, edges) of shapes (L, M) and (L, M+1), row l for
+    quad.mus[l].  quad.weights @ avg reproduces phi to within the solver
+    tolerance.
     """
     if np.shape(phi) != (medium.ncells,):
         raise LengthMismatch(f"phi has length {np.size(phi)}, grid has {medium.ncells} cells")
     source = medium.sigma_s * phi + medium.q
     inflows = inflow_values(boundary, quad.mus)
-    avg, edges = batched_sweep(medium, quad.mus, source, inflows)
-    out = []
-    for idx, mu in enumerate(quad.mus):
-        a = avg[idx].copy()
-        e = edges[idx].copy()
-        a.setflags(write=False)
-        e.setflags(write=False)
-        out.append(AngularFlux(float(mu), a, e, medium.grid))
-    return out
+    return batched_sweep(medium, quad.mus, source, inflows)

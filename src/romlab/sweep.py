@@ -7,45 +7,30 @@ tau = sigma_t * h / |mu| and saturation value sat = s / sigma_t:
     psi_out  = sat + (psi_in - sat) * exp(-tau)
     cell avg = sat + (psi_in - sat) * (1 - exp(-tau)) / tau
 
-marched in the upwind direction.  ``sweep_direction`` is the plain scalar
-march and serves as the reference route; the batched helpers below compute
-the same quantities for many ordinates at once via cumulative optical
-depths, one path for every depth, cross-checked against the march in the
-tests.  Each batched call builds one sign group's exponentials at a time
-(``_half_factors``) and runs one source kernel over them (``_swept_half``).
+marched in the upwind direction.  A sweep returns plain arrays (avg, edges)
+of cell averages and edge values.  ``sweep_direction`` is the plain scalar
+march of one ordinate and serves as the reference route; the batched
+helpers below compute the same arrays for many ordinates at once, one row
+per ordinate, via cumulative optical depths, one path for every depth,
+cross-checked against the march in the tests.  Each batched call builds one
+sign group's exponentials at a time (``_half_factors``) and runs one source
+kernel over them (``_swept_half``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import defaults
 from .errors import LengthMismatch, PureAbsorber, ZeroMu
-from .medium import BoundarySpec, MediumProfile, SpatialGrid, eval_boundary
+from .medium import BoundarySpec, MediumProfile, eval_boundary
 
 # below this, (1 - exp(-tau))/tau switches to its series
 TAU_TAYLOR = defaults.TAU_TAYLOR
 # max optical depth of one block of the exp-product, at its deepest ordinate
 _EXP_GUARD = defaults.EXP_PRODUCT_GUARD
-
-
-@dataclass(frozen=True, eq=False)
-class AngularFlux:
-    """Exact cell averages and edge values of psi(., mu) for one ordinate."""
-
-    mu: float
-    cell_avg: np.ndarray
-    edge_values: np.ndarray
-    grid: SpatialGrid
-
-    def __post_init__(self):
-        if self.cell_avg.shape != (self.grid.ncells,):
-            raise LengthMismatch("cell_avg length must equal the cell count")
-        if self.edge_values.shape != (self.grid.ncells + 1,):
-            raise LengthMismatch("edge_values length must be ncells + 1")
 
 
 def _escape_scalar(tau: float) -> float:
@@ -65,11 +50,13 @@ def _escape_factor(tau: np.ndarray, one_minus_e: np.ndarray, out: np.ndarray) ->
     return out
 
 
-def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float) -> AngularFlux:
+def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float):
     """March one ordinate across the slab; exact for piecewise-constant data.
 
     ``cell_source`` is the per-cell emission density s_i; ``inflow`` is the
     boundary value at the upwind edge (x_left for mu > 0, x_right for mu < 0).
+    Returns read-only (avg, edges) of shapes (M,) and (M+1,): the cell
+    averages and edge values of psi(., mu), one row of batched_sweep.
     """
     if mu == 0:
         raise ZeroMu("transport sweep undefined at mu = 0")
@@ -101,7 +88,7 @@ def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float
         edges[i + 1 if mu > 0 else i] = psi
     avg.setflags(write=False)
     edges.setflags(write=False)
-    return AngularFlux(float(mu), avg, edges, grid)
+    return avg, edges
 
 
 def apply_transport(medium: MediumProfile, mu: float, phi: np.ndarray) -> np.ndarray:
@@ -115,7 +102,7 @@ def apply_transport(medium: MediumProfile, mu: float, phi: np.ndarray) -> np.nda
         raise PureAbsorber("apply_transport needs lambda > 0; sweep the source directly")
     if np.shape(phi) != (medium.ncells,):
         raise LengthMismatch(f"phi has length {np.size(phi)}, grid has {medium.ncells} cells")
-    return sweep_direction(medium, mu, medium.sigma_r * phi, 0.0).cell_avg
+    return sweep_direction(medium, mu, medium.sigma_r * phi, 0.0)[0]
 
 
 def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> np.ndarray:
@@ -125,7 +112,7 @@ def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> n
     cell i averages to inflow * (exp(-tau_entry) - exp(-tau_exit)) * |mu| / (sigma_t h).
     """
     value = eval_boundary(boundary, mu)
-    return sweep_direction(medium, mu, np.zeros(medium.ncells), value).cell_avg
+    return sweep_direction(medium, mu, np.zeros(medium.ncells), value)[0]
 
 
 # ---------------------------------------------------------------------------

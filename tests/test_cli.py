@@ -68,6 +68,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "/medium/sigma_s" in err
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"medium": {"sigma_s": float("nan")}}, "/medium/sigma_s"),
+        ({"boundary": {"left": {"kind": "constant", "value": float("-inf")}}}, "/boundary/left/value"),
+        ({"solver": {"tol": float("inf")}}, "/solver/tol"),
+    ])
+    def test_rejects_nonfinite_numbers(self, tmp_path, capsys, overrides, path):
+        # json reads NaN, Infinity and -Infinity as floats
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert path in err and "finite" in err
+
     def test_rejects_odd_n(self, tmp_path, capsys):
         cfg = write_config(tmp_path, quadrature={"kind": "midpoint", "n": 7})
         assert main(["validate", "--config", str(cfg)]) == 1

@@ -84,6 +84,13 @@ class TestMakeMedium:
         with pytest.raises(NonPositiveSigmaT):
             make_medium(grid, [1.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("sigma_s, q", [([np.nan, 0.0], [0.0, 0.0]), ([0.0, 0.0], [np.inf, 0.0])])
+    def test_nonfinite_sigma_s_and_q_rejected(self, sigma_s, q):
+        # NaN passes the nonnegativity and lambda-cap comparisons
+        grid = SpatialGrid.uniform(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            make_medium(grid, [1.0, 1.0], sigma_s, q)
+
     def test_admissible_inputs_always_yield_valid_profiles(self, rng):
         for _ in range(100):
             medium = random_medium(rng)
@@ -108,6 +115,15 @@ class TestWeightedNorm:
         grid = SpatialGrid.uniform(0.0, 1.0, 2)
         medium = make_medium(grid, [4.0, 4.0], [0.0, 0.0], [0.0, 0.0])
         assert weighted_norm_of([1.0, 0.0], medium) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("values", [np.ones(1), np.ones((3, 1)), np.ones(4), np.ones((1, 3)), 1.0])
+    def test_rejects_values_not_one_per_cell(self, values):
+        # three cells whose weights sum to 2: without the check np.ones(1)
+        # read as np.ones(3) and np.ones((3, 1)) as a broadcast (3, 3) array
+        grid = SpatialGrid.uniform(0.0, 2.0, 3)
+        medium = make_medium(grid, np.ones(3), np.zeros(3), np.zeros(3))
+        with pytest.raises(LengthMismatch):
+            weighted_norm_of(values, medium)
 
     def test_triangle_inequality_and_homogeneity(self, rng):
         for _ in range(200):

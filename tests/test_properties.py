@@ -27,7 +27,7 @@ from romlab import (
 )
 from romlab.defaults import EXP_PRODUCT_GUARD
 from romlab.medium import inflow_values, weighted_norm_of
-from romlab.operators import gram_trace, iteration_matrix, transport_matrix
+from romlab.operators import gram_trace, iteration_matrix, transport_matrix, weighted_adjoint
 from romlab.sweep import (
     _sweep_factors,
     averaged_response_matrix,
@@ -97,9 +97,9 @@ def test_batched_sweep_matches_march(regime, data):
     _check_regime(medium, mus, regime)
     avg, edges = batched_sweep(medium, mus, medium.q, inflows)
     for row, (mu, inflow) in enumerate(zip(mus, inflows)):
-        ref = sweep_direction(medium, mu, medium.q, inflow)
-        _close(avg[row], ref.cell_avg)
-        _close(edges[row], ref.edge_values)
+        ref_avg, ref_edges = sweep_direction(medium, mu, medium.q, inflow)
+        _close(avg[row], ref_avg)
+        _close(edges[row], ref_edges)
     assert np.all(avg >= 0) and np.all(edges >= 0)
 
 
@@ -112,7 +112,7 @@ def test_transmission_averages_match_march(regime, data):
     out = transmission_averages(medium, mus)
     zero = np.zeros(medium.ncells)
     for row, mu in enumerate(mus):
-        _close(out[row], sweep_direction(medium, mu, zero, 1.0).cell_avg)
+        _close(out[row], sweep_direction(medium, mu, zero, 1.0)[0])
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -128,7 +128,7 @@ def test_response_matrix_matches_march(regime, data):
         unit = np.zeros(medium.ncells)
         unit[j] = scale[j]
         for mu, w in zip(mus, weights):
-            expected[:, j] += w * sweep_direction(medium, mu, unit, 0.0).cell_avg
+            expected[:, j] += w * sweep_direction(medium, mu, unit, 0.0)[0]
     _close(out, expected)
 
 
@@ -202,16 +202,16 @@ def test_cells_deeper_than_the_guard_match_march():
     expected = np.zeros((10, 10))
     expected_boundary = np.zeros(10)
     for row, (mu, w, inflow) in enumerate(zip(mus, weights, inflows)):
-        ref = sweep_direction(medium, mu, medium.q, inflow)
-        _close(avg[row], ref.cell_avg)
-        _close(edges[row], ref.edge_values)
-        unit_inflow = sweep_direction(medium, mu, np.zeros(10), 1.0).cell_avg
+        ref_avg, ref_edges = sweep_direction(medium, mu, medium.q, inflow)
+        _close(avg[row], ref_avg)
+        _close(edges[row], ref_edges)
+        unit_inflow = sweep_direction(medium, mu, np.zeros(10), 1.0)[0]
         _close(transmitted[row], unit_inflow)
         expected_boundary += w * inflow * unit_inflow
         for j in range(10):
             unit = np.zeros(10)
             unit[j] = medium.sigma_s[j]
-            expected[:, j] += w * sweep_direction(medium, mu, unit, 0.0).cell_avg
+            expected[:, j] += w * sweep_direction(medium, mu, unit, 0.0)[0]
     _close(matrix, expected)
     _close(boundary_average, expected_boundary)
 
@@ -227,7 +227,7 @@ def test_solve_on_cells_deeper_than_the_guard_matches_march(nodes):
     inflows = inflow_values(boundary, quad.mus)
 
     def march(source):
-        return sum(w * sweep_direction(medium, mu, source, inflow).cell_avg
+        return sum(w * sweep_direction(medium, mu, source, inflow)[0]
                    for mu, w, inflow in zip(quad.mus, quad.weights, inflows))
 
     np.testing.assert_allclose(phi, source_iteration(medium, march, 1e-14), rtol=1e-12)
@@ -268,10 +268,10 @@ def test_weighted_adjoint_and_gram_trace(regime, data):
     y = _array(data.draw, -1.0, 1.0, m)
     quad = QuadratureSet(mus, weights, "drawn")
     for op in (transport_matrix(medium, mus[0]), iteration_matrix(medium, quad)):
-        d = op.weight
-        size = _weighted_dot(d, np.abs(op.entries) @ np.abs(x), np.abs(y))
-        lhs = _weighted_dot(d, op.entries @ x, y)
-        rhs = _weighted_dot(d, x, op.adjoint_entries() @ y)
+        d = medium.cell_weights
+        size = _weighted_dot(d, np.abs(op) @ np.abs(x), np.abs(y))
+        lhs = _weighted_dot(d, op @ x, y)
+        rhs = _weighted_dot(d, x, weighted_adjoint(op, d) @ y)
         # below 2**-1022 rounding is absolute: each of the ~m*m products may
         # lose one subnormal spacing whatever its size
         assert abs(lhs - rhs) <= 1e-13 * size + m * m * np.finfo(float).smallest_subnormal
@@ -279,5 +279,5 @@ def test_weighted_adjoint_and_gram_trace(regime, data):
     # the thin regime its response kernel can fill several blocks of rows
     op = transport_matrix(medium, mus[0])
     assert gram_trace(medium, mus[0]) == pytest.approx(
-        np.trace(op.adjoint_entries() @ op.entries), rel=1e-12
+        np.trace(weighted_adjoint(op, medium.cell_weights) @ op), rel=1e-12
     )

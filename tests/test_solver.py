@@ -128,7 +128,7 @@ class TestSolve:
             b_bar += w * boundary_term(medium, mu, bc)
         q_transported = np.zeros(8)
         for w, mu in zip(quad.weights, quad.mus):
-            q_transported += w * sweep_direction(medium, mu, medium.q, 0.0).cell_avg
+            q_transported += w * sweep_direction(medium, mu, medium.q, 0.0)[0]
 
         term = q_transported + b_bar  # series term at order zero
         partial = term.copy()
@@ -204,8 +204,9 @@ class TestAngularFluxes:
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
         tol = 1e-11
         phi, _ = solve(medium, bc, quad, tol=tol)
-        fluxes = angular_fluxes(medium, bc, quad, phi)
-        recomposed = sum(w * f.cell_avg for w, f in zip(quad.weights, fluxes))
+        avg, edges = angular_fluxes(medium, bc, quad, phi)
+        assert avg.shape == (quad.n, 16) and edges.shape == (quad.n, 17)
+        recomposed = quad.weights @ avg
         assert weighted_norm_of(recomposed - phi, medium) <= tol
 
     def test_wrong_length_rejected(self):
@@ -222,11 +223,12 @@ class TestAngularFluxes:
         quad = dom_quadrature(build_partition(4, 0.1))
         bc = BoundarySpec(ConstantBoundary(2.0), ConstantBoundary(0.0))
         phi, _ = solve(medium, bc, quad, tol=1e-12)
-        fluxes = angular_fluxes(medium, bc, quad, phi)
-        for f in fluxes:
-            inflow = 2.0 if f.mu > 0 else 0.0
-            single = sweep_direction(medium, f.mu, medium.q, inflow)
-            np.testing.assert_allclose(f.cell_avg, single.cell_avg, rtol=1e-14)
+        avg, edges = angular_fluxes(medium, bc, quad, phi)
+        for mu, row_avg, row_edges in zip(quad.mus, avg, edges):
+            inflow = 2.0 if mu > 0 else 0.0
+            single_avg, single_edges = sweep_direction(medium, mu, medium.q, inflow)
+            np.testing.assert_allclose(row_avg, single_avg, rtol=1e-14)
+            np.testing.assert_allclose(row_edges, single_edges, rtol=1e-14)
 
     def test_reflection_symmetry(self):
         # symmetric medium and boundary data, mirrored quadrature:
@@ -237,9 +239,7 @@ class TestAngularFluxes:
         bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(1.0))
         phi, _ = solve(medium, bc, quad, tol=1e-12)
         np.testing.assert_allclose(phi, phi[::-1], rtol=1e-10)
-        fluxes = angular_fluxes(medium, bc, quad, phi)
+        avg, _ = angular_fluxes(medium, bc, quad, phi)
         n = quad.n
         for l in range(n):
-            np.testing.assert_allclose(
-                fluxes[l].cell_avg, fluxes[n - 1 - l].cell_avg[::-1], rtol=1e-10
-            )
+            np.testing.assert_allclose(avg[l], avg[n - 1 - l][::-1], rtol=1e-10)

@@ -11,15 +11,21 @@ of sweep.py are for solver.py alone; every other module sweeps through the
 public batched calls.  operators.py assembles every transport and iteration
 matrix through one call of averaged_response_matrix, so that assembly and
 its lambda > 0 check cannot fork.  experiments.STUDIES is the one table of
-study kinds, so the CLI imports no study function.
+study kinds, so the CLI imports no study function.  The benchmark's tracer
+(perfbench/tracing.py) reads SolveReport.iterations and the rows of a bias
+table, so a traced bias and regularization run still records those.
 """
 import ast
+import importlib.util
 from pathlib import Path
 
 import romlab
+import romlab.cli  # noqa: F401  (the tracer wraps cli.main, so the module must be loaded)
+from romlab import experiments
+from conftest import small_config
 
 SETTABLE_VALUES = 13
-SOURCE_LINES = 2256
+SOURCE_LINES = 2226
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -100,3 +106,18 @@ def test_cli_imports_no_study_function():
         if alias.name.endswith("_study")
     ]
     assert not found, f"cli.py imports study functions {found}; call them through experiments.STUDIES"
+
+
+def test_tracer_reads_bias_and_regularization_studies():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    config = small_config(ncells=8, n_list=(4, 8), sample_count=4, delta_list=(0.2,))
+    with tracing.Tracer() as tracer:
+        for kind in ("bias", "regularization"):
+            experiments.STUDIES[kind].run(config, 1)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["experiments.bias_study.drawn"] > 0
+    assert metrics["experiments.regularization_study.calls"] == 1
+    assert metrics["solver.solve.rom.iterations"] == metrics["solver.solve.rom.calls"]

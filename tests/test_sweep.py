@@ -34,32 +34,32 @@ class TestSweepDirection:
     def test_single_cell_closed_form(self):
         # sigma=1 on [0,1], s=1, inflow 0, mu=0.5: avg = 1 - (1 - e^-2)/2
         medium = unit_absorber()
-        flux = sweep_direction(medium, 0.5, [1.0], 0.0)
+        avg, edges = sweep_direction(medium, 0.5, [1.0], 0.0)
         exact = 1.0 - (1.0 - np.exp(-2.0)) / 2.0
-        assert flux.cell_avg[0] == pytest.approx(exact, abs=1e-15)
+        assert avg[0] == pytest.approx(exact, abs=1e-15)
         # exit edge value: 1 - e^-2
-        assert flux.edge_values[1] == pytest.approx(1.0 - np.exp(-2.0), abs=1e-15)
+        assert edges[1] == pytest.approx(1.0 - np.exp(-2.0), abs=1e-15)
 
     def test_zero_data_gives_zero(self):
         medium = unit_absorber(5)
-        flux = sweep_direction(medium, 0.3, np.zeros(5), 0.0)
-        assert np.all(flux.cell_avg == 0.0)
-        assert np.all(flux.edge_values == 0.0)
+        avg, edges = sweep_direction(medium, 0.3, np.zeros(5), 0.0)
+        assert np.all(avg == 0.0)
+        assert np.all(edges == 0.0)
 
     def test_ten_cell_first_average(self):
         # (1/h) int_0^h (1 - e^{-2x}) dx with h = 0.1
         medium = unit_absorber(10)
-        flux = sweep_direction(medium, 0.5, np.ones(10), 0.0)
+        avg, _ = sweep_direction(medium, 0.5, np.ones(10), 0.0)
         h = 0.1
         exact = 1.0 - (1.0 - np.exp(-2.0 * h)) / (2.0 * h)
-        assert flux.cell_avg[0] == pytest.approx(exact, abs=1e-14)
+        assert avg[0] == pytest.approx(exact, abs=1e-14)
 
     def test_negative_mu_mirrors(self):
         medium = unit_absorber(7)
-        fwd = sweep_direction(medium, 0.4, np.ones(7), 2.0)
-        bwd = sweep_direction(medium, -0.4, np.ones(7), 2.0)
-        np.testing.assert_allclose(bwd.cell_avg, fwd.cell_avg[::-1], rtol=1e-14)
-        np.testing.assert_allclose(bwd.edge_values, fwd.edge_values[::-1], rtol=1e-14)
+        fwd_avg, fwd_edges = sweep_direction(medium, 0.4, np.ones(7), 2.0)
+        bwd_avg, bwd_edges = sweep_direction(medium, -0.4, np.ones(7), 2.0)
+        np.testing.assert_allclose(bwd_avg, fwd_avg[::-1], rtol=1e-14)
+        np.testing.assert_allclose(bwd_edges, fwd_edges[::-1], rtol=1e-14)
 
     def test_zero_mu_rejected(self):
         with pytest.raises(ZeroMu):
@@ -67,10 +67,10 @@ class TestSweepDirection:
 
     def test_inflow_edge_recorded(self):
         medium = unit_absorber(3)
-        fwd = sweep_direction(medium, 0.9, np.zeros(3), 1.5)
-        assert fwd.edge_values[0] == 1.5
-        bwd = sweep_direction(medium, -0.9, np.zeros(3), 1.5)
-        assert bwd.edge_values[-1] == 1.5
+        _, fwd_edges = sweep_direction(medium, 0.9, np.zeros(3), 1.5)
+        assert fwd_edges[0] == 1.5
+        _, bwd_edges = sweep_direction(medium, -0.9, np.zeros(3), 1.5)
+        assert bwd_edges[-1] == 1.5
 
     def test_refinement_invariance(self, rng):
         # averaging the sweep on a 4x-refined copy of the medium reproduces
@@ -93,19 +93,19 @@ class TestSweepDirection:
             )
             mu = rng.choice([-1, 1]) * rng.uniform(0.05, 1.0)
             s = rng.uniform(0.0, 2.0, 6)
-            coarse = sweep_direction(medium, mu, s, 1.0)
-            refined = sweep_direction(fine, mu, np.repeat(s, factor), 1.0)
-            regrouped = refined.cell_avg.reshape(6, factor).mean(axis=1)
-            np.testing.assert_allclose(regrouped, coarse.cell_avg, atol=1e-12, rtol=1e-12)
+            coarse, _ = sweep_direction(medium, mu, s, 1.0)
+            refined, _ = sweep_direction(fine, mu, np.repeat(s, factor), 1.0)
+            regrouped = refined.reshape(6, factor).mean(axis=1)
+            np.testing.assert_allclose(regrouped, coarse, atol=1e-12, rtol=1e-12)
 
     def test_positivity(self, rng):
         for _ in range(100):
             medium = random_medium(rng)
             mu = rng.choice([-1, 1]) * rng.uniform(0.01, 1.0)
             s = rng.uniform(0.0, 3.0, medium.ncells)
-            flux = sweep_direction(medium, mu, s, rng.uniform(0.0, 2.0))
-            assert np.all(flux.cell_avg >= 0.0)
-            assert np.all(flux.edge_values >= 0.0)
+            avg, edges = sweep_direction(medium, mu, s, rng.uniform(0.0, 2.0))
+            assert np.all(avg >= 0.0)
+            assert np.all(edges >= 0.0)
 
 
 class TestEscapeFactor:
@@ -165,8 +165,8 @@ class TestBoundaryTerm:
     def test_edge_attenuation(self):
         # constant sigma_t=1 on [0,1], mu=0.5: edge value at x=0.5 is e^-1
         medium = unit_absorber(2)
-        flux = sweep_direction(medium, 0.5, np.zeros(2), 1.0)
-        assert flux.edge_values[1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+        _, edges = sweep_direction(medium, 0.5, np.zeros(2), 1.0)
+        assert edges[1] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_zero_data(self):
         medium = unit_absorber(4)
@@ -207,9 +207,9 @@ class TestBatchKernels:
             inflows = rng.uniform(0.0, 2.0, 6)
             avg, edges = batched_sweep(medium, mus, s, inflows)
             for k, mu in enumerate(mus):
-                single = sweep_direction(medium, mu, s, inflows[k])
-                np.testing.assert_allclose(avg[k], single.cell_avg, rtol=1e-13, atol=1e-300)
-                np.testing.assert_allclose(edges[k], single.edge_values, rtol=1e-13, atol=1e-300)
+                single_avg, single_edges = sweep_direction(medium, mu, s, inflows[k])
+                np.testing.assert_allclose(avg[k], single_avg, rtol=1e-13, atol=1e-300)
+                np.testing.assert_allclose(edges[k], single_edges, rtol=1e-13, atol=1e-300)
 
     def test_response_matrix_matches_columns(self, rng):
         for _ in range(10):
@@ -222,7 +222,7 @@ class TestBatchKernels:
                 e = np.zeros(7)
                 e[j] = 1.0
                 col = sum(
-                    w[k] * sweep_direction(medium, mus[k], scale * e, 0.0).cell_avg
+                    w[k] * sweep_direction(medium, mus[k], scale * e, 0.0)[0]
                     for k in range(4)
                 )
                 np.testing.assert_allclose(matrix[:, j], col, rtol=1e-12, atol=1e-300)
@@ -232,8 +232,8 @@ class TestBatchKernels:
         mus = np.array([-0.7, 0.04, 0.8])
         prof = transmission_averages(medium, mus)
         for k, mu in enumerate(mus):
-            single = sweep_direction(medium, mu, np.zeros(medium.ncells), 1.0)
-            np.testing.assert_allclose(prof[k], single.cell_avg, rtol=1e-13, atol=1e-300)
+            single, _ = sweep_direction(medium, mu, np.zeros(medium.ncells), 1.0)
+            np.testing.assert_allclose(prof[k], single, rtol=1e-13, atol=1e-300)
 
     def test_thick_medium_blocks_match_march(self):
         # cumulative optical depth beyond the exp-product guard: several blocks
@@ -244,12 +244,12 @@ class TestBatchKernels:
         s = np.linspace(0.5, 1.5, 40)
         avg, edges = batched_sweep(medium, mus, s, np.array([1.0, 1.0]))
         for k, mu in enumerate(mus):
-            single = sweep_direction(medium, mu, s, 1.0)
-            np.testing.assert_allclose(avg[k], single.cell_avg, rtol=1e-12, atol=1e-300)
+            single, _ = sweep_direction(medium, mu, s, 1.0)
+            np.testing.assert_allclose(avg[k], single, rtol=1e-12, atol=1e-300)
         matrix = averaged_response_matrix(medium, mus, np.array([0.5, 0.5]), medium.sigma_s)
         col = np.zeros(40)
         e = np.zeros(40)
         e[3] = 1.0
         for k, mu in enumerate(mus):
-            col += 0.5 * sweep_direction(medium, mu, medium.sigma_s * e, 0.0).cell_avg
+            col += 0.5 * sweep_direction(medium, mu, medium.sigma_s * e, 0.0)[0]
         np.testing.assert_allclose(matrix[:, 3], col, rtol=1e-12, atol=1e-300)
