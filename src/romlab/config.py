@@ -72,7 +72,10 @@ def _get(obj: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(path, "must be a number")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(path, "must be finite, got an integer too large for a float") from None
     if not np.isfinite(number):
         raise ConfigError(path, f"must be finite, got {number}")
     return number
@@ -181,7 +184,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError("/", f"cannot read config: {exc}") from exc
     try:
         user = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise ConfigError("/", f"invalid JSON: {exc}") from exc
     user = _require_object(user, "/")
 

@@ -232,7 +232,7 @@ def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
             phi = _solved(config.medium, config.boundary, quad, config.solver_tol)
             return weighted_norm_of(phi - ref, config.medium)
 
-        errors = np.array(indexed_map(one, config.sample_count, jobs))
+        errors = np.fromiter(indexed_map(one, config.sample_count, jobs), float, config.sample_count)
         return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(errors.size)), errors.size, False
 
     return ErrorTable(_error_rows(config.n_list, config.delta, measure))
@@ -288,7 +288,7 @@ def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
         means = np.empty((0, config.medium.ncells))
         while True:
             done = means.shape[0]
-            block = indexed_map(lambda i: one(done + i), pairs - done, jobs)
+            block = list(indexed_map(lambda i: one(done + i), pairs - done, jobs))
             means = np.vstack([means, np.stack(block)])
             estimate = weighted_norm_of(means.mean(axis=0) - ref, config.medium)
             se = _jackknife_norm_se(means, ref, weights)

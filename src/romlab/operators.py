@@ -106,7 +106,8 @@ class DeltaStats:
     """Monte-Carlo statistics of a sampled deviation (operator or vector).
 
     ``entry_mean`` / ``entry_se`` hold the elementwise sample mean and its
-    standard error, used to verify that the deviations are mean-zero.
+    standard error, used to verify that the deviations are mean-zero; they
+    come from Welford sums in sample order, so no deviation is kept.
     """
 
     samples: int
@@ -121,23 +122,30 @@ def _deviation_stats(deviation, partition: VelocityPartition, master_seed: int, 
                      jobs: int) -> DeltaStats:
     """Statistics of ``deviation(quad) -> (norm, deviation)`` over the partition's draws.
 
-    Sample i is drawn as rom_sample(partition, master_seed, i); the results
-    are reduced in sample order, so ``jobs`` never changes a number.
+    Sample i is drawn as rom_sample(partition, master_seed, i).  The S norms
+    are kept; the deviations are reduced as they arrive, in sample order,
+    into Welford sums (running mean and sum of squared deviations from it),
+    so memory does not grow with S and ``jobs`` never changes a number.
     """
     if sample_count < 2:
         raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
+    norms = np.empty(sample_count)
+    mean = sum_sq = 0.0
     results = indexed_map(lambda i: deviation(rom_sample(partition, master_seed, i)),
                           sample_count, jobs)
-    norms = np.array([r[0] for r in results])
-    entries = np.stack([r[1] for r in results])
+    for k, (norm, delta) in enumerate(results, start=1):
+        norms[k - 1] = norm
+        step = delta - mean
+        mean = mean + step / k
+        sum_sq = sum_sq + step * (delta - mean)
     sq = norms**2
     return DeltaStats(
         samples=sample_count,
         mean_sq_norm=float(sq.mean()),
         se_mean_sq=float(sq.std(ddof=1) / np.sqrt(sample_count)),
         max_norm=float(norms.max()),
-        entry_mean=entries.mean(axis=0),
-        entry_se=np.sqrt(entries.var(axis=0, ddof=1) / sample_count),
+        entry_mean=mean,
+        entry_se=np.sqrt(sum_sq / (sample_count - 1) / sample_count),
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -72,6 +75,8 @@ class TestValidate:
         ({"medium": {"sigma_s": float("nan")}}, "/medium/sigma_s"),
         ({"boundary": {"left": {"kind": "constant", "value": float("-inf")}}}, "/boundary/left/value"),
         ({"solver": {"tol": float("inf")}}, "/solver/tol"),
+        ({"delta": 10**400}, "/delta"),  # past float range: float() overflows
+        ({"medium": {"q": [-(10**400)] * 12}}, "/medium/q/0"),
     ])
     def test_rejects_nonfinite_numbers(self, tmp_path, capsys, overrides, path):
         # json reads NaN, Infinity and -Infinity as floats
@@ -79,6 +84,23 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert path in err and "finite" in err
+
+    def test_rejects_integer_past_str_digits_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an int of over 4300 digits
+        cfg = tmp_path / "config.json"
+        cfg.write_text(write_config(tmp_path).read_text().replace('"delta": 0.05', '"delta": 1' + "0" * 5000))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("good", [True, False])
+    def test_runs_as_module(self, tmp_path, good):
+        cfg = write_config(tmp_path, **({} if good else {"delta": 0.0}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "romlab.cli", "validate", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == (0 if good else 1)
+        assert ("config ok" in done.stdout) == good
 
     def test_rejects_odd_n(self, tmp_path, capsys):
         cfg = write_config(tmp_path, quadrature={"kind": "midpoint", "n": 7})

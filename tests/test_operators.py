@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,37 @@ class TestDeviationStats:
         assert a.mean_sq_norm == b.mean_sq_norm
         assert a.max_norm == b.max_norm
         np.testing.assert_array_equal(a.entry_mean, b.entry_mean)
+        np.testing.assert_array_equal(a.entry_se, b.entry_se)
+
+    def test_welford_sums_match_two_pass_reference(self):
+        medium = scattering_medium(10)
+        part = build_partition(8, 0.1)
+        ref, _, _ = reference_iteration_matrix(medium, 0.1, 256)
+        stats = iteration_deviation_stats(medium, part, ref, 9, 50)
+        deltas = np.stack([iteration_matrix(medium, rom_sample(part, 9, i)) - ref for i in range(50)])
+        # the running sums reorder the arithmetic: agree to rounding at this scale
+        scale = np.max(np.abs(deltas))
+        np.testing.assert_allclose(stats.entry_mean, deltas.mean(axis=0), rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(stats.entry_se, np.sqrt(deltas.var(axis=0, ddof=1) / 50),
+                                   rtol=1e-11, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_memory_flat_in_samples(self, jobs):
+        # deviations are reduced as they arrive, so quadrupling the samples
+        # must not grow the peak (stacking them grew it 3.9x at M = 64)
+        medium = scattering_medium(64)
+        part = build_partition(16, 0.05)
+        ref = iteration_matrix(medium, dom_quadrature(part, "midpoint"))
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                iteration_deviation_stats(medium, part, ref, 5, samples, jobs=jobs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) <= 1.5 * peak(64)
 
 
 class TestBoundaryDeviation:
