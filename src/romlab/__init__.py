@@ -13,6 +13,7 @@ from .angular import (
     dom_quadrature,
     reference_quadrature,
     rom_pair,
+    rom_pair_block,
     rom_sample,
     uniform_stream,
 )

@@ -9,6 +9,7 @@ platform and under any parallel schedule.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,8 @@ def build_partition(
 class QuadratureSet:
     """Ordinates and weights on the truncated direction space.
 
+    ``mus`` and ``weights`` are (L,) arrays, or (B, L) for a block of B
+    quadratures that one solve takes as rows (see rom_pair_block).
     ``provenance`` records how the set was built (rule or sample seed) so
     that emitted artifacts are reproducible from their metadata alone.
     """
@@ -139,7 +142,8 @@ class QuadratureSet:
 
     @property
     def n(self) -> int:
-        return self.mus.size
+        """Ordinates per quadrature (per row of a block)."""
+        return self.mus.shape[-1]
 
 
 def dom_quadrature(partition: VelocityPartition, rule: str = "midpoint", order: int | None = None) -> QuadratureSet:
@@ -172,12 +176,22 @@ _NEWTON_CAP = 10  # from Tricomi's nodes, each n tried up to 8192 took 3 or 4 st
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1]."""
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
+
+    A pure function of n (and the Newton cap), built once while the cache
+    holds it: a certified reference rebuilds the same few rules at every
+    doubling.
+    """
+    return _newton_gauss_legendre(n, _NEWTON_CAP)
+
+
+@functools.lru_cache(maxsize=16)
+def _newton_gauss_legendre(n: int, newton_cap: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n // 2, 0, -1)
     theta = np.pi * (4 * k - 1) / (4 * n + 2)
     x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
     x = np.concatenate([[0.0], x]) if n % 2 else x  # P_n(0) = 0 exactly: Newton keeps it
-    for _ in range(_NEWTON_CAP):
+    for _ in range(newton_cap):
         p_prev, p = np.ones_like(x), x
         for j in range(2, n + 1):  # j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2}
             xp = x * p
@@ -187,8 +201,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         w = 2 / ((1 - x) * (1 + x) * dp**2)
         x = x - step
         if np.max(np.abs(step)) <= 2 * np.finfo(float).eps:  # two ulps at 1: rounding level
-            return np.concatenate([-x[::-1][: n // 2], x]), np.concatenate([w[::-1][: n // 2], w])
-    raise NoConvergence(f"Gauss-Legendre nodes for n={n} moved after {_NEWTON_CAP} Newton steps")
+            nodes = np.concatenate([-x[::-1][: n // 2], x])
+            return _frozen_array(nodes), _frozen_array(np.concatenate([w[::-1][: n // 2], w]))
+    raise NoConvergence(f"Gauss-Legendre nodes for n={n} moved after {newton_cap} Newton steps")
 
 
 def composite_gauss(delta: float, nodes_per_half: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,3 +295,16 @@ def rom_pair(partition: VelocityPartition, master_seed: int,
         quad.provenance[:-1] + ",antithetic)",
     )
     return quad, reflected
+
+
+def rom_pair_block(partition: VelocityPartition, master_seed: int, start: int,
+                   stop: int) -> QuadratureSet:
+    """Pairs start..stop-1 as one block for ``solve``: rows 2k and 2k + 1 are
+    rom_pair(partition, master_seed, start + k).  The provenance names the range."""
+    quads = [q for i in range(start, stop) for q in rom_pair(partition, master_seed, i)]
+    return QuadratureSet(
+        _frozen_array([q.mus for q in quads]),
+        _frozen_array([q.weights for q in quads]),
+        f"rom(seed={master_seed},index={start}..{stop - 1},n={partition.n},"
+        f"delta={partition.delta},antithetic pairs)",
+    )

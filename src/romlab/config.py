@@ -103,10 +103,13 @@ def _per_cell(value, cells: int, path: str) -> np.ndarray:
 
 
 def _build_grid(section: dict, path: str) -> SpatialGrid:
+    cap = defaults.MAX_GRID_CELLS
     if "edges" in section:
         edges = section["edges"]
         if not isinstance(edges, list) or len(edges) < 2:
             raise ConfigError(f"{path}/edges", "must be a list of at least two numbers")
+        if len(edges) > cap + 1:
+            raise ConfigError(f"{path}/edges", f"must hold at most {cap + 1} edges ({cap} cells)")
         try:
             return SpatialGrid(np.array([_number(v, f"{path}/edges/{i}") for i, v in enumerate(edges)]))
         except ValueError as exc:
@@ -116,6 +119,8 @@ def _build_grid(section: dict, path: str) -> SpatialGrid:
     if x_right <= x_left:
         raise ConfigError(f"{path}/x_right", "must exceed x_left")
     cells = _positive(_get(section, "cells", path), f"{path}/cells")
+    if cells > cap:
+        raise ConfigError(f"{path}/cells", f"must be at most {cap} (max_grid_cells in defaults.json), got {cells}")
     return SpatialGrid.uniform(x_left, x_right, cells)
 
 

@@ -19,6 +19,8 @@ LAMBDA_MAX: float = _DOC["lambda_max"]
 ALPHA_MAX: float = _DOC["alpha_max"]
 TAU_TAYLOR: float = _DOC["tau_taylor_threshold"]
 EXP_PRODUCT_GUARD: float = _DOC["exp_product_guard"]
+# largest grid a config may ask for: the direct solve's M x M system takes 3.2 GB at this M
+MAX_GRID_CELLS: int = _DOC["max_grid_cells"]
 SOLVER_TOL: float = _DOC["config"]["solver"]["tol"]
 REF_INITIAL_NODES: int = _DOC["config"]["study"]["ref_nodes"]
 REF_MAX_NODES: int = _DOC["reference"]["max_nodes_per_half"]

@@ -23,7 +23,7 @@ from .angular import (
     certify_by_doubling,
     dom_quadrature,
     reference_quadrature,
-    rom_pair,
+    rom_pair_block,
     rom_sample,
 )
 from .errors import ConfigError, NoConvergence, PureAbsorber, RomlabError, TooFewPoints
@@ -181,7 +181,8 @@ class StudyConfig:
 
 
 def _solved(medium, boundary, quad, tol) -> np.ndarray:
-    """Flux values of a certified solve; raises NoConvergence if its bound exceeds tol."""
+    """Flux values of a certified solve of a quadrature or a block; raises
+    NoConvergence, naming the quadrature or block, if its bound exceeds tol."""
     phi, report = solve(medium, boundary, quad, tol)
     if not report.converged:
         raise NoConvergence(
@@ -251,13 +252,20 @@ def _jackknife_norm_se(phis: np.ndarray, ref: np.ndarray, weights: np.ndarray) -
     return float(np.sqrt((count - 1) / count * ((theta - theta.mean()) ** 2).sum()))
 
 
+# Ordinates per bias solve call: a block holds at most this many, and at
+# least one pair.  A function of n only, never of --jobs, so the tables do
+# not depend on the parallelism degree.
+_BLOCK_ORDINATES = 64
+
+
 def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     """Error of the sample-mean flux per n, with a noise-floor guard.
 
     Ordinates come in antithetic pairs (angular.rom_pair); the pair mean
     (phi(u) + phi(1 - u)) / 2 has one draw's expectation, so the bias is
     unchanged, and far less variance.  It is the unit of the mean and the
-    jackknife.  Pairs are added in deterministic doubling stages from
+    jackknife; a block of max(1, 64 // n // 2) pairs is one solve call.
+    Pairs are added in deterministic doubling stages from
     bias_initial_samples / 2 until the jackknife SE drops below the
     configured fraction of the estimate (default a fifth) or the row's cap
     is hit; ``samples`` counts two per pair.  Rows still noise-dominated at
@@ -277,19 +285,19 @@ def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     def measure(partition):
         pair_cap = int(np.ceil(config.sample_count * (config.n_max / partition.n) ** 3)) // 2
 
-        def one(i: int) -> np.ndarray:
-            first, second = (
-                _solved(config.medium, config.boundary, quad, config.solver_tol)
-                for quad in rom_pair(partition, config.master_seed, i)
-            )
-            return 0.5 * (first + second)
+        def pair_means(start: int, stop: int) -> np.ndarray:
+            quad = rom_pair_block(partition, config.master_seed, start, stop)
+            phis = _solved(config.medium, config.boundary, quad, config.solver_tol)
+            return 0.5 * (phis[0::2] + phis[1::2])  # rows 2k and 2k + 1 are pair k
 
+        size = max(1, _BLOCK_ORDINATES // partition.n // 2)
         pairs = min(initial // 2, pair_cap)
         means = np.empty((0, config.medium.ncells))
         while True:
-            done = means.shape[0]
-            block = list(indexed_map(lambda i: one(done + i), pairs - done, jobs))
-            means = np.vstack([means, np.stack(block)])
+            starts = range(means.shape[0], pairs, size)
+            stage = indexed_map(lambda k: pair_means(starts[k], min(starts[k] + size, pairs)),
+                                len(starts), jobs)
+            means = np.vstack([means, *stage])
             estimate = weighted_norm_of(means.mean(axis=0) - ref, config.medium)
             se = _jackknife_norm_se(means, ref, weights)
             if se <= fraction * estimate or pairs >= pair_cap:

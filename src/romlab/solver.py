@@ -1,15 +1,22 @@
-"""Direct solve of the coupled ordinate system.
+"""Direct solve of the coupled ordinate system, one quadrature or a block of them.
 
 The scalar flux solves phi = S phi + c for whatever quadrature set is
 supplied: S is the ordinate-weighted zero-inflow sweep of sigma_s * phi,
-and c the weighted sweep of q with the inflow data.  ``solve`` assembles c
-and S in one pass over the two sign groups, solves (I - S) phi = c by LU,
-and returns phi as a read-only array of cell averages.  For weights summing
+and c the weighted sweep of q with the inflow data.  A block stacks B
+quadratures of one partition as rows of (B, L) arrays, so the random
+studies pay the sweep-factor build (one exponential per sign group) once
+per block instead of once per sample.  ``solve`` builds each sign group's
+factors once for all rows and forms every row's c from them; then, row by
+row, it assembles S from the row's slice of the factors into one reused
+M x M array and solves (I - S) phi = c by LU.  The B systems are never
+stacked: a thread keeps the heap of its largest block after it ends.  A
+single quadrature never holds both groups' factors.  For weights summing
 to one, ||S|| <= lambda in the L2(sigma_t) norm, so
-||phi - phi*|| <= ||c - (I - S) phi|| / (1 - lambda): one residual certifies
-the distance to the exact discrete solution phi*, and ``tol`` bounds that
-certificate.  The LU costs O(M^3) in the cell count M;
-BENCH_direct_solve.json records its times up to M = 2000.
+||phi - phi*|| <= ||c - (I - S) phi|| / (1 - lambda): one residual per
+row certifies the distance to that row's exact discrete solution phi*,
+and ``tol`` bounds every row's certificate.  The LU costs O(M^3) in the
+cell count M; BENCH_direct_solve.json records its times up to M = 2000,
+and BENCH_batched_solves.json the gain of blocks.
 """
 from __future__ import annotations
 
@@ -26,10 +33,10 @@ from .sweep import _response_half, _swept_half, _sweep_factors, batched_sweep
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Certificate of one direct solve.
+    """Certificate of one direct solve of a quadrature or a block.
 
-    ``iterations`` counts linear solves (one); ``error_bound`` bounds the
-    L2(sigma_t) distance to the exact discrete solution.
+    ``iterations`` counts linear solves (one per row); ``error_bound`` bounds
+    the L2(sigma_t) distance of every row to its exact discrete solution.
     """
 
     iterations: int
@@ -45,32 +52,56 @@ def solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve (I - S) phi = c by LU and certify phi by its residual.
 
-    Returns (phi, report): phi is the read-only array of cell-average scalar
-    fluxes.  Each sign group's sweep factors add the group's share of c and S
-    and are freed before the next group's are built.  converged is
-    error_bound <= tol; the flux is returned either way.
+    ``quad`` is one quadrature, or a block whose (B, L) mus and weights
+    hold B quadratures as rows.  Returns (phi, report): phi is the
+    read-only array of cell-average scalar fluxes, (M,) for one quadrature
+    and (B, M) for a block, row b from row b of the block.  The report
+    counts one linear solve per row, and its error_bound is the largest
+    row bound; converged is error_bound <= tol.  The fluxes are returned
+    either way.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mus, weights = quad.mus, quad.weights
+    mus, weights = np.atleast_2d(quad.mus), np.atleast_2d(quad.weights)
     if np.any(mus == 0):
         raise ZeroMu("quadrature contains mu = 0")
     inflows = inflow_values(boundary, mus)
     sat = medium.q / medium.sigma_t
     ratio = medium.sigma_s / medium.sigma_t
-    const = np.zeros(medium.ncells)
-    system = np.zeros((medium.ncells, medium.ncells))  # -S, then I - S
+    rows, m = mus.shape[0], medium.ncells
+    const = np.zeros((rows, m))
+    system = np.zeros((m, m))  # -S, then I - S, of one row at a time
+
+    def subtract_s(b, f, w, ends):  # row b's ordinates are ends[b]..ends[b+1]-1 of group f
+        start, stop = ends[b], ends[b + 1]
+        system[f.flip, f.flip] -= _response_half(f.rows(start, stop), ratio[f.flip], w[start:stop])
+
+    groups = []
     for f in _sweep_factors(medium, mus):
-        w = weights[f.sel]
-        avg, _ = _swept_half(f, sat[f.flip], inflows[f.sel])
-        const[f.flip] += w @ avg
-        system[f.flip, f.flip] -= _response_half(f, ratio[f.flip], w)
-        del f, avg  # free this group's arrays before the next group's are built
-    system[np.diag_indices(medium.ncells)] += 1.0
-    phi = np.linalg.solve(system, const)
-    bound = weighted_norm_of(const - system @ phi, medium) / (1.0 - medium.lam)
+        w, ends = weights[f.sel], np.concatenate([[0], np.cumsum(f.sel.sum(axis=1))])
+        avg = _swept_half(f, sat[f.flip], inflows[f.sel])[0]
+        for b in range(rows):
+            const[b, f.flip] += w[ends[b] : ends[b + 1]] @ avg[ends[b] : ends[b + 1]]
+        del avg
+        # row 0 takes its S while the factors are live: one quadrature never holds two groups'
+        subtract_s(0, f, w, ends)
+        if rows > 1:
+            groups.append((f, w, ends))
+        del f  # free this group's factors before the next group's are built
+    phi = np.empty((rows, m))
+    bounds = np.empty(rows)
+    for b in range(rows):
+        if b:
+            system.fill(0.0)
+            for group in groups:
+                subtract_s(b, *group)
+        system.flat[:: m + 1] += 1.0  # the diagonal
+        phi[b] = np.linalg.solve(system, const[b])
+        bounds[b] = weighted_norm_of(const[b] - system @ phi[b], medium) / (1.0 - medium.lam)
     phi.setflags(write=False)
-    return phi, SolveReport(iterations=1, converged=bool(bound <= tol), error_bound=bound)
+    bound = float(bounds.max())
+    report = SolveReport(iterations=rows, converged=bool(bound <= tol), error_bound=bound)
+    return phi.reshape(np.shape(quad.mus)[:-1] + (m,)), report
 
 
 def angular_fluxes(

@@ -18,6 +18,7 @@ kernel over them (``_swept_half``).
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -140,6 +141,11 @@ class _Half(NamedTuple):
     exp_c: np.ndarray
     blocks: list[tuple[int, int]]
 
+    def rows(self, start: int, stop: int) -> "_Half":
+        """Views of ordinates start..stop-1 of this group; ``sel`` stays the whole group's."""
+        return self._replace(G=self.G[start:stop], one_minus_e=self.one_minus_e[start:stop],
+                             decay=self.decay[start:stop], exp_c=self.exp_c[start:stop])
+
 
 def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
     tau = sigma_up[None, :] * h_up[None, :] / mu_abs[:, None]
@@ -231,8 +237,9 @@ def _swept_half(f: _Half, sat, inflow):
         seg = edges[:, start : stop + 1]
         entry = seg[:, 0] / f.exp_c[:, start - 1] if start else inflow  # last exit, decayed
         seg[:, 0] = 0.0
-        np.cumsum(sat[start:stop] * f.one_minus_e[:, start:stop] * f.exp_c[:, start:stop],
-                  axis=1, out=seg[:, 1:])
+        emitted = sat[start:stop] * f.one_minus_e[:, start:stop]
+        emitted *= f.exp_c[:, start:stop]
+        np.cumsum(emitted, axis=1, out=seg[:, 1:])
         seg += entry[:, None]
     edges *= f.decay
     avg = edges[:, :-1] - sat[None, :]
@@ -269,16 +276,28 @@ def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) ->
 
 
 def _response_half(f: _Half, r_up, w):
-    wu = w[:, None] * (f.G * f.decay[:, :-1])
+    # products formed in place, so no (L, M) temporary outlives its line
+    wu = f.G * f.decay[:, :-1]
+    wu *= w[:, None]
     # column j: exit value of a unit source in cell j, carried to the entry
     # of the block of rows being filled; the unfilled upper part is zeroed
-    v = r_up[None, :] * f.one_minus_e * f.exp_c
+    v = r_up[None, :] * f.one_minus_e
+    v *= f.exp_c
     full = np.empty((r_up.size, r_up.size))
     for start, stop in f.blocks:
         if start:
             v[:, :start] /= f.exp_c[:, start - 1 : start]
         np.matmul(wu[:, start:stop].T, v[:, :stop], out=full[start:stop, :stop])
     # in place: np.tril would copy the M x M array
-    np.copyto(full, 0.0, where=np.tri(r_up.size, dtype=bool).T)
-    np.fill_diagonal(full, r_up * (w.sum() - w @ f.G))
+    np.copyto(full, 0.0, where=_on_or_above_diagonal(r_up.size))
+    full.flat[:: r_up.size + 1] = r_up * (w.sum() - w @ f.G)  # the diagonal
     return full
+
+
+@functools.lru_cache(maxsize=1)
+def _on_or_above_diagonal(m: int) -> np.ndarray:
+    """Read-only (m, m) mask of the entries j >= i; a solve builds two
+    responses per row, all of one size."""
+    mask = np.tri(m, dtype=bool).T
+    mask.setflags(write=False)
+    return mask

@@ -17,6 +17,7 @@ from romlab import (
     dom_quadrature,
     reference_quadrature,
     rom_pair,
+    rom_pair_block,
     rom_sample,
     uniform_stream,
 )
@@ -161,6 +162,14 @@ class TestGaussLegendre:
         with pytest.raises(NoConvergence):
             composite_gauss(0.0, 64)
 
+    def test_repeated_call_returns_the_same_read_only_arrays(self):
+        x, w = _gauss_legendre(96)
+        again = _gauss_legendre(96)
+        assert again[0] is x and again[1] is w
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestRomSample:
     def test_support_single_pair(self):
@@ -270,6 +279,19 @@ class TestRomPair:
         assert "antithetic" in reflected.provenance
         assert "antithetic" not in draw.provenance
         assert reflected.provenance.startswith("rom(seed=42,index=3,")
+
+
+class TestRomPairBlock:
+    def test_rows_are_the_pairs_in_order(self):
+        part = build_partition(8, 0.05)
+        block = rom_pair_block(part, 42, 3, 6)
+        quads = [q for i in range(3, 6) for q in rom_pair(part, 42, i)]
+        assert block.mus.shape == block.weights.shape == (6, 8) and block.n == 8
+        for row, quad in enumerate(quads):
+            np.testing.assert_array_equal(block.mus[row], quad.mus)
+            np.testing.assert_array_equal(block.weights[row], quad.weights)
+        assert not block.mus.flags.writeable and not block.weights.flags.writeable
+        assert block.provenance == "rom(seed=42,index=3..5,n=8,delta=0.05,antithetic pairs)"
 
 
 class TestCertifyByDoubling:

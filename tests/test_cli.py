@@ -85,6 +85,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert path in err and "finite" in err
 
+    @pytest.mark.parametrize("cells", [10**30, 10**9])
+    def test_rejects_cell_count_over_cap_before_allocating(self, tmp_path, capsys, cells):
+        # 10^30 overflowed np.linspace; 10^9 would allocate gigabytes before any check
+        cfg = write_config(tmp_path, medium={"grid": {"cells": cells}})
+        assert main(["validate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "/medium/grid/cells" in err and "at most 20000" in err
+
+    def test_rejects_edge_list_over_cap(self, tmp_path, capsys):
+        edges = list(range(20002))
+        cfg = write_config(tmp_path, medium={"grid": {"edges": edges}, "sigma_t": 1.0})
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "/medium/grid/edges" in capsys.readouterr().err
+
     def test_rejects_integer_past_str_digits_limit(self, tmp_path, capsys):
         # json.loads raises a plain ValueError for an int of over 4300 digits
         cfg = tmp_path / "config.json"
@@ -408,6 +422,19 @@ class TestStudy:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("study", ["bias", "single-run"])
+    def test_blocked_tables_do_not_depend_on_jobs(self, tmp_path, study):
+        # bias solves n = 8 and 16 in blocks of 4 and 2 pairs, and its 9 pairs
+        # at n = 16 end on a short block; single-run solves sample by sample
+        cfg = write_config(tmp_path, study={"n_list": [8, 16], "samples": 19})
+        tables = []
+        for jobs in ("1", "2", "1"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["study", "--config", str(cfg), "--study", study, "--out", str(out),
+                         "--jobs", jobs, "--force"]) == 0
+            tables.append((out / f"{study}.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
 
     def test_bias_jobs_do_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -12,18 +12,22 @@ from romlab import (
     ErrorTable,
     NoConvergence,
     PureAbsorber,
+    QuadratureSet,
     SpatialGrid,
     TooFewPoints,
     bias_study,
+    build_partition,
     certified_reference,
     deviation_study,
     dom_error_study,
     fit_slope,
     make_medium,
     regularization_study,
+    rom_pair_block,
     single_run_error_study,
+    solve,
 )
-from romlab.experiments import _jackknife_norm_se
+from romlab.experiments import _jackknife_norm_se, _solved
 from conftest import shipped_config, small_config
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
@@ -117,6 +121,19 @@ class TestUncertifiedSolve:
         cfg = small_config(sample_count=16, solver_tol=1e-300)
         with pytest.raises(NoConvergence, match="error bound"):
             study(cfg)
+
+    def test_block_with_one_row_over_tol_raises(self):
+        # tol between the rows' own certificates: the block's bound is its worst row's
+        cfg = small_config(ncells=12)
+        block = rom_pair_block(build_partition(8, cfg.delta), 3, 0, 4)
+        bounds = [solve(cfg.medium, cfg.boundary, QuadratureSet(mus, w, "row"))[1].error_bound
+                  for mus, w in zip(block.mus, block.weights)]
+        tol = np.sqrt(min(bounds) * max(bounds))
+        assert 0 < min(bounds) < tol < max(bounds)
+        _, report = solve(cfg.medium, cfg.boundary, block, tol)
+        assert not report.converged and report.error_bound > tol
+        with pytest.raises(NoConvergence, match=r"index=0\.\.3.*error bound"):
+            _solved(cfg.medium, cfg.boundary, block, tol)
 
 
 class TestReferenceSolution:

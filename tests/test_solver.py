@@ -7,6 +7,7 @@ from romlab import (
     BoundarySpec,
     ConstantBoundary,
     LengthMismatch,
+    LinearBoundary,
     QuadratureSet,
     SpatialGrid,
     ZeroMu,
@@ -17,12 +18,13 @@ from romlab import (
     dom_quadrature,
     make_medium,
     reference_quadrature,
+    rom_pair_block,
     rom_sample,
     solve,
     sweep_direction,
 )
 from romlab.medium import inflow_values, weighted_norm_of
-from romlab.sweep import batched_sweep
+from romlab.sweep import _sweep_factors, batched_sweep
 from conftest import random_medium, small_config, source_iteration
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
@@ -164,6 +166,51 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert peak <= parent_peak
+
+
+def _block_medium(case, rng):
+    """(medium, boundary) of one block-solve case on a 20-cell slab."""
+    grid = SpatialGrid.uniform(0.0, 1.0, 20)
+    if case == "thick":  # 100 mean free paths: the exp-product restarts at slanted ordinates
+        sigma_t = np.full(20, 100.0)
+    else:
+        sigma_t = rng.uniform(0.1, 5.0, 20) if case == "mixed" else np.ones(20)
+    medium = make_medium(grid, sigma_t, sigma_t * rng.uniform(0.3, 0.9, 20), rng.uniform(0.5, 1.5, 20))
+    if case == "inflow":
+        return medium, BoundarySpec(ConstantBoundary(2.0), LinearBoundary(-1.0, 0.5))
+    return medium, ZERO_BC
+
+
+class TestBlockSolve:
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("case", ["thick", "mixed", "inflow"])
+    def test_rows_match_single_quadrature_solves(self, rng, case):
+        medium, bc = _block_medium(case, rng)
+        block = rom_pair_block(build_partition(8, 0.05), 17, 3, 7)
+        rows = block.mus.shape[0]
+        if case == "thick":  # the block restarts rows that alone would need no restart
+            assert all(len(f.blocks) > 1 for f in _sweep_factors(medium, block.mus))
+            assert any(len(f.blocks) == 1 for mus in block.mus for f in _sweep_factors(medium, mus))
+        phis, report = solve(medium, bc, block, tol=self.TOL)
+        assert phis.shape == (rows, 20) and not phis.flags.writeable
+        assert report.iterations == rows
+        assert report.converged and report.error_bound <= self.TOL
+        for b in range(rows):
+            quad = QuadratureSet(block.mus[b], block.weights[b], f"row {b}")
+            phi, _ = solve(medium, bc, quad, tol=self.TOL)
+            scale = weighted_norm_of(phi, medium)
+            assert weighted_norm_of(phis[b] - phi, medium) <= 1e-14 * scale
+
+    def test_block_of_one_row_is_the_single_solve(self, rng):
+        medium, bc = _block_medium("mixed", rng)
+        quad = rom_sample(build_partition(8, 0.05), 17, 3)
+        block = QuadratureSet(quad.mus[None, :], quad.weights[None, :], quad.provenance)
+        phis, report = solve(medium, bc, block)
+        phi, single = solve(medium, bc, quad)
+        assert phis.shape == (1, 20) and report.iterations == 1
+        np.testing.assert_array_equal(phis[0], phi)
+        assert report == single
 
 
 class TestErrorBound:
