@@ -12,7 +12,6 @@ from .angular import (
     composite_gauss,
     dom_quadrature,
     reference_quadrature,
-    rom_pair,
     rom_pair_block,
     rom_sample,
     uniform_stream,
@@ -46,7 +45,6 @@ from .medium import (
     weighted_norm_of,
 )
 from .operators import (
-    DeltaStats,
     boundary_deviation_stats,
     gram_trace,
     iteration_deviation_stats,

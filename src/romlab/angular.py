@@ -175,23 +175,18 @@ def dom_quadrature(partition: VelocityPartition, rule: str = "midpoint", order: 
 _NEWTON_CAP = 10  # from Tricomi's nodes, each n tried up to 8192 took 3 or 4 steps
 
 
+@functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
 
-    A pure function of n (and the Newton cap), built once while the cache
-    holds it: a certified reference rebuilds the same few rules at every
-    doubling.
+    A pure function of n, built once while the cache holds it: a certified
+    reference rebuilds the same few rules at every doubling.
     """
-    return _newton_gauss_legendre(n, _NEWTON_CAP)
-
-
-@functools.lru_cache(maxsize=16)
-def _newton_gauss_legendre(n: int, newton_cap: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n // 2, 0, -1)
     theta = np.pi * (4 * k - 1) / (4 * n + 2)
     x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
     x = np.concatenate([[0.0], x]) if n % 2 else x  # P_n(0) = 0 exactly: Newton keeps it
-    for _ in range(newton_cap):
+    for _ in range(_NEWTON_CAP):
         p_prev, p = np.ones_like(x), x
         for j in range(2, n + 1):  # j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2}
             xp = x * p
@@ -203,7 +198,7 @@ def _newton_gauss_legendre(n: int, newton_cap: int) -> tuple[np.ndarray, np.ndar
         if np.max(np.abs(step)) <= 2 * np.finfo(float).eps:  # two ulps at 1: rounding level
             nodes = np.concatenate([-x[::-1][: n // 2], x])
             return _frozen_array(nodes), _frozen_array(np.concatenate([w[::-1][: n // 2], w]))
-    raise NoConvergence(f"Gauss-Legendre nodes for n={n} moved after {newton_cap} Newton steps")
+    raise NoConvergence(f"Gauss-Legendre nodes for n={n} moved after {_NEWTON_CAP} Newton steps")
 
 
 def composite_gauss(delta: float, nodes_per_half: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,32 +274,25 @@ def rom_sample(partition: VelocityPartition, master_seed: int, sample_index: int
     )
 
 
-def rom_pair(partition: VelocityPartition, master_seed: int,
-             sample_index: int) -> tuple[QuadratureSet, QuadratureSet]:
-    """``rom_sample``'s draw and its antithetic reflection, u -> 1 - u in every cell.
-
-    Each ordinate mu becomes lo + hi - mu, clipped to its cell against
-    rounding: again Uniform(S_j), and mirrored exactly because the cells
-    are, so the pair's mean flux has one draw's expectation.
-    """
-    quad = rom_sample(partition, master_seed, sample_index)
-    lo, hi = partition.lower, partition.upper
-    reflected = QuadratureSet(
-        _frozen_array(np.clip(lo + hi - quad.mus, lo, hi)),
-        partition.weights,
-        quad.provenance[:-1] + ",antithetic)",
-    )
-    return quad, reflected
-
-
 def rom_pair_block(partition: VelocityPartition, master_seed: int, start: int,
                    stop: int) -> QuadratureSet:
-    """Pairs start..stop-1 as one block for ``solve``: rows 2k and 2k + 1 are
-    rom_pair(partition, master_seed, start + k).  The provenance names the range."""
-    quads = [q for i in range(start, stop) for q in rom_pair(partition, master_seed, i)]
+    """Antithetic pairs start..stop-1 as one block for ``solve``.
+
+    Row 2k is rom_sample(partition, master_seed, start + k); row 2k + 1 is its
+    reflection u -> 1 - u in every cell, each mu becoming lo + hi - mu,
+    clipped to its cell against rounding: again Uniform(S_j), and mirrored
+    exactly because the cells are, so a pair's mean flux has one draw's
+    expectation.  Every row's weights are the partition's, as a read-only
+    view.  The provenance names the range.
+    """
+    lo, hi = partition.lower, partition.upper
+    mus = np.empty((2 * (stop - start), partition.n))
+    mus[0::2] = [rom_sample(partition, master_seed, i).mus for i in range(start, stop)]
+    np.clip(lo + hi - mus[0::2], lo, hi, out=mus[1::2])
+    mus.setflags(write=False)
     return QuadratureSet(
-        _frozen_array([q.mus for q in quads]),
-        _frozen_array([q.weights for q in quads]),
+        mus,
+        np.broadcast_to(partition.weights, mus.shape),
         f"rom(seed={master_seed},index={start}..{stop - 1},n={partition.n},"
         f"delta={partition.delta},antithetic pairs)",
     )

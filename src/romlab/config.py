@@ -94,6 +94,15 @@ def _positive(value, path: str) -> int:
     return n
 
 
+def _nodes_per_half(value, path: str) -> int:
+    """A Gauss rule's nodes per half-interval, at most the reference cap: the rule costs O(N^2)."""
+    nodes = _positive(value, path)
+    if nodes > defaults.REF_MAX_NODES:
+        raise ConfigError(path, f"must be at most {defaults.REF_MAX_NODES} "
+                                f"(reference.max_nodes_per_half in defaults.json), got {nodes}")
+    return nodes
+
+
 def _per_cell(value, cells: int, path: str) -> np.ndarray:
     if isinstance(value, list):
         if len(value) != cells:
@@ -237,7 +246,7 @@ def build_quadrature(cfg: LoadedConfig) -> QuadratureSet:
     if kind not in ("midpoint", "gauss", "rom", "reference"):
         raise ConfigError("/quadrature/kind", "must be one of midpoint, gauss, rom, reference")
     if kind == "reference":
-        nodes = _positive(_get(section, "nodes_per_half", "/quadrature"), "/quadrature/nodes_per_half")
+        nodes = _nodes_per_half(_get(section, "nodes_per_half", "/quadrature"), "/quadrature/nodes_per_half")
         return reference_quadrature(cfg.delta, nodes)
     n = _even_n(_integer(_get(section, "n", "/quadrature"), "/quadrature/n"), "/quadrature/n")
     if kind == "rom":
@@ -247,7 +256,7 @@ def build_quadrature(cfg: LoadedConfig) -> QuadratureSet:
         return rom_sample(build_partition(n, cfg.delta), cfg.seed, index)
     order = None
     if kind == "gauss" and "order" in section:
-        order = _positive(section["order"], "/quadrature/order")
+        order = _nodes_per_half(section["order"], "/quadrature/order")
     return dom_quadrature(build_partition(n, cfg.delta), kind, order)
 
 

@@ -84,9 +84,11 @@ class RegularizationTable:
 
 
 def _even_n(n: int, path: str) -> int:
-    """An ordinate count: even and at least 2, else ConfigError at ``path``."""
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(path, f"ordinate count must be an even integer >= 2, got {n}")
+    """An ordinate count: even, from 2 to twice the reference cap (both halves of
+    its largest rule), else ConfigError at ``path``."""
+    cap = 2 * defaults.REF_MAX_NODES
+    if n < 2 or n % 2 != 0 or n > cap:
+        raise ConfigError(path, f"ordinate count must be an even integer in [2, {cap}], got {n}")
     return int(n)
 
 
@@ -261,7 +263,7 @@ _BLOCK_ORDINATES = 64
 def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     """Error of the sample-mean flux per n, with a noise-floor guard.
 
-    Ordinates come in antithetic pairs (angular.rom_pair); the pair mean
+    Ordinates come in antithetic pairs (angular.rom_pair_block); the pair mean
     (phi(u) + phi(1 - u)) / 2 has one draw's expectation, so the bias is
     unchanged, and far less variance.  It is the unit of the mean and the
     jackknife; a block of max(1, 64 // n // 2) pairs is one solve call.

@@ -16,7 +16,6 @@ from romlab import (
     composite_gauss,
     dom_quadrature,
     reference_quadrature,
-    rom_pair,
     rom_pair_block,
     rom_sample,
     uniform_stream,
@@ -147,7 +146,9 @@ class TestGaussLegendre:
         np.testing.assert_array_equal(w, w[::-1])
 
     def test_cap_size_rule_needs_no_square_matrix(self):
-        # leggauss(8192) would hold a 537 MB companion matrix
+        # leggauss(8192) would hold a 537 MB companion matrix; a cached rule
+        # from an earlier test would make this measure nothing
+        _gauss_legendre.cache_clear()
         tracemalloc.start()
         try:
             _, weights = composite_gauss(0.0, 8192)
@@ -159,6 +160,7 @@ class TestGaussLegendre:
 
     def test_unconverged_newton_raises(self, monkeypatch):
         monkeypatch.setattr(angular, "_NEWTON_CAP", 1)
+        _gauss_legendre.cache_clear()
         with pytest.raises(NoConvergence):
             composite_gauss(0.0, 64)
 
@@ -240,6 +242,8 @@ class TestRomSample:
 
 
 class TestRomPair:
+    """Antithetic pairs: rows 2k and 2k + 1 of a rom_pair_block."""
+
     @settings(max_examples=80)
     @given(
         m=st.integers(1, 12),
@@ -250,16 +254,18 @@ class TestRomPair:
     )
     def test_reflection_in_cell_mirrored_and_centred(self, m, delta, layout, seed, index):
         part = build_partition(2 * m, delta, *layout)
-        draw, reflected = rom_pair(part, seed, index)
-        np.testing.assert_array_equal(draw.mus, rom_sample(part, seed, index).mus)
-        assert np.all(part.lower <= reflected.mus) and np.all(reflected.mus <= part.upper)
-        np.testing.assert_array_equal(reflected.mus, -reflected.mus[::-1])
-        # |mu| <= 1: the two roundings in lo + hi - mu stay within a few eps
+        block = rom_pair_block(part, seed, index, index + 2)
         midpoints = 0.5 * (part.lower + part.upper)
-        np.testing.assert_allclose(
-            0.5 * (draw.mus + reflected.mus), midpoints, rtol=0, atol=4 * np.finfo(float).eps
-        )
-        np.testing.assert_array_equal(reflected.weights, part.weights)
+        for k, (draw, reflected) in enumerate(zip(block.mus[0::2], block.mus[1::2])):
+            np.testing.assert_array_equal(draw, rom_sample(part, seed, index + k).mus)
+            assert np.all(part.lower <= reflected) and np.all(reflected <= part.upper)
+            np.testing.assert_array_equal(reflected, -reflected[::-1])
+            # |mu| <= 1: the two roundings in lo + hi - mu stay within a few eps
+            np.testing.assert_allclose(
+                0.5 * (draw + reflected), midpoints, rtol=0, atol=4 * np.finfo(float).eps
+            )
+        for row in block.weights:
+            np.testing.assert_array_equal(row, part.weights)
 
     @pytest.mark.parametrize("edge", ["lower", "upper"])
     def test_reflected_cell_edge_stays_in_cell(self, monkeypatch, edge):
@@ -271,26 +277,24 @@ class TestRomPair:
             np.concatenate([-pos_mu[::-1], pos_mu]), part.weights, "rom(edges)"
         )
         monkeypatch.setattr(angular, "rom_sample", lambda *args: edges)
-        _, reflected = rom_pair(part, 0, 0)
-        assert np.all(part.lower <= reflected.mus) and np.all(reflected.mus <= part.upper)
-
-    def test_provenance_names_the_reflection(self):
-        draw, reflected = rom_pair(build_partition(8, 0.05), 42, 3)
-        assert "antithetic" in reflected.provenance
-        assert "antithetic" not in draw.provenance
-        assert reflected.provenance.startswith("rom(seed=42,index=3,")
+        reflected = rom_pair_block(part, 0, 0, 1).mus[1]
+        assert np.all(part.lower <= reflected) and np.all(reflected <= part.upper)
 
 
 class TestRomPairBlock:
     def test_rows_are_the_pairs_in_order(self):
         part = build_partition(8, 0.05)
         block = rom_pair_block(part, 42, 3, 6)
-        quads = [q for i in range(3, 6) for q in rom_pair(part, 42, i)]
         assert block.mus.shape == block.weights.shape == (6, 8) and block.n == 8
-        for row, quad in enumerate(quads):
-            np.testing.assert_array_equal(block.mus[row], quad.mus)
-            np.testing.assert_array_equal(block.weights[row], quad.weights)
+        for k, i in enumerate(range(3, 6)):
+            draw = rom_sample(part, 42, i).mus
+            np.testing.assert_array_equal(block.mus[2 * k], draw)
+            np.testing.assert_array_equal(
+                block.mus[2 * k + 1], np.clip(part.lower + part.upper - draw, part.lower, part.upper)
+            )
         assert not block.mus.flags.writeable and not block.weights.flags.writeable
+        # the weights are a view of the partition's, not one copy per row
+        assert np.shares_memory(block.weights, part.weights)
         assert block.provenance == "rom(seed=42,index=3..5,n=8,delta=0.05,antithetic pairs)"
 
 

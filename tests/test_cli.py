@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS
-from romlab import cli, experiments, operators
-from romlab.angular import certify_by_doubling
+from romlab import angular, cli, config, experiments, operators
+from romlab.angular import build_partition, certify_by_doubling, dom_quadrature, reference_quadrature
 from romlab.cli import flux_to_csv, main, parse_table_csv, table_to_csv
 from romlab.config import config_hash, load_config, study_config
 from romlab.experiments import (
@@ -21,7 +21,8 @@ from romlab.experiments import (
     RegularizationTable,
     StudyConfig,
 )
-from romlab.solver import SolveReport
+from romlab.medium import BoundarySpec, ConstantBoundary, LinearBoundary, SpatialGrid, make_medium
+from romlab.solver import SolveReport, solve
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -92,6 +93,38 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "/medium/grid/cells" in err and "at most 20000" in err
+
+    @pytest.mark.parametrize("value", [10**6, 10**30])
+    @pytest.mark.parametrize("overrides, path, cap", [
+        (lambda v: {"quadrature": {"kind": "reference", "nodes_per_half": v}}, "/quadrature/nodes_per_half",
+         "at most 8192"),
+        (lambda v: {"quadrature": {"kind": "gauss", "n": 8, "order": v}}, "/quadrature/order", "at most 8192"),
+        (lambda v: {"quadrature": {"kind": "midpoint", "n": v}}, "/quadrature/n", "[2, 16384]"),
+        (lambda v: {"quadrature": None, "study": {"n_list": [4, v]}}, "/study/n_list/1", "[2, 16384]"),
+    ], ids=["nodes_per_half", "order", "n", "n_list"])
+    def test_rejects_ordinate_count_over_cap_before_building(self, tmp_path, capsys, monkeypatch,
+                                                             overrides, path, cap, value):
+        # a Gauss rule of N nodes costs O(N^2), and an operator study allocates
+        # per ordinate: the caps are checked before any rule or partition is built
+        def refuse(*args):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(angular, "_gauss_legendre", refuse)
+        monkeypatch.setattr(config, "build_partition", refuse)
+        cfg = write_config(tmp_path, **overrides(value))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and cap in err
+
+    @pytest.mark.parametrize("quadrature, code", [
+        ({"kind": "midpoint", "n": 16384}, 0),
+        ({"kind": "midpoint", "n": 16386}, 1),
+        ({"kind": "reference", "nodes_per_half": 8193}, 1),
+        ({"kind": "gauss", "n": 8, "order": 8193}, 1),
+    ])
+    def test_ordinate_caps_are_inclusive(self, tmp_path, quadrature, code):
+        cfg = write_config(tmp_path, quadrature=quadrature)
+        assert main(["validate", "--config", str(cfg)]) == code
 
     def test_rejects_edge_list_over_cap(self, tmp_path, capsys):
         edges = list(range(20002))
@@ -279,6 +312,51 @@ class TestSolve:
         cfg.write_text(json.dumps(doc))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert "/quadrature" in capsys.readouterr().err
+
+
+class TestConfigPaths:
+    """Each config form solves bit for bit as the library call it stands for."""
+
+    @staticmethod
+    def _cli_flux(tmp_path, name, **overrides) -> str:
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, **overrides)
+        out = tmp_path / name / "phi.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        return out.read_text()
+
+    @staticmethod
+    def _library_flux(quad, left=ConstantBoundary(1.0)) -> str:
+        # write_config's medium and right inflow
+        grid = SpatialGrid.uniform(0.0, 1.0, 12)
+        medium = make_medium(grid, np.full(12, 1.0), np.full(12, 0.5), np.zeros(12))
+        phi, report = solve(medium, BoundarySpec(left, ConstantBoundary(0.0)), quad, 1e-9)
+        assert report.converged
+        return flux_to_csv(phi, grid.edges)
+
+    def test_edges_grid(self, tmp_path):
+        edges = SpatialGrid.uniform(0.0, 1.0, 12).edges.tolist()
+        flux = self._cli_flux(tmp_path, "edges", medium={"grid": {"edges": edges}})
+        assert flux == self._cli_flux(tmp_path, "cells")
+
+    def test_linear_boundary(self, tmp_path):
+        flux = self._cli_flux(tmp_path, "linear",
+                              boundary={"left": {"kind": "linear", "slope": 0.5, "intercept": 0.25}})
+        midpoint = dom_quadrature(build_partition(8, 0.05), "midpoint")
+        assert flux == self._library_flux(midpoint, LinearBoundary(0.5, 0.25))
+
+    def test_one_point_table_boundary_is_constant(self, tmp_path):
+        flux = self._cli_flux(tmp_path, "table",
+                              boundary={"left": {"kind": "table", "mu": [0.5], "value": [1.0]}})
+        assert flux == self._cli_flux(tmp_path, "constant")
+
+    def test_reference_quadrature(self, tmp_path):
+        flux = self._cli_flux(tmp_path, "reference", quadrature={"kind": "reference", "nodes_per_half": 16})
+        assert flux == self._library_flux(reference_quadrature(0.05, 16))
+
+    def test_gauss_order(self, tmp_path):
+        flux = self._cli_flux(tmp_path, "order", quadrature={"kind": "gauss", "n": 8, "order": 6})
+        assert flux == self._library_flux(dom_quadrature(build_partition(8, 0.05), "gauss", 6))
 
 
 class TestStudy:

@@ -13,7 +13,8 @@ matrix through one call of averaged_response_matrix, so that assembly and
 its lambda > 0 check cannot fork.  experiments.STUDIES is the one table of
 study kinds, so the CLI imports no study function.  The benchmark's tracer
 (perfbench/tracing.py) reads SolveReport.iterations and the rows of a bias
-table, so a traced bias and regularization run still records those.
+table, so a traced bias and regularization run still records those, and
+its rom_sample count still means one draw per antithetic pair.
 """
 import ast
 import importlib.util
@@ -25,7 +26,7 @@ from romlab import experiments
 from conftest import small_config
 
 SETTABLE_VALUES = 13
-SOURCE_LINES = 2351
+SOURCE_LINES = 2348
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -122,3 +123,5 @@ def test_tracer_reads_bias_and_regularization_studies():
     assert metrics["experiments.regularization_study.calls"] == 1
     # a call solves a block of quadratures: every drawn sample is one linear solve
     assert metrics["solver.solve.rom.iterations"] == metrics["experiments.bias_study.drawn"]
+    # rom_pair_block draws once per antithetic pair, so the draw count means pairs
+    assert metrics["angular.rom_sample.calls"] == metrics["experiments.bias_study.drawn"] / 2
