@@ -59,15 +59,14 @@ class VelocityPartition:
     Cells are stored in ascending mu order: indices 0..m-1 cover the
     negative half, m..n-1 the positive half, and cell n-1-i is the mirror
     image of cell i.  ``weights`` are cell measures over |S| = 2(1-delta)
-    and sum to 1; ``alpha`` = n * weights are the rescaled weights, capped
-    so the randomized-quadrature theory applies.
+    and sum to 1; the rescaled weights n * weights are at most
+    defaults.ALPHA_MAX, so the randomized-quadrature theory applies.
     """
 
     delta: float
     lower: np.ndarray
     upper: np.ndarray
     weights: np.ndarray
-    alpha: np.ndarray
 
     @property
     def n(self) -> int:
@@ -83,13 +82,13 @@ def build_partition(
     delta: float,
     layout: str = "uniform",
     ratio: float = 1.0,
-    alpha_max: float = defaults.ALPHA_MAX,
 ) -> VelocityPartition:
     """Split each truncated half-interval into m = n/2 cells.
 
-    ``uniform`` gives equal widths (alpha = 1 exactly).  ``graded`` gives
-    geometric widths growing away from the truncation by ``ratio`` per cell;
-    the rescaled weights must stay below alpha_max.
+    ``uniform`` gives equal widths (rescaled weights n * weights = 1).
+    ``graded`` gives geometric widths growing away from the truncation by
+    ``ratio`` per cell; AlphaUnbounded is raised if a rescaled weight
+    exceeds defaults.ALPHA_MAX.
     """
     if n < 2 or n % 2 != 0:
         raise OddN(f"partition needs an even n >= 2, got {n}")
@@ -114,15 +113,13 @@ def build_partition(
     widths_all = upper - lower
     weights = widths_all / (2.0 * (1.0 - delta))
     weights = weights / weights.sum()
-    alpha = n * weights
-    amax = float(np.max(alpha))
-    if amax > alpha_max * (1.0 + 1e-12):
+    amax = float(np.max(n * weights))
+    if amax > defaults.ALPHA_MAX * (1.0 + 1e-12):
         raise AlphaUnbounded(
-            f"max rescaled weight {amax:.6g} exceeds the cap {alpha_max}"
+            f"max rescaled weight {amax:.6g} exceeds the cap {defaults.ALPHA_MAX}"
         )
     return VelocityPartition(
         float(delta), _frozen_array(lower), _frozen_array(upper), _frozen_array(weights),
-        _frozen_array(alpha),
     )
 
 
@@ -283,8 +280,11 @@ def rom_pair_block(partition: VelocityPartition, master_seed: int, start: int,
     clipped to its cell against rounding: again Uniform(S_j), and mirrored
     exactly because the cells are, so a pair's mean flux has one draw's
     expectation.  Every row's weights are the partition's, as a read-only
-    view.  The provenance names the range.
+    view.  The provenance names the range.  Raises ValueError, before any
+    draw, unless start < stop: solve cannot take an empty block.
     """
+    if stop <= start:
+        raise ValueError(f"empty antithetic pair range start={start}, stop={stop}: need start < stop")
     lo, hi = partition.lower, partition.upper
     mus = np.empty((2 * (stop - start), partition.n))
     mus[0::2] = [rom_sample(partition, master_seed, i).mus for i in range(start, stop)]

@@ -53,17 +53,6 @@ def _fmt(x: float) -> str:
 
 
 _CELL_FORMATS = {int: str, float: _fmt, bool: lambda flag: "true" if flag else "false"}
-_CELL_PARSERS = {int: int, float: float, bool: lambda text: text == "true"}
-
-
-def _row_fields(row_type) -> list[tuple[str, type]]:
-    hints = get_type_hints(row_type)
-    return [(f.name, hints[f.name]) for f in fields(row_type)]
-
-
-def _header(row_type) -> str:
-    names = [name for name, _ in _row_fields(row_type)]
-    return ",".join(name + "_s" if name == "wall_time" else name for name in names)
 
 
 def table_to_csv(table: ErrorTable | RegularizationTable) -> str:
@@ -72,28 +61,15 @@ def table_to_csv(table: ErrorTable | RegularizationTable) -> str:
     The wall_time field goes to a wall_time_s column that always reads 0.
     """
     row_type = ErrorRow if isinstance(table, ErrorTable) else RegularizationRow
-    columns = _row_fields(row_type)
-    lines = [_header(row_type)]
+    hints = get_type_hints(row_type)
+    columns = [(f.name, hints[f.name]) for f in fields(row_type)]
+    lines = [",".join(name + "_s" if name == "wall_time" else name for name, _ in columns)]
     for r in table.rows:
         lines.append(",".join(
             "0" if name == "wall_time" else _CELL_FORMATS[kind](getattr(r, name))
             for name, kind in columns
         ))
     return "\n".join(lines) + "\n"
-
-
-def parse_table_csv(text: str) -> ErrorTable | RegularizationTable:
-    """Read table_to_csv output back; the header picks the table type."""
-    header, *lines = [ln for ln in text.strip().splitlines() if ln]
-    for row_type in (ErrorRow, RegularizationRow):
-        if header == _header(row_type):
-            kinds = [k for _, k in _row_fields(row_type)]
-            rows = tuple(
-                row_type(*(_CELL_PARSERS[k](cell) for k, cell in zip(kinds, ln.split(","))))
-                for ln in lines
-            )
-            return ErrorTable(rows) if row_type is ErrorRow else RegularizationTable(rows)
-    raise ValueError(f"unexpected header: {header!r}")
 
 
 def flux_to_csv(values: np.ndarray, edges: np.ndarray) -> str:

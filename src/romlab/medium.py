@@ -120,15 +120,8 @@ def weighted_norm_of(values: np.ndarray, medium: MediumProfile) -> float:
     return float(np.sqrt(np.sum(values**2 * medium.cell_weights)))
 
 
-class _BoundaryFunction:
-    """One side's inflow data as a function of the direction cosine."""
-
-    def evaluate(self, mu):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ConstantBoundary(_BoundaryFunction):
+class ConstantBoundary:
     value: float
 
     def evaluate(self, mu):
@@ -136,7 +129,7 @@ class ConstantBoundary(_BoundaryFunction):
 
 
 @dataclass(frozen=True)
-class LinearBoundary(_BoundaryFunction):
+class LinearBoundary:
     """value(mu) = slope * mu + intercept on the side's inflow half."""
 
     slope: float
@@ -147,7 +140,7 @@ class LinearBoundary(_BoundaryFunction):
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedBoundary(_BoundaryFunction):
+class TabulatedBoundary:
     """Sorted (mu, value) table, linearly interpolated and clamped outside."""
 
     mus: np.ndarray
@@ -171,10 +164,13 @@ class TabulatedBoundary(_BoundaryFunction):
 
 @dataclass(frozen=True, eq=False)
 class BoundarySpec:
-    """Inflow data: ``left`` on mu > 0 at x_left, ``right`` on mu < 0 at x_right."""
+    """Inflow data: ``left`` on mu > 0 at x_left, ``right`` on mu < 0 at x_right.
 
-    left: _BoundaryFunction
-    right: _BoundaryFunction
+    Each side's ``evaluate(mus)`` gives its inflow values at those cosines.
+    """
+
+    left: ConstantBoundary | LinearBoundary | TabulatedBoundary
+    right: ConstantBoundary | LinearBoundary | TabulatedBoundary
 
 
 def eval_boundary(spec: BoundarySpec, mu: float) -> float:

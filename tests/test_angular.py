@@ -20,7 +20,7 @@ from romlab import (
     rom_sample,
     uniform_stream,
 )
-from romlab import angular
+from romlab import angular, defaults
 from romlab.angular import _gauss_legendre, certify_by_doubling
 
 
@@ -30,7 +30,7 @@ class TestPartition:
         np.testing.assert_allclose(part.lower, [-1.0, -0.55, 0.1, 0.55])
         np.testing.assert_allclose(part.upper, [-0.55, -0.1, 0.55, 1.0])
         np.testing.assert_allclose(part.weights, 0.25)
-        np.testing.assert_allclose(part.alpha, 1.0)
+        np.testing.assert_allclose(part.n * part.weights, 1.0)  # the rescaled weights
 
     def test_uniform_n2(self):
         part = build_partition(2, 0.5)
@@ -68,11 +68,14 @@ class TestPartition:
         np.testing.assert_allclose(widths[1:] / widths[:-1], 2.0, rtol=1e-12)
         assert abs((part.upper - part.lower).sum() - 2 * 0.9) < 1e-14
 
-    def test_alpha_cap(self):
-        with pytest.raises(AlphaUnbounded):
+    def test_alpha_cap(self, monkeypatch):
+        # ratio 10 puts a rescaled weight n * weights of 7.2 in the outermost cells
+        with pytest.raises(AlphaUnbounded, match="exceeds the cap 4.0"):
             build_partition(16, 0.1, "graded", 10.0)
-        part = build_partition(16, 0.1, "graded", 10.0, alpha_max=8.0)
-        assert part.alpha.max() <= 8.0 + 1e-12
+        # the cap is read from defaults when the partition is built
+        monkeypatch.setattr(defaults, "ALPHA_MAX", 8.0)
+        part = build_partition(16, 0.1, "graded", 10.0)
+        assert 4.0 < (part.n * part.weights).max() <= 8.0 + 1e-12
 
 
 class TestDomQuadrature:
@@ -296,6 +299,15 @@ class TestRomPairBlock:
         # the weights are a view of the partition's, not one copy per row
         assert np.shares_memory(block.weights, part.weights)
         assert block.provenance == "rom(seed=42,index=3..5,n=8,delta=0.05,antithetic pairs)"
+
+    @pytest.mark.parametrize("start, stop", [(3, 3), (0, 0), (5, 3)])
+    def test_empty_range_raises_before_drawing(self, monkeypatch, start, stop):
+        def refuse(*args):
+            raise AssertionError("drew before the range was checked")
+
+        monkeypatch.setattr(angular, "rom_sample", refuse)
+        with pytest.raises(ValueError, match=f"start={start}, stop={stop}"):
+            rom_pair_block(build_partition(8, 0.05), 42, start, stop)
 
 
 class TestCertifyByDoubling:

@@ -11,7 +11,7 @@ import pytest
 from conftest import CONFIGS
 from romlab import angular, cli, config, experiments, operators
 from romlab.angular import build_partition, certify_by_doubling, dom_quadrature, reference_quadrature
-from romlab.cli import flux_to_csv, main, parse_table_csv, table_to_csv
+from romlab.cli import flux_to_csv, main, table_to_csv
 from romlab.config import config_hash, load_config, study_config
 from romlab.experiments import (
     STUDY_KINDS,
@@ -85,6 +85,44 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert path in err and "finite" in err
+
+    @pytest.mark.parametrize("overrides, path, message", [
+        ({"delta": "0.05"}, "/delta", "must be a number"),
+        ({"seed": 1.5}, "/seed", "must be an integer"),
+        ({"medium": {"grid": {"cells": 0}}}, "/medium/grid/cells", "at least 1"),
+        ({"medium": {"sigma_t": [1.0] * 11}}, "/medium/sigma_t", "needs 12 per-cell entries, got 11"),
+        ({"medium": {"grid": {"edges": 1.0}}}, "/medium/grid/edges", "must be a list"),
+        ({"medium": {"grid": {"edges": [0.0, 1.0, 0.5]}}}, "/medium/grid/edges", "strictly increasing"),
+        ({"medium": {"grid": {"x_right": 0.0}}}, "/medium/grid/x_right", "must exceed x_left"),
+        ({"medium": {"sigma_s": -0.5}}, "/medium/sigma_s", "nonnegative"),
+        ({"medium": {"q": -1.0}}, "/medium/q", "nonnegative"),
+        ({"medium": {"sigma_t": 0.0}}, "/medium/sigma_t", "positive"),
+        ({"boundary": {"left": {"kind": "table", "mu": 0.5, "value": 1.0}}}, "/boundary/left",
+         "table needs 'mu' and 'value' lists"),
+        ({"boundary": {"left": {"kind": "table", "mu": [0.5, 0.2], "value": [1.0, 1.0]}}}, "/boundary/left",
+         "strictly increasing"),
+        ({"boundary": {"right": {"kind": "cosine"}}}, "/boundary/right/kind", "must be one of"),
+        ({"solver": {"tol": 0.0}}, "/solver/tol", "must be positive"),
+        ({"quadrature": {"kind": "simpson"}}, "/quadrature/kind", "must be one of"),
+        ({"quadrature": {"kind": "rom", "n": 8, "sample_index": -1}}, "/quadrature/sample_index",
+         "nonnegative"),
+        ({"study": {"delta_list": 0.1}}, "/study/delta_list", "nonempty list"),
+        ({"study": {"samples": 0}}, "/study/samples", "at least 1"),
+    ], ids=["not-a-number", "not-an-integer", "no-cells", "per-cell-length", "edges-not-a-list",
+            "edges-decreasing", "empty-slab", "negative-sigma_s", "negative-q", "zero-sigma_t",
+            "table-without-lists", "bad-table", "unknown-boundary-kind", "zero-tol",
+            "unknown-quadrature-kind", "negative-sample-index", "delta_list-not-a-list", "no-samples"])
+    def test_rejects_bad_field(self, tmp_path, capsys, overrides, path, message):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and message in err
+
+    def test_rejects_document_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "error: /: must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cells", [10**30, 10**9])
     def test_rejects_cell_count_over_cap_before_allocating(self, tmp_path, capsys, cells):
@@ -305,6 +343,13 @@ class TestSolve:
         report = json.loads((tmp_path / "seeded.report.json").read_text())
         assert report["quadrature"].startswith("rom(seed=99,")
 
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "missing" / "phi.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"output directory {out.parent} does not exist" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_quadrature_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         doc = json.loads(cfg.read_text())
@@ -365,8 +410,9 @@ class TestStudy:
         out = tmp_path / "study"
         rc = main(["study", "--config", str(cfg), "--study", "delta-b", "--out", str(out)])
         assert rc == 0
-        table = parse_table_csv((out / "delta-b.csv").read_text())
-        assert [r.n for r in table.rows] == [4, 8]
+        header, *lines = (out / "delta-b.csv").read_text().splitlines()
+        assert header == "n,estimate,se,samples,flagged,wall_time_s"
+        assert [line.split(",")[0] for line in lines] == ["4", "8"]
         summary = json.loads((out / "delta-b_summary.json").read_text())
         assert summary["study"] == "delta-b"
         manifest = json.loads((out / "manifest.json").read_text())
@@ -384,6 +430,14 @@ class TestStudy:
             ["study", "--config", str(cfg), "--study", "delta-b", "--out", str(out), "--force"]
         )
         assert rc == 0
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("x")
+        assert main(["study", "--config", str(cfg), "--study", "dom", "--out", str(out)]) == 1
+        assert f"{out} exists and is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "x"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -440,9 +494,9 @@ class TestStudy:
             ["study", "--config", str(cfg), "--study", "regularization", "--out", str(out)]
         )
         assert rc == 0
-        table = parse_table_csv((out / "regularization.csv").read_text())
-        assert isinstance(table, RegularizationTable)
-        assert all(r.satisfied for r in table.rows)
+        header, *lines = (out / "regularization.csv").read_text().splitlines()
+        assert header == "delta,error,f_norm,bound,satisfied,wall_time_s"
+        assert [line.split(",")[4] for line in lines] == ["true", "true"]
 
     @pytest.mark.parametrize("study", ["single-run", "dom"])
     def test_uncertified_study_exit_code(self, tmp_path, capsys, study):
@@ -676,6 +730,20 @@ class TestSectionReaders:
 
 
 class TestRoundTrip:
+    @staticmethod
+    def assert_lossless(rows, text):
+        # every number parses back with float() to the row's value; flags are
+        # true/false and the wall time reads 0
+        for row, line in zip(rows, text.splitlines()[1:], strict=True):
+            for f, cell in zip(fields(row), line.split(","), strict=True):
+                value = getattr(row, f.name)
+                if f.name == "wall_time":
+                    assert cell == "0"
+                elif isinstance(value, bool):
+                    assert cell == ("true" if value else "false")
+                else:
+                    assert float(cell) == value
+
     def test_error_table(self):
         rows = (
             ErrorRow(8, 1.2345678901234567e-3, 4.5e-5, 64, False, 3.25),
@@ -685,12 +753,7 @@ class TestRoundTrip:
         text = table_to_csv(table)
         assert text.splitlines()[0] == "n,estimate,se,samples,flagged,wall_time_s"
         assert text.splitlines()[2] == "16,9.8765432099999994e-05,1.1000000000000001e-06,128,true,0"
-        parsed = parse_table_csv(text)
-        for a, b in zip(rows, parsed.rows):
-            assert (a.n, a.estimate, a.se, a.samples, a.flagged) == (
-                b.n, b.estimate, b.se, b.samples, b.flagged,
-            )
-        assert table_to_csv(parsed) == text
+        self.assert_lossless(rows, text)
 
     def test_regularization_table(self):
         rows = (
@@ -701,12 +764,7 @@ class TestRoundTrip:
         text = table_to_csv(table)
         assert text.splitlines()[0] == "delta,error,f_norm,bound,satisfied,wall_time_s"
         assert text.splitlines()[1] == "0.20000000000000001,0.014999999999999999,0.010999999999999999,0.021999999999999999,true,0"
-        parsed = parse_table_csv(text)
-        for a, b in zip(rows, parsed.rows):
-            assert (a.delta, a.error, a.f_norm, a.bound, a.satisfied) == (
-                b.delta, b.error, b.f_norm, b.bound, b.satisfied,
-            )
-        assert table_to_csv(parsed) == text
+        self.assert_lossless(rows, text)
 
     def test_flux_csv_lossless(self):
         values = np.array([0.1234567890123456789, 2.0 / 3.0, 1e-300])

@@ -1,5 +1,5 @@
-"""Pin the number of settable values and of source lines in romlab, and
-the layering of its sweep kernels.
+"""Pin the number of settable values and of source lines in romlab, the
+layering of its sweep kernels, and that every public name has a reader.
 
 A settable value is a function parameter with a default or a dataclass
 field with a default: each is a knob that callers can turn and that tests
@@ -15,9 +15,17 @@ study kinds, so the CLI imports no study function.  The benchmark's tracer
 (perfbench/tracing.py) reads SolveReport.iterations and the rows of a bias
 table, so a traced bias and regularization run still records those, and
 its rom_sample count still means one draw per antithetic pair.
+
+Every public function, class, method and property defined in
+src/romlab/*.py (__init__.py aside, whose re-exports read nothing) is read
+somewhere in src/romlab outside its own definition, or is listed in
+UNREAD_PUBLIC_NAMES with the reason it stays: code that no caller needs is
+deleted, not kept for the tests alone.  A read is a loaded name or
+attribute of the same name, so the check is by name, not by binding.
 """
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import romlab
@@ -25,8 +33,19 @@ import romlab.cli  # noqa: F401  (the tracer wraps cli.main, so the module must 
 from romlab import experiments
 from conftest import small_config
 
-SETTABLE_VALUES = 13
-SOURCE_LINES = 2348
+SETTABLE_VALUES = 12
+SOURCE_LINES = 2320
+
+# Public names that nothing in src/romlab reads, each with the reason it stays.
+UNREAD_PUBLIC_NAMES = {
+    "apply_transport": "the paper's single-direction scattering response, the tests' scalar oracle",
+    "boundary_term": "the paper's single-direction boundary response, the tests' scalar oracle",
+    "angular_fluxes": "the per-ordinate fluxes of a solve, the tests' single-direction oracle",
+    "gram_trace": "acceptance criteria 2 and 3 read it",
+    "weighted_adjoint": "acceptance criteria 2 and 3 read it",
+    "uniform_stream": "the stream's statistical tests read it; moving it into the tests was rejected",
+    "transmission_averages": "perfbench/tracing.py binds it; delete it at the next benchmark refresh",
+}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -125,3 +144,43 @@ def test_tracer_reads_bias_and_regularization_studies():
     assert metrics["solver.solve.rom.iterations"] == metrics["experiments.bias_study.drawn"]
     # rom_pair_block draws once per antithetic pair, so the draw count means pairs
     assert metrics["angular.rom_sample.calls"] == metrics["experiments.bias_study.drawn"] / 2
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level def and class, and of
+    each public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is loaded, as a name or as an attribute, under ``tree``."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_public_name_has_a_reader():
+    package_dir = Path(romlab.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package_dir.glob("*.py"))
+             if path.name != "__init__.py"]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    unread = {
+        qualname
+        for tree in trees
+        for qualname, node in _public_definitions(tree)
+        if reads[node.name] == _reads(node)[node.name]  # read only inside its own definition
+    }
+    allowed = set(UNREAD_PUBLIC_NAMES)
+    assert unread == allowed, (
+        f"public names with no reader in src/romlab: {sorted(unread - allowed)}; "
+        f"listed in UNREAD_PUBLIC_NAMES but read now: {sorted(allowed - unread)}. "
+        "Delete what no caller needs, or list it with the reason it stays."
+    )
