@@ -4,13 +4,15 @@ The scalar flux solves phi = S phi + c for whatever quadrature set is
 supplied: S is the ordinate-weighted zero-inflow sweep of sigma_s * phi,
 and c the weighted sweep of q with the inflow data.  A block stacks B
 quadratures of one partition as rows of (B, L) arrays, so the random
-studies pay the sweep-factor build (one exponential per sign group) once
-per block instead of once per sample.  ``solve`` builds each sign group's
-factors once for all rows and forms every row's c from them; then, row by
-row, it assembles S from the row's slice of the factors into one reused
-M x M array and solves (I - S) phi = c by LU.  The B systems are never
-stacked: a thread keeps the heap of its largest block after it ends.  A
-single quadrature never holds both groups' factors.  For weights summing
+studies pay the sweep-factor build (one exponential per chunk of a sign
+group's ordinates) once per block instead of once per sample.  ``solve``
+builds the factors chunk by chunk, at most max(64, M) ordinates each, and
+forms every row's c from them; then, row by row, it assembles S from the
+row's slices of the chunks into one reused M x M array and solves
+(I - S) phi = c by LU.  The B systems are never stacked: a thread keeps the
+heap of its largest block after it ends.  A single quadrature holds one
+chunk's factors at a time, so its memory does not grow with its ordinate
+count; a block keeps the chunks its later rows need.  For weights summing
 to one, ||S|| <= lambda in the L2(sigma_t) norm, so
 ||phi - phi*|| <= ||c - (I - S) phi|| / (1 - lambda): one residual per
 row certifies the distance to that row's exact discrete solution phi*,
@@ -28,7 +30,7 @@ from . import defaults
 from .angular import QuadratureSet
 from .errors import LengthMismatch, ZeroMu
 from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
-from .sweep import _response_half, _swept_half, _sweep_factors, batched_sweep
+from .sweep import _ordinate_weights, _response_half, _swept_half, _sweep_factors, batched_sweep
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mus, weights = np.atleast_2d(quad.mus), np.atleast_2d(quad.weights)
+    mus, weights = np.atleast_2d(quad.mus), np.atleast_2d(_ordinate_weights(quad.mus, quad.weights))
     if np.any(mus == 0):
         raise ZeroMu("quadrature contains mu = 0")
     inflows = inflow_values(boundary, mus)
@@ -71,30 +73,34 @@ def solve(
     rows, m = mus.shape[0], medium.ncells
     const = np.zeros((rows, m))
     system = np.zeros((m, m))  # -S, then I - S, of one row at a time
+    response = np.empty((m, m))  # one chunk's share of S
 
-    def subtract_s(b, f, w, ends):  # row b's ordinates are ends[b]..ends[b+1]-1 of group f
+    def subtract_s(b, f, w, ends):  # row b's ordinates are ends[b]..ends[b+1]-1 of chunk f
         start, stop = ends[b], ends[b + 1]
-        system[f.flip, f.flip] -= _response_half(f.rows(start, stop), ratio[f.flip], w[start:stop])
+        if start < stop:
+            system[f.flip, f.flip] -= _response_half(f.rows(start, stop), ratio[f.flip],
+                                                     w[start:stop], response)
 
-    groups = []
+    chunks = []
     for f in _sweep_factors(medium, mus):
-        w, ends = weights[f.sel], np.concatenate([[0], np.cumsum(f.sel.sum(axis=1))])
+        per_row = np.bincount(f.sel[0], minlength=rows)  # the chunk's ordinates in each row
+        w, ends = weights[f.sel], np.concatenate([[0], np.cumsum(per_row)])
         avg = _swept_half(f, sat[f.flip], inflows[f.sel])[0]
         for b in range(rows):
             const[b, f.flip] += w[ends[b] : ends[b + 1]] @ avg[ends[b] : ends[b + 1]]
         del avg
-        # row 0 takes its S while the factors are live: one quadrature never holds two groups'
+        # row 0 takes its S while the factors are live: one quadrature holds one chunk's
         subtract_s(0, f, w, ends)
-        if rows > 1:
-            groups.append((f, w, ends))
-        del f  # free this group's factors before the next group's are built
+        if ends[-1] > ends[1]:  # the chunk holds ordinates of later rows
+            chunks.append((f, w, ends))
+        del f  # free this chunk's factors before the next chunk's are built
     phi = np.empty((rows, m))
     bounds = np.empty(rows)
     for b in range(rows):
         if b:
             system.fill(0.0)
-            for group in groups:
-                subtract_s(b, *group)
+            for chunk in chunks:
+                subtract_s(b, *chunk)
         system.flat[:: m + 1] += 1.0  # the diagonal
         phi[b] = np.linalg.solve(system, const[b])
         bounds[b] = weighted_norm_of(const[b] - system @ phi[b], medium) / (1.0 - medium.lam)

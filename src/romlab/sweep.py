@@ -12,9 +12,10 @@ of cell averages and edge values.  ``sweep_direction`` is the plain scalar
 march of one ordinate and serves as the reference route; the batched
 helpers below compute the same arrays for many ordinates at once, one row
 per ordinate, via cumulative optical depths, one path for every depth,
-cross-checked against the march in the tests.  Each batched call builds one
-sign group's exponentials at a time (``_half_factors``) and runs one source
-kernel over them (``_swept_half``).
+cross-checked against the march in the tests.  Each batched call builds the
+exponentials of one chunk of at most max(64, M) ordinates of one sign group
+at a time (``_half_factors``) and runs one source kernel over them
+(``_swept_half``), so its memory does not grow with the ordinate count.
 """
 from __future__ import annotations
 
@@ -119,21 +120,26 @@ def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> n
 # ---------------------------------------------------------------------------
 # Batch layer: many ordinates at once via cumulative optical depth.  The
 # exponentials depend on the medium and the ordinates, never on the source:
-# each sign group's factor set is built once per call and freed before the
-# next group's.
+# each chunk's factor set is built once per call and freed before the next
+# chunk's.
 # ---------------------------------------------------------------------------
+
+# fewest ordinates per chunk: numpy calls on fewer rows cost more than they save
+_CHUNK_FLOOR = 64
 
 
 class _Half(NamedTuple):
-    """Source-independent factors of one sign group, in upwind cell order.
+    """Source-independent factors of one chunk of a sign group, in upwind cell order.
 
+    ``sel`` indexes the chunk's ordinates in ``mus``, one index array per
+    axis, so selecting them costs nothing per ordinate outside the chunk.
     ``flip`` maps per-cell arrays to upwind order and back.  ``blocks`` are
     (start, stop) cell ranges, none deeper than the guard at any ordinate,
     and depth restarts at each block's entry.  ``exp_c`` is exp(depth) at
     each cell's exit, ``decay`` exp(-depth) at each cell's entry and the slab's exit.
     """
 
-    sel: np.ndarray
+    sel: tuple[np.ndarray, ...]
     flip: slice
     G: np.ndarray
     one_minus_e: np.ndarray
@@ -142,13 +148,13 @@ class _Half(NamedTuple):
     blocks: list[tuple[int, int]]
 
     def rows(self, start: int, stop: int) -> "_Half":
-        """Views of ordinates start..stop-1 of this group; ``sel`` stays the whole group's."""
+        """Views of ordinates start..stop-1 of this chunk; ``sel`` stays the whole chunk's."""
         return self._replace(G=self.G[start:stop], one_minus_e=self.one_minus_e[start:stop],
                              decay=self.decay[start:stop], exp_c=self.exp_c[start:stop])
 
 
-def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
-    tau = sigma_up[None, :] * h_up[None, :] / mu_abs[:, None]
+def _half_factors(sel, flip, depth_up, mu_abs) -> _Half:
+    tau = depth_up[None, :] / mu_abs[:, None]
     # One allocation holds the kept factors: as four arrays with freed
     # temporaries between them they fragment the heap, and a process's
     # peak memory then varies from run to run.
@@ -181,13 +187,29 @@ def _half_factors(sel, flip, sigma_up, h_up, mu_abs) -> _Half:
 
 
 def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
-    """The _Half of each nonempty sign group, mu > 0 first; built lazily, one group at a time."""
+    """The _Half of each chunk of each sign group, mu > 0 first, built lazily.
+
+    A chunk is at most max(64, M) consecutive ordinates of its group in
+    row-major order, so a block's rows stay in order, and its factors take
+    about four M x M arrays' memory, whatever the ordinate count.
+    """
     if np.any(mus == 0):
         raise ZeroMu("transport sweep undefined at mu = 0")
-    for sel, flip in ((mus > 0, slice(None)), (mus < 0, slice(None, None, -1))):
-        if np.any(sel):
-            yield _half_factors(sel, flip, medium.sigma_t[flip], medium.grid.widths[flip],
-                                np.abs(mus[sel]))
+    size = max(_CHUNK_FLOOR, medium.ncells)
+    for sign, flip in ((mus > 0, slice(None)), (mus < 0, slice(None, None, -1))):
+        where = np.flatnonzero(sign)
+        for start in range(0, where.size, size):
+            sel = np.unravel_index(where[start : start + size], mus.shape)
+            # cell_weights = sigma_t * h, each cell's optical depth at |mu| = 1
+            yield _half_factors(sel, flip, medium.cell_weights[flip], np.abs(mus[sel]))
+
+
+def _ordinate_weights(mus: np.ndarray, weights) -> np.ndarray:
+    """``weights`` as a float array, checked to hold one weight per ordinate of ``mus``."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != np.shape(mus):
+        raise LengthMismatch(f"weights have shape {w.shape}, ordinates {np.shape(mus)}")
+    return w
 
 
 def _sweep_inputs(medium: MediumProfile, mus, cell_source, inflows):
@@ -214,7 +236,7 @@ def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
         a_up, e_up = _swept_half(f, sat[f.flip], inflows[f.sel])
         avg[f.sel] = a_up[:, f.flip]
         edges[f.sel] = e_up[:, f.flip]
-        del f, a_up, e_up  # free this group's arrays before the next group's are built
+        del f, a_up, e_up  # free this chunk's arrays before the next chunk's are built
     return avg, edges
 
 
@@ -222,11 +244,11 @@ def averaged_sweep(medium: MediumProfile, mus, weights, cell_source, inflows) ->
     """sum_l weights[l] * (cell averages of the sweep at mus[l]): the
     ordinate-weighted batched_sweep averages, without the (L, M) arrays."""
     mus, sat, inflows = _sweep_inputs(medium, mus, cell_source, inflows)
-    w = np.asarray(weights, dtype=float)
+    w = _ordinate_weights(mus, weights)
     out = np.zeros(medium.ncells)
     for f in _sweep_factors(medium, mus):
         out[f.flip] += w[f.sel] @ _swept_half(f, sat[f.flip], inflows[f.sel])[0]
-        del f  # free this group's factors before the next group's are built
+        del f  # free this chunk's factors before the next chunk's are built
     return out
 
 
@@ -262,20 +284,22 @@ def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) ->
     ordinate pass weights = [1.0].
     """
     mus = np.asarray(mus, dtype=float)
-    w = np.asarray(quad_weights, dtype=float)
+    w = _ordinate_weights(mus, quad_weights)
     scale = np.asarray(scale, dtype=float)
     m = medium.ncells
     if scale.shape != (m,):
         raise LengthMismatch(f"scale has length {scale.size}, grid has {m} cells")
     r = scale / medium.sigma_t
     out = np.zeros((m, m))
+    full = np.empty((m, m))
     for f in _sweep_factors(medium, mus):
-        out += _response_half(f, r[f.flip], w[f.sel])[f.flip, f.flip]
-        del f  # free this group's factors before the next group's are built
+        out[f.flip, f.flip] += _response_half(f, r[f.flip], w[f.sel], full)
+        del f  # free this chunk's factors before the next chunk's are built
     return out
 
 
-def _response_half(f: _Half, r_up, w):
+def _response_half(f: _Half, r_up, w, full: np.ndarray) -> np.ndarray:
+    """Chunk f's weighted response matrix in upwind order, written into ``full``."""
     # products formed in place, so no (L, M) temporary outlives its line
     wu = f.G * f.decay[:, :-1]
     wu *= w[:, None]
@@ -283,7 +307,6 @@ def _response_half(f: _Half, r_up, w):
     # of the block of rows being filled; the unfilled upper part is zeroed
     v = r_up[None, :] * f.one_minus_e
     v *= f.exp_c
-    full = np.empty((r_up.size, r_up.size))
     for start, stop in f.blocks:
         if start:
             v[:, :start] /= f.exp_c[:, start - 1 : start]
@@ -296,8 +319,8 @@ def _response_half(f: _Half, r_up, w):
 
 @functools.lru_cache(maxsize=1)
 def _on_or_above_diagonal(m: int) -> np.ndarray:
-    """Read-only (m, m) mask of the entries j >= i; a solve builds two
-    responses per row, all of one size."""
+    """Read-only (m, m) mask of the entries j >= i; a solve builds one
+    response per chunk and row, all of one size."""
     mask = np.tri(m, dtype=bool).T
     mask.setflags(write=False)
     return mask

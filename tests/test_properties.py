@@ -147,7 +147,7 @@ def test_averaged_sweep_is_weighted_batched_sweep(regime, data):
 @settings(max_examples=20)
 @given(data=st.data())
 def test_factor_set_is_one_allocation_per_group(regime, data):
-    # a sign group's factors live while its share of a sweep or solve is
+    # a chunk's factors live while its share of a sweep or solve is
     # built; as four separate arrays with freed temporaries between them they
     # fragmented the heap, and peak memory varied from run to run
     medium, mus, _, _ = data.draw(cases(regime))

@@ -24,7 +24,7 @@ from romlab import (
     sweep_direction,
 )
 from romlab.medium import inflow_values, weighted_norm_of
-from romlab.sweep import _sweep_factors, batched_sweep
+from romlab.sweep import _sweep_factors, averaged_response_matrix, averaged_sweep, batched_sweep
 from conftest import random_medium, small_config, source_iteration
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
@@ -32,6 +32,17 @@ ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
 
 def pair_quad(mu=0.5):
     return QuadratureSet(np.array([-mu, mu]), np.array([0.5, 0.5]), f"pair({mu})")
+
+
+def _traced_peak(call):
+    """tracemalloc peak of call(), after one untraced call fills the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSolve:
@@ -107,6 +118,14 @@ class TestSolve:
         with pytest.raises(ZeroMu):
             solve(medium, ZERO_BC, bad)
 
+    @pytest.mark.parametrize("nweights", [1, 3])
+    def test_weights_not_matching_ordinates_rejected(self, nweights):
+        grid = SpatialGrid.uniform(0.0, 1.0, 2)
+        medium = make_medium(grid, np.ones(2), 0.5 * np.ones(2), np.ones(2))
+        bad = QuadratureSet(np.array([-0.5, 0.5]), np.full(nweights, 0.5), "bad")
+        with pytest.raises(LengthMismatch, match=rf"\({nweights},\).*\(2,\)"):
+            solve(medium, ZERO_BC, bad)
+
     def test_neumann_series_cross_check(self):
         # phi0 = 0 makes iterates the partial sums of the scattering series;
         # rebuild the series by repeated transport averaging and compare
@@ -152,21 +171,31 @@ class TestSolve:
         assert weighted_norm_of(phi_a - phi_b, medium) <= 1e-10
 
     def test_sweep_path_memory_guard(self):
-        # a single quadrature never holds both sign groups' sweep factors.
-        # tracemalloc peak of this second solve at commit 24a59f1 (numpy 2.4.6):
-        # 6.0047 to 6.0048 MB over three runs; keeping both groups' factors
-        # raised it to 9.30 MB (one group's factors take 3.3 MB)
-        bound = 6_300_000
+        # a single quadrature holds one chunk's sweep factors at a time.
+        # tracemalloc peak of this second solve (numpy 2.4.6): 0.893 MB;
+        # building each sign group's 1024 ordinates whole read 6.10 MB, and
+        # chunks of 256 ordinates in place of 100 read 1.77 MB
+        bound = 950_000
         config = small_config(ncells=100, delta=0.003125)
         quad = reference_quadrature(config.delta, 1024)
-        solve(config.medium, config.boundary, quad)
-        tracemalloc.start()
-        try:
-            solve(config.medium, config.boundary, quad)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        assert _traced_peak(lambda: solve(config.medium, config.boundary, quad)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["solve", "averaged_sweep", "averaged_response_matrix"])
+def test_peak_memory_does_not_grow_with_ordinates(kind):
+    # M = 100: peaks at 8192 and 256 nodes per half read 1.12/0.87,
+    # 0.81/0.70 and 0.83/0.72 MB; whole sign groups read 46.5/1.66,
+    # 46.3/1.58 and 39.7/1.40 MB
+    config = small_config(ncells=100, delta=0.003125)
+    medium, bc = config.medium, config.boundary
+    calls = {
+        "solve": lambda q: solve(medium, bc, q),
+        "averaged_sweep": lambda q: averaged_sweep(medium, q.mus, q.weights, medium.q, 1.0),
+        "averaged_response_matrix": lambda q: averaged_response_matrix(
+            medium, q.mus, q.weights, medium.sigma_s),
+    }
+    small, large = (reference_quadrature(config.delta, nodes) for nodes in (256, 8192))
+    assert _traced_peak(lambda: calls[kind](large)) <= 1.5 * _traced_peak(lambda: calls[kind](small))
 
 
 def _block_medium(case, rng):
@@ -185,10 +214,7 @@ def _block_medium(case, rng):
 class TestBlockSolve:
     TOL = 1e-10
 
-    @pytest.mark.parametrize("case", ["thick", "mixed", "inflow"])
-    def test_rows_match_single_quadrature_solves(self, rng, case):
-        medium, bc = _block_medium(case, rng)
-        block = rom_pair_block(build_partition(8, 0.05), 17, 3, 7)
+    def check_rows(self, case, medium, bc, block):
         rows = block.mus.shape[0]
         if case == "thick":  # the block restarts rows that alone would need no restart
             assert all(len(f.blocks) > 1 for f in _sweep_factors(medium, block.mus))
@@ -202,6 +228,21 @@ class TestBlockSolve:
             phi, _ = solve(medium, bc, quad, tol=self.TOL)
             scale = weighted_norm_of(phi, medium)
             assert weighted_norm_of(phis[b] - phi, medium) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("case", ["thick", "mixed", "inflow"])
+    def test_rows_match_single_quadrature_solves(self, rng, case):
+        block = rom_pair_block(build_partition(8, 0.05), 17, 3, 7)
+        self.check_rows(case, *_block_medium(case, rng), block)
+
+    @pytest.mark.parametrize("case", ["thick", "mixed"])
+    def test_chunked_rows_match_single_quadrature_solves(self, rng, case):
+        # 20 pairs at n = 6: 120 ordinates per sign group, so chunks of 64 split a row
+        medium, bc = _block_medium(case, rng)
+        block = rom_pair_block(build_partition(6, 0.05), 17, 3, 23)
+        chunks = list(_sweep_factors(medium, block.mus))
+        assert len(chunks) == 4
+        assert any(0 < np.sum(f.sel[0] == b) < 3 for f in chunks for b in range(40))
+        self.check_rows(case, medium, bc, block)
 
     def test_block_of_one_row_is_the_single_solve(self, rng):
         medium, bc = _block_medium("mixed", rng)

@@ -17,7 +17,9 @@ from romlab import (
 )
 from romlab.sweep import (
     _escape_factor,
+    _sweep_factors,
     averaged_response_matrix,
+    averaged_sweep,
     batched_sweep,
     transmission_averages,
 )
@@ -210,6 +212,38 @@ class TestBatchKernels:
                 single_avg, single_edges = sweep_direction(medium, mu, s, inflows[k])
                 np.testing.assert_allclose(avg[k], single_avg, rtol=1e-13, atol=1e-300)
                 np.testing.assert_allclose(edges[k], single_edges, rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize("thick", [False, True], ids=["thin", "thick"])
+    def test_batched_sweep_over_chunks_matches_march(self, rng, thick):
+        # 150 ordinates of one sign: three chunks of at most 64, each with its
+        # own guard cuts on the thick slab
+        if thick:
+            grid = SpatialGrid.uniform(0.0, 1.0, 40)
+            medium = make_medium(grid, np.full(40, 30.0), np.full(40, 15.0), np.ones(40))
+        else:
+            medium = random_medium(rng, ncells=12)
+        mus = np.concatenate([rng.uniform(0.02, 1.0, 150), -rng.uniform(0.02, 1.0, 5)])
+        rng.shuffle(mus)
+        chunks = list(_sweep_factors(medium, mus))
+        assert len(chunks) == 4
+        if thick:
+            assert len({len(f.blocks) for f in chunks}) > 1
+        s = rng.uniform(0.0, 2.0, medium.ncells)
+        inflows = rng.uniform(0.0, 2.0, mus.size)
+        avg, edges = batched_sweep(medium, mus, s, inflows)
+        for k, mu in enumerate(mus):
+            single_avg, single_edges = sweep_direction(medium, mu, s, inflows[k])
+            np.testing.assert_allclose(avg[k], single_avg, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(edges[k], single_edges, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("nweights", [1, 3])
+    def test_weights_not_matching_ordinates_rejected(self, nweights):
+        medium = unit_absorber(2)
+        mus, w = np.array([-0.5, 0.5]), np.full(nweights, 0.5)
+        with pytest.raises(LengthMismatch, match=rf"\({nweights},\).*\(2,\)"):
+            averaged_sweep(medium, mus, w, np.ones(2), 1.0)
+        with pytest.raises(LengthMismatch, match=rf"\({nweights},\).*\(2,\)"):
+            averaged_response_matrix(medium, mus, w, np.ones(2))
 
     def test_response_matrix_matches_columns(self, rng):
         for _ in range(10):
