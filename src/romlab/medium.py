@@ -86,9 +86,9 @@ def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
 
     Raises LengthMismatch, NonPositiveSigmaT, LambdaAtLeastOne, or ValueError
     (sigma_s or q not finite and nonnegative) when the admissibility
-    constraints fail.  The scattering ratio is capped at
-    defaults.LAMBDA_MAX < 1, since the solver's error bound carries a
-    factor 1 / (1 - lambda).
+    constraints fail, NonPositiveSigmaT also where sigma_t * h underflows to
+    0 or overflows, as sweeps divide by it.  The scattering ratio is capped
+    at defaults.LAMBDA_MAX < 1: the solver's error bound has 1 / (1 - lambda).
     """
     sigma_t = _frozen_array(sigma_t)
     sigma_s = _frozen_array(sigma_s)
@@ -97,8 +97,10 @@ def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
     for name, arr in (("sigma_t", sigma_t), ("sigma_s", sigma_s), ("q", q)):
         if arr.shape != (m,):
             raise LengthMismatch(f"{name} has length {arr.size}, grid has {m} cells")
-    if not np.all(np.isfinite(sigma_t)) or np.any(sigma_t <= 0):
-        raise NonPositiveSigmaT("sigma_t entries must be positive and finite")
+    with np.errstate(over="ignore"):  # an overflow is rejected next
+        weights = _frozen_array(sigma_t * grid.widths)
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise NonPositiveSigmaT("sigma_t * h must be positive and finite in every cell")
     if not (np.all(np.isfinite(sigma_s) & (sigma_s >= 0)) and np.all(np.isfinite(q) & (q >= 0))):
         raise ValueError("sigma_s and q must be finite and nonnegative")
     ratios = sigma_s / sigma_t
@@ -108,7 +110,6 @@ def make_medium(grid, sigma_t, sigma_s, q) -> MediumProfile:
             f"max sigma_s/sigma_t = {lam:.6g} exceeds the cap {defaults.LAMBDA_MAX}"
         )
     sigma_r = _frozen_array(sigma_s / lam) if lam > 0 else None
-    weights = _frozen_array(sigma_t * grid.widths)
     return MediumProfile(grid, sigma_t, sigma_s, q, lam, sigma_r, weights)
 
 

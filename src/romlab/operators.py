@@ -113,7 +113,6 @@ class DeltaStats:
     samples: int
     mean_sq_norm: float
     se_mean_sq: float
-    max_norm: float
     entry_mean: np.ndarray
     entry_se: np.ndarray
 
@@ -143,7 +142,6 @@ def _deviation_stats(deviation, partition: VelocityPartition, master_seed: int, 
         samples=sample_count,
         mean_sq_norm=float(sq.mean()),
         se_mean_sq=float(sq.std(ddof=1) / np.sqrt(sample_count)),
-        max_norm=float(norms.max()),
         entry_mean=mean,
         entry_se=np.sqrt(sum_sq / (sample_count - 1) / sample_count),
     )

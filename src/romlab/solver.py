@@ -28,7 +28,7 @@ import numpy as np
 
 from . import defaults
 from .angular import QuadratureSet
-from .errors import LengthMismatch, ZeroMu
+from .errors import LengthMismatch
 from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
 from .sweep import _ordinate_weights, _response_half, _swept_half, _sweep_factors, batched_sweep
 
@@ -65,8 +65,7 @@ def solve(
     if tol <= 0:
         raise ValueError("tol must be positive")
     mus, weights = np.atleast_2d(quad.mus), np.atleast_2d(_ordinate_weights(quad.mus, quad.weights))
-    if np.any(mus == 0):
-        raise ZeroMu("quadrature contains mu = 0")
+    factors = _sweep_factors(medium, mus)  # checks every ordinate; builds nothing yet
     inflows = inflow_values(boundary, mus)
     sat = medium.q / medium.sigma_t
     ratio = medium.sigma_s / medium.sigma_t
@@ -82,7 +81,7 @@ def solve(
                                                      w[start:stop], response)
 
     chunks = []
-    for f in _sweep_factors(medium, mus):
+    for f in factors:
         per_row = np.bincount(f.sel[0], minlength=rows)  # the chunk's ordinates in each row
         w, ends = weights[f.sel], np.concatenate([[0], np.cumsum(per_row)])
         avg = _swept_half(f, sat[f.flip], inflows[f.sel])[0]
@@ -119,9 +118,9 @@ def angular_fluxes(
     """Per-ordinate fluxes recovered from a converged scalar-flux array.
 
     The batched sweep of every ordinate with the frozen source
-    sigma_s * phi + q: (avg, edges) of shapes (L, M) and (L, M+1), row l for
-    quad.mus[l].  quad.weights @ avg reproduces phi to within the solver
-    tolerance.
+    sigma_s * phi + q: (avg, edges) of shapes mus.shape + (M,) and
+    mus.shape + (M+1,), also for a block.  quad.weights @ avg reproduces phi
+    to within the solver tolerance.
     """
     if np.shape(phi) != (medium.ncells,):
         raise LengthMismatch(f"phi has length {np.size(phi)}, grid has {medium.ncells} cells")

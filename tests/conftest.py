@@ -7,6 +7,7 @@ from hypothesis import settings
 from romlab import BoundarySpec, ConstantBoundary, SpatialGrid, StudyConfig, make_medium
 from romlab.config import load_config, study_config
 from romlab.medium import weighted_norm_of
+import romlab.sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -16,6 +17,19 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # draws, so a property test can draw other examples alone than in the suite.
 settings.register_profile("romlab", derandomize=True, deadline=None, database=None)
 settings.load_profile("romlab")
+
+
+# ordinates outside 0 < |mu| <= 1 that every sweep rejects with a ValueError (0 raises ZeroMu)
+BAD_ORDINATES = [np.nan, np.inf, -np.inf, 1.5, -1.5]
+
+
+@pytest.fixture
+def no_factor_builds(monkeypatch):
+    """Make every sweep-factor build fail, so a test shows its check ran first."""
+    def built(*args):
+        raise AssertionError("sweep factors were built")
+
+    monkeypatch.setattr(romlab.sweep, "_half_factors", built)
 
 
 def random_grid(rng, ncells):

@@ -97,6 +97,11 @@ class TestValidate:
         ({"medium": {"sigma_s": -0.5}}, "/medium/sigma_s", "nonnegative"),
         ({"medium": {"q": -1.0}}, "/medium/q", "nonnegative"),
         ({"medium": {"sigma_t": 0.0}}, "/medium/sigma_t", "positive"),
+        # cells of width 0.01, where sigma_t * h underflows to 0, and of width 2, where it overflows
+        ({"medium": {"grid": {"x_right": 0.12}, "sigma_t": 5e-324, "sigma_s": 0.0}}, "/medium/sigma_t",
+         "sigma_t * h must be positive and finite"),
+        ({"medium": {"grid": {"x_right": 24.0}, "sigma_t": 1e308, "sigma_s": 0.0}}, "/medium/sigma_t",
+         "sigma_t * h must be positive and finite"),
         ({"boundary": {"left": {"kind": "table", "mu": 0.5, "value": 1.0}}}, "/boundary/left",
          "table needs 'mu' and 'value' lists"),
         ({"boundary": {"left": {"kind": "table", "mu": [0.5, 0.2], "value": [1.0, 1.0]}}}, "/boundary/left",
@@ -110,6 +115,7 @@ class TestValidate:
         ({"study": {"samples": 0}}, "/study/samples", "at least 1"),
     ], ids=["not-a-number", "not-an-integer", "no-cells", "per-cell-length", "edges-not-a-list",
             "edges-decreasing", "empty-slab", "negative-sigma_s", "negative-q", "zero-sigma_t",
+            "underflowing-sigma_t", "overflowing-sigma_t",
             "table-without-lists", "bad-table", "unknown-boundary-kind", "zero-tol",
             "unknown-quadrature-kind", "negative-sample-index", "delta_list-not-a-list", "no-samples"])
     def test_rejects_bad_field(self, tmp_path, capsys, overrides, path, message):

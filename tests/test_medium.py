@@ -84,6 +84,14 @@ class TestMakeMedium:
         with pytest.raises(NonPositiveSigmaT):
             make_medium(grid, [1.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("sigma_t, width", [(5e-324, 0.01), (1e308, 2.0)], ids=["underflow", "overflow"])
+    def test_sigma_t_h_out_of_range_rejected(self, sigma_t, width):
+        # 5e-324 * 0.01 rounds to 0, so a sweep would divide by a zero optical
+        # depth; 1e308 * 2 overflows, and a solve then certified nothing (NaN bound)
+        grid = SpatialGrid.uniform(0.0, 3 * width, 3)
+        with pytest.raises(NonPositiveSigmaT, match=r"sigma_t \* h"):
+            make_medium(grid, [1.0, sigma_t, 1.0], np.zeros(3), np.zeros(3))
+
     @pytest.mark.parametrize("sigma_s, q", [([np.nan, 0.0], [0.0, 0.0]), ([0.0, 0.0], [np.inf, 0.0])])
     def test_nonfinite_sigma_s_and_q_rejected(self, sigma_s, q):
         # NaN passes the nonnegativity and lambda-cap comparisons

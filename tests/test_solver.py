@@ -25,7 +25,7 @@ from romlab import (
 )
 from romlab.medium import inflow_values, weighted_norm_of
 from romlab.sweep import _sweep_factors, averaged_response_matrix, averaged_sweep, batched_sweep
-from conftest import random_medium, small_config, source_iteration
+from conftest import BAD_ORDINATES, random_medium, small_config, source_iteration
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
 
@@ -117,6 +117,20 @@ class TestSolve:
         bad = QuadratureSet(np.array([0.0, 0.5]), np.array([0.5, 0.5]), "bad")
         with pytest.raises(ZeroMu):
             solve(medium, ZERO_BC, bad)
+
+    @pytest.mark.parametrize("bad", BAD_ORDINATES)
+    def test_bad_ordinate_raises_before_any_factor_is_built(self, no_factor_builds, bad):
+        # a NaN ordinate was dropped, and the rest certified as converged
+        grid = SpatialGrid.uniform(0.0, 1.0, 2)
+        medium = make_medium(grid, np.ones(2), 0.5 * np.ones(2), np.ones(2))
+        quad = QuadratureSet(np.array([-0.5, 0.5, bad]), np.full(3, 1 / 3), "bad")
+        with pytest.raises(ValueError, match=rf"ordinate \[0, 2\] is {bad}"):  # row 0 of a block of one
+            solve(medium, ZERO_BC, quad)
+        block = rom_pair_block(build_partition(4, 0.05), 17, 0, 2)
+        mus = block.mus.copy()
+        mus[1, 3] = bad
+        with pytest.raises(ValueError, match=rf"ordinate \[1, 3\] is {bad}"):
+            solve(medium, ZERO_BC, QuadratureSet(mus, block.weights, "bad block"))
 
     @pytest.mark.parametrize("nweights", [1, 3])
     def test_weights_not_matching_ordinates_rejected(self, nweights):
@@ -297,6 +311,23 @@ class TestAngularFluxes:
         assert avg.shape == (quad.n, 16) and edges.shape == (quad.n, 17)
         recomposed = quad.weights @ avg
         assert weighted_norm_of(recomposed - phi, medium) <= tol
+
+    @pytest.mark.parametrize("case", ["mixed", "inflow"])
+    def test_block_rows_match_per_row_calls(self, rng, case):
+        # a block takes the path of one quadrature: every row's bits are its own call's
+        medium, bc = _block_medium(case, rng)
+        block = rom_pair_block(build_partition(4, 0.05), 17, 3, 5)
+        assert block.mus.shape == (4, 4)
+        phi = rng.uniform(0.5, 1.5, 20)
+        source, inflows = medium.sigma_s * phi + medium.q, inflow_values(bc, block.mus)
+        sweeps = batched_sweep(medium, block.mus, source, inflows)
+        fluxes = angular_fluxes(medium, bc, block, phi)
+        for avg, edges in (sweeps, fluxes):
+            assert avg.shape == (4, 4, 20) and edges.shape == (4, 4, 21)
+            for b, mus in enumerate(block.mus):
+                row_avg, row_edges = batched_sweep(medium, mus, source, inflows[b])
+                np.testing.assert_array_equal(avg[b], row_avg)
+                np.testing.assert_array_equal(edges[b], row_edges)
 
     def test_wrong_length_rejected(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 3)

@@ -16,14 +16,13 @@ from romlab import (
     weighted_norm_of,
 )
 from romlab.sweep import (
-    _escape_factor,
     _sweep_factors,
     averaged_response_matrix,
     averaged_sweep,
     batched_sweep,
     transmission_averages,
 )
-from conftest import random_medium
+from conftest import BAD_ORDINATES, random_medium
 
 
 def unit_absorber(ncells=1):
@@ -111,20 +110,66 @@ class TestSweepDirection:
 
 
 class TestEscapeFactor:
-    @staticmethod
-    def escape(taus):
-        out = np.empty_like(taus)
-        assert _escape_factor(taus, -np.expm1(-taus), out) is out
-        return out
+    """A unit inflow with no source averages entry * (1 - e^-tau) / tau over a
+    cell, so each sweep's cell averages expose its escape factor."""
 
-    def test_series_matches_expm1_at_threshold(self):
-        taus = np.array([1e-8, 1e-7, 9.9e-7, 1.01e-6, 1e-5])
-        direct = -np.expm1(-taus) / taus
-        np.testing.assert_allclose(self.escape(taus), direct, rtol=1e-12)
+    @staticmethod
+    def check_escape(taus, oracle, compare):
+        # cells of width 0.01; mu = 1 and -0.5 make sigma_t * h / |mu| exact in both paths
+        for mu in (1.0, -0.5):
+            grid = SpatialGrid.uniform(0.0, 0.01 * taus.size, taus.size)
+            medium = make_medium(grid, taus * abs(mu) / grid.widths, np.zeros(taus.size),
+                                 np.zeros(taus.size))
+            tau = medium.cell_weights / abs(mu)
+            march = sweep_direction(medium, mu, np.zeros(taus.size), 1.0)
+            avg, edges = batched_sweep(medium, [mu], np.zeros(taus.size), 1.0)
+            for cell_avg, cell_edges in (march, (avg[0], edges[0])):
+                entry = cell_edges[:-1] if mu > 0 else cell_edges[1:]
+                compare(cell_avg, entry * oracle(tau))
+
+    def test_small_depths_match_series_oracle(self):
+        # the 4-term series is exact to rounding here: its next term is tau^4 / 120
+        taus = np.logspace(-300, -5, 60)
+        self.check_escape(
+            taus, lambda t: 1.0 - t / 2.0 + t * t / 6.0 - t**3 / 24.0,
+            lambda got, want: np.testing.assert_array_max_ulp(got, want, maxulp=2),
+        )
 
     def test_moderate_values(self):
-        taus = np.array([0.1, 1.0, 10.0])
-        np.testing.assert_allclose(self.escape(taus), (1.0 - np.exp(-taus)) / taus, rtol=1e-14)
+        self.check_escape(
+            np.array([0.1, 1.0, 10.0]), lambda t: (1.0 - np.exp(-t)) / t,
+            lambda got, want: np.testing.assert_allclose(got, want, rtol=1e-14),
+        )
+
+
+class TestOrdinateCheck:
+    @pytest.mark.parametrize("bad", BAD_ORDINATES)
+    def test_bad_ordinate_raises_before_any_factor_is_built(self, no_factor_builds, bad):
+        medium = unit_absorber(3)
+        mus, w, s = np.array([0.5, bad, -0.3]), np.full(3, 1 / 3), np.ones(3)
+        message = rf"ordinate \[1\] is {bad}: sweeps need 0 < \|mu\| <= 1"
+        for call in (
+            lambda: batched_sweep(medium, mus, s, 1.0),
+            lambda: averaged_sweep(medium, mus, w, s, 1.0),
+            lambda: averaged_response_matrix(medium, mus, w, s),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match=rf"ordinate \[0\] is {bad}"):
+            sweep_direction(medium, bad, s, 1.0)
+
+    def test_block_names_row_and_column(self, no_factor_builds):
+        mus = np.array([[0.5, -0.5], [0.25, np.nan]])
+        with pytest.raises(ValueError, match=r"ordinate \[1, 1\] is nan"):
+            batched_sweep(unit_absorber(2), mus, np.ones(2), 1.0)
+
+    def test_zero_named_as_zero_mu(self, no_factor_builds):
+        with pytest.raises(ZeroMu, match=r"ordinate \[2\]"):
+            batched_sweep(unit_absorber(2), [0.5, -1.0, 0.0], np.ones(2), 1.0)
+
+    def test_unit_ordinates_accepted(self):
+        avg, _ = batched_sweep(unit_absorber(2), [1.0, -1.0], np.zeros(2), 1.0)
+        assert np.all(np.isfinite(avg))
 
 
 class TestApplyTransport:
