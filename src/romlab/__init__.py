@@ -29,7 +29,6 @@ from .errors import (
     ReferenceNotConverged,
     RomlabError,
     TooFewPoints,
-    WrongHalf,
     ZeroMu,
 )
 from .medium import (
@@ -39,8 +38,6 @@ from .medium import (
     MediumProfile,
     SpatialGrid,
     TabulatedBoundary,
-    eval_boundary,
-    inflow_values,
     make_medium,
     weighted_norm_of,
 )

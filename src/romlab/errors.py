@@ -10,15 +10,12 @@ class LengthMismatch(RomlabError):
 
 
 class NonPositiveSigmaT(RomlabError):
-    """A total cross-section entry is zero or negative."""
+    """A cell's sigma_t * h is not positive and finite: sigma_t is zero, negative
+    or NaN, or the product underflows to 0 or overflows."""
 
 
 class LambdaAtLeastOne(RomlabError):
     """The scattering ratio sigma_s/sigma_t reaches the admissibility cap."""
-
-
-class WrongHalf(RomlabError):
-    """A boundary value was requested for a direction outside its inflow half."""
 
 
 class OddN(RomlabError):

@@ -27,7 +27,7 @@ from .angular import (
     rom_sample,
 )
 from .errors import ConfigError, NoConvergence, PureAbsorber, RomlabError, TooFewPoints
-from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
+from .medium import BoundarySpec, MediumProfile, weighted_norm_of
 from .operators import (boundary_deviation_stats, iteration_deviation_stats,
                         reference_boundary_average, reference_iteration_matrix)
 from .solver import solve
@@ -391,8 +391,7 @@ def regularization_study(config: StudyConfig) -> RegularizationTable:
 
     def direction_average(delta: float, nodes: int) -> np.ndarray:
         quad = reference_quadrature(delta, nodes)
-        inflows = inflow_values(boundary, quad.mus)
-        return averaged_sweep(medium, quad.mus, quad.weights, frozen_source, inflows)
+        return averaged_sweep(medium, quad.mus, quad.weights, frozen_source, boundary)
 
     i_ref = direction_average(config.reference_delta, ref_nodes_used)
     rows = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .errors import LambdaAtLeastOne, LengthMismatch, NonPositiveSigmaT, WrongHalf
+from .errors import LambdaAtLeastOne, LengthMismatch, NonPositiveSigmaT
 
 def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -173,19 +173,3 @@ class BoundarySpec:
     left: ConstantBoundary | LinearBoundary | TabulatedBoundary
     right: ConstantBoundary | LinearBoundary | TabulatedBoundary
 
-
-def eval_boundary(spec: BoundarySpec, mu: float) -> float:
-    """Inflow value for direction mu: left data for mu > 0, right for mu < 0."""
-    return float(inflow_values(spec, np.array([mu]))[0])
-
-
-def inflow_values(spec: BoundarySpec, mus: np.ndarray) -> np.ndarray:
-    """Vectorized eval_boundary over an array of nonzero cosines."""
-    mus = np.asarray(mus, dtype=float)
-    if np.any(mus == 0):
-        raise WrongHalf("mu = 0 belongs to neither inflow half")
-    out = np.empty_like(mus)
-    pos = mus > 0
-    out[pos] = np.asarray(spec.left.evaluate(mus[pos]), dtype=float)
-    out[~pos] = np.asarray(spec.right.evaluate(mus[~pos]), dtype=float)
-    return out

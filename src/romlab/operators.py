@@ -19,7 +19,7 @@ from . import defaults
 from ._parallel import indexed_map
 from .angular import QuadratureSet, VelocityPartition, certify_by_doubling, rom_sample
 from .errors import ConfigError, LengthMismatch, PureAbsorber
-from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
+from .medium import BoundarySpec, MediumProfile, weighted_norm_of
 from .sweep import averaged_response_matrix, averaged_sweep
 
 
@@ -170,8 +170,7 @@ def iteration_deviation_stats(
 
 def _boundary_average(medium: MediumProfile, boundary: BoundarySpec, quad: QuadratureSet) -> np.ndarray:
     """Ordinate-weighted average of the boundary-propagated cell profiles."""
-    inflows = inflow_values(boundary, quad.mus)
-    return averaged_sweep(medium, quad.mus, quad.weights, np.zeros(medium.ncells), inflows)
+    return averaged_sweep(medium, quad.mus, quad.weights, np.zeros(medium.ncells), boundary)
 
 
 def reference_boundary_average(

@@ -2,7 +2,8 @@
 
 The scalar flux solves phi = S phi + c for whatever quadrature set is
 supplied: S is the ordinate-weighted zero-inflow sweep of sigma_s * phi,
-and c the weighted sweep of q with the inflow data.  A block stacks B
+and c the weighted sweep of q with the inflow data, which each chunk
+evaluates at its own ordinates after the one ordinate check.  A block stacks B
 quadratures of one partition as rows of (B, L) arrays, so the random
 studies pay the sweep-factor build (one exponential per chunk of a sign
 group's ordinates) once per block instead of once per sample.  ``solve``
@@ -29,8 +30,9 @@ import numpy as np
 from . import defaults
 from .angular import QuadratureSet
 from .errors import LengthMismatch
-from .medium import BoundarySpec, MediumProfile, inflow_values, weighted_norm_of
-from .sweep import _ordinate_weights, _response_half, _swept_half, _sweep_factors, batched_sweep
+from .medium import BoundarySpec, MediumProfile, weighted_norm_of
+from .sweep import (_check_ordinates, _factor_chunks, _inflows, _ordinate_weights, _response_half,
+                    _swept_half, batched_sweep)
 
 
 @dataclass(frozen=True)
@@ -64,9 +66,9 @@ def solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mus, weights = np.atleast_2d(quad.mus), np.atleast_2d(_ordinate_weights(quad.mus, quad.weights))
-    factors = _sweep_factors(medium, mus)  # checks every ordinate; builds nothing yet
-    inflows = inflow_values(boundary, mus)
+    mus, weights = np.asarray(quad.mus, dtype=float), _ordinate_weights(quad.mus, quad.weights)
+    _check_ordinates(mus)  # names the caller's index, before anything is built or evaluated
+    mus, weights = np.atleast_2d(mus), np.atleast_2d(weights)
     sat = medium.q / medium.sigma_t
     ratio = medium.sigma_s / medium.sigma_t
     rows, m = mus.shape[0], medium.ncells
@@ -81,10 +83,10 @@ def solve(
                                                      w[start:stop], response)
 
     chunks = []
-    for f in factors:
+    for f in _factor_chunks(medium, mus):
         per_row = np.bincount(f.sel[0], minlength=rows)  # the chunk's ordinates in each row
         w, ends = weights[f.sel], np.concatenate([[0], np.cumsum(per_row)])
-        avg = _swept_half(f, sat[f.flip], inflows[f.sel])[0]
+        avg = _swept_half(f, sat[f.flip], _inflows(boundary, f, mus))[0]
         for b in range(rows):
             const[b, f.flip] += w[ends[b] : ends[b + 1]] @ avg[ends[b] : ends[b + 1]]
         del avg
@@ -124,6 +126,4 @@ def angular_fluxes(
     """
     if np.shape(phi) != (medium.ncells,):
         raise LengthMismatch(f"phi has length {np.size(phi)}, grid has {medium.ncells} cells")
-    source = medium.sigma_s * phi + medium.q
-    inflows = inflow_values(boundary, quad.mus)
-    return batched_sweep(medium, quad.mus, source, inflows)
+    return batched_sweep(medium, quad.mus, medium.sigma_s * phi + medium.q, boundary)

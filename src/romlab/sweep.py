@@ -10,7 +10,8 @@ tau = sigma_t * h / |mu| and saturation value sat = s / sigma_t:
 marched in the upwind direction.  The escape factor is -expm1(-tau) / tau at
 every depth, within 1.5 ulp for tau > 0, which make_medium (sigma_t * h > 0)
 and one ordinate check per sweep (0 < |mu| <= 1) ensure.  A sweep returns
-plain arrays (avg, edges) of cell averages and edge values.
+plain arrays (avg, edges) of cell averages and edge values.  Batched calls
+take the inflow BoundarySpec; after that check, each chunk reads its upwind side.
 ``sweep_direction`` is the plain scalar march of one ordinate and serves as
 the reference route; the batched helpers below compute the same arrays for
 many ordinates at once via cumulative optical depths, one path for every
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import defaults
 from .errors import LengthMismatch, PureAbsorber, ZeroMu
-from .medium import BoundarySpec, MediumProfile, eval_boundary
+from .medium import BoundarySpec, ConstantBoundary, MediumProfile
 
 # max optical depth of one block of the exp-product, at its deepest ordinate
 _EXP_GUARD = defaults.EXP_PRODUCT_GUARD
@@ -44,6 +45,16 @@ def _check_ordinates(mus: np.ndarray) -> None:
         raise error(f"ordinate {list(map(int, first))} is {mus[first]}: sweeps need 0 < |mu| <= 1")
 
 
+def _cell_source(medium: MediumProfile, cell_source) -> np.ndarray:
+    """``cell_source`` as a float array, checked to hold one finite value per cell."""
+    s = np.asarray(cell_source, dtype=float)
+    if s.shape != (medium.ncells,):
+        raise LengthMismatch(f"cell_source has length {s.size}, grid has {medium.ncells} cells")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("cell_source must be finite")
+    return s
+
+
 def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float):
     """March one ordinate across the slab; exact for piecewise-constant data.
 
@@ -53,18 +64,12 @@ def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float
     averages and edge values of psi(., mu), one row of batched_sweep.
     """
     _check_ordinates(np.array([mu], dtype=float))
-    grid = medium.grid
-    m = grid.ncells
-    s = np.asarray(cell_source, dtype=float)
-    if s.shape != (m,):
-        raise LengthMismatch(f"cell_source has length {s.size}, grid has {m} cells")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("cell_source must be finite")
-
+    s = _cell_source(medium, cell_source)
+    m = medium.ncells
     order = range(m) if mu > 0 else range(m - 1, -1, -1)
-    inv_mu = 1.0 / abs(mu)
-    sigma = medium.sigma_t
-    h = grid.widths
+    # in Python floats, a depth that overflows is inf (fully absorbed) without a warning
+    inv_mu = 1.0 / abs(float(mu))
+    sigma, h = medium.sigma_t.tolist(), medium.grid.widths.tolist()
     avg = np.empty(m)
     edges = np.empty(m + 1)
     psi = float(inflow)
@@ -103,7 +108,8 @@ def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> n
     The profile is the zero-source sweep carrying only the inflow value, so
     cell i averages to inflow * (exp(-tau_entry) - exp(-tau_exit)) * |mu| / (sigma_t h).
     """
-    value = eval_boundary(boundary, mu)
+    _check_ordinates(np.array([mu], dtype=float))  # before any inflow is evaluated
+    value = (boundary.left if mu > 0 else boundary.right).evaluate(mu)
     return sweep_direction(medium, mu, np.zeros(medium.ncells), value)[0]
 
 
@@ -123,6 +129,7 @@ class _Half(NamedTuple):
 
     ``sel`` indexes the chunk's ordinates in ``mus``, one index array per
     axis, so selecting them costs nothing per ordinate outside the chunk.
+    ``side`` names the BoundarySpec side upwind of them, "left" or "right".
     ``flip`` maps per-cell arrays to upwind order and back.  ``blocks`` are
     (start, stop) cell ranges, none deeper than the guard at any ordinate,
     and depth restarts at each block's entry.  ``exp_c`` is exp(depth) at
@@ -130,6 +137,7 @@ class _Half(NamedTuple):
     """
 
     sel: tuple[np.ndarray, ...]
+    side: str
     flip: slice
     G: np.ndarray
     one_minus_e: np.ndarray
@@ -143,7 +151,9 @@ class _Half(NamedTuple):
                              decay=self.decay[start:stop], exp_c=self.exp_c[start:stop])
 
 
-def _half_factors(sel, flip, depth_up, mu_abs) -> _Half:
+# tau, or its running sum, is inf below |mu| ~ depth / 1.8e308: G = 0, fully absorbed
+@np.errstate(over="ignore")
+def _half_factors(sel, side, flip, depth_up, mu_abs) -> _Half:
     tau = depth_up[None, :] / mu_abs[:, None]
     # One allocation holds the kept factors: as four arrays with freed
     # temporaries between them they fragment the heap, and a process's
@@ -173,7 +183,7 @@ def _half_factors(sel, flip, depth_up, mu_abs) -> _Half:
         decay[:, start] = 0.0
     np.exp(exp_c, out=exp_c)
     np.exp(np.negative(decay, out=decay), out=decay)
-    return _Half(sel, flip, G, one_minus_e, decay, exp_c, blocks)
+    return _Half(sel, side, flip, G, one_minus_e, decay, exp_c, blocks)
 
 
 def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
@@ -189,12 +199,18 @@ def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
 
 def _factor_chunks(medium: MediumProfile, mus: np.ndarray):
     size = max(_CHUNK_FLOOR, medium.ncells)
-    for sign, flip in ((mus > 0, slice(None)), (mus < 0, slice(None, None, -1))):
+    for sign, side, flip in ((mus > 0, "left", slice(None)),
+                             (mus < 0, "right", slice(None, None, -1))):
         where = np.flatnonzero(sign)
         for start in range(0, where.size, size):
             sel = np.unravel_index(where[start : start + size], mus.shape)
             # cell_weights = sigma_t * h, each cell's optical depth at |mu| = 1
-            yield _half_factors(sel, flip, medium.cell_weights[flip], np.abs(mus[sel]))
+            yield _half_factors(sel, side, flip, medium.cell_weights[flip], np.abs(mus[sel]))
+
+
+def _inflows(boundary: BoundarySpec, f: _Half, mus: np.ndarray) -> np.ndarray:
+    """Chunk f's inflow values: its upwind side's data at its (checked) ordinates."""
+    return getattr(boundary, f.side).evaluate(mus[f.sel])
 
 
 def _ordinate_weights(mus: np.ndarray, weights) -> np.ndarray:
@@ -205,42 +221,31 @@ def _ordinate_weights(mus: np.ndarray, weights) -> np.ndarray:
     return w
 
 
-def _sweep_inputs(medium: MediumProfile, mus, cell_source, inflows):
-    """mus and the inflows as float arrays of one shape, and the saturation s / sigma_t."""
-    mus = np.asarray(mus, dtype=float)
-    inflows = np.broadcast_to(np.asarray(inflows, dtype=float), mus.shape)
-    s = np.asarray(cell_source, dtype=float)
-    m = medium.ncells
-    if s.shape != (m,):
-        raise LengthMismatch(f"cell_source has length {s.size}, grid has {m} cells")
-    return mus, s / medium.sigma_t, inflows
-
-
-def batched_sweep(medium: MediumProfile, mus, cell_source, inflows):
-    """Sweeps of one source vector at many ordinates.
+def batched_sweep(medium: MediumProfile, mus, cell_source, boundary: BoundarySpec):
+    """Sweeps of one source vector at many ordinates, with the inflow data ``boundary``.
 
     Returns (avg, edges) of shapes mus.shape + (M,) and mus.shape + (M+1,),
     each ordinate's entry its sweep_direction result; mus may be a (B, L) block.
     """
-    mus, sat, inflows = _sweep_inputs(medium, mus, cell_source, inflows)
+    mus, sat = np.asarray(mus, dtype=float), _cell_source(medium, cell_source) / medium.sigma_t
     avg = np.empty(mus.shape + (medium.ncells,))
     edges = np.empty(mus.shape + (medium.ncells + 1,))
     for f in _sweep_factors(medium, mus):
-        a_up, e_up = _swept_half(f, sat[f.flip], inflows[f.sel])
+        a_up, e_up = _swept_half(f, sat[f.flip], _inflows(boundary, f, mus))
         avg[f.sel] = a_up[:, f.flip]
         edges[f.sel] = e_up[:, f.flip]
         del f, a_up, e_up  # free this chunk's arrays before the next chunk's are built
     return avg, edges
 
 
-def averaged_sweep(medium: MediumProfile, mus, weights, cell_source, inflows) -> np.ndarray:
-    """sum_l weights[l] * (cell averages of the sweep at mus[l]): the
-    ordinate-weighted batched_sweep averages, without the (L, M) arrays."""
-    mus, sat, inflows = _sweep_inputs(medium, mus, cell_source, inflows)
+def averaged_sweep(medium: MediumProfile, mus, weights, cell_source, boundary) -> np.ndarray:
+    """sum_l weights[l] * (cell averages of the sweep at mus[l]) with the inflow
+    BoundarySpec: the weighted batched_sweep averages, without the (L, M) arrays."""
+    mus, sat = np.asarray(mus, dtype=float), _cell_source(medium, cell_source) / medium.sigma_t
     w = _ordinate_weights(mus, weights)
     out = np.zeros(medium.ncells)
     for f in _sweep_factors(medium, mus):
-        out[f.flip] += w[f.sel] @ _swept_half(f, sat[f.flip], inflows[f.sel])[0]
+        out[f.flip] += w[f.sel] @ _swept_half(f, sat[f.flip], _inflows(boundary, f, mus))[0]
         del f  # free this chunk's factors before the next chunk's are built
     return out
 
@@ -263,9 +268,12 @@ def _swept_half(f: _Half, sat, inflow):
     return avg, edges
 
 
+_UNIT_INFLOW = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(1.0))
+
+
 def transmission_averages(medium: MediumProfile, mus) -> np.ndarray:
     """(L, M) cell averages of the unit-inflow, zero-source sweep per ordinate."""
-    return batched_sweep(medium, mus, np.zeros(medium.ncells), 1.0)[0]
+    return batched_sweep(medium, mus, np.zeros(medium.ncells), _UNIT_INFLOW)[0]
 
 
 def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) -> np.ndarray:

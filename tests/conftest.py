@@ -23,6 +23,21 @@ settings.load_profile("romlab")
 BAD_ORDINATES = [np.nan, np.inf, -np.inf, 1.5, -1.5]
 
 
+def upwind_inflow(boundary, mu):
+    """The scalar oracle's inflow: left data for mu > 0, right data for mu < 0."""
+    return float((boundary.left if mu > 0 else boundary.right).evaluate(mu))
+
+
+class Unevaluated:
+    """A boundary side whose evaluation fails, so a test shows its check ran first."""
+
+    def evaluate(self, mu):
+        raise AssertionError(f"inflow evaluated at {mu}")
+
+
+UNEVALUATED = BoundarySpec(Unevaluated(), Unevaluated())
+
+
 @pytest.fixture
 def no_factor_builds(monkeypatch):
     """Make every sweep-factor build fail, so a test shows its check ran first."""

@@ -10,10 +10,7 @@ from romlab import (
     NonPositiveSigmaT,
     SpatialGrid,
     TabulatedBoundary,
-    WrongHalf,
     defaults,
-    eval_boundary,
-    inflow_values,
     make_medium,
     weighted_norm_of,
 )
@@ -21,11 +18,13 @@ from conftest import random_medium
 
 
 def assert_scalar_matches_vector(spec: BoundarySpec, rng) -> None:
-    """eval_boundary equals inflow_values bit for bit on both inflow halves."""
-    mus = np.concatenate([-rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 1.0, 500), [-1.0, 1.0]])
-    mus = mus[mus != 0]
-    scalar = np.array([eval_boundary(spec, mu) for mu in mus.tolist()])
-    assert np.array_equal(scalar.view(np.uint64), inflow_values(spec, mus).view(np.uint64))
+    """Each side's evaluate gives a scalar cosine (boundary_term) the bits it
+    gives the same cosine in an array (the batched sweeps), on its own half."""
+    for side, sign in ((spec.left, 1.0), (spec.right, -1.0)):
+        mus = sign * np.concatenate([rng.uniform(0.0, 1.0, 500), [1.0]])
+        mus = mus[mus != 0]
+        scalar = np.array([float(side.evaluate(mu)) for mu in mus.tolist()])
+        assert np.array_equal(scalar.view(np.uint64), side.evaluate(mus).view(np.uint64))
 
 
 class TestSpatialGrid:
@@ -151,36 +150,27 @@ class TestWeightedNorm:
 class TestBoundary:
     def test_constant(self, rng):
         spec = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.3))
-        assert eval_boundary(spec, 0.7) == 1.0
-        assert eval_boundary(spec, -0.7) == 0.3
+        np.testing.assert_array_equal(spec.left.evaluate([0.7, 0.2]), [1.0, 1.0])
+        np.testing.assert_array_equal(spec.right.evaluate([-0.7, -0.2]), [0.3, 0.3])
         assert_scalar_matches_vector(spec, rng)
 
     def test_linear(self, rng):
         spec = BoundarySpec(LinearBoundary(1.0, 0.0), LinearBoundary(-0.7, 0.1))
-        assert eval_boundary(spec, 0.25) == pytest.approx(0.25)
-        assert eval_boundary(spec, -0.5) == pytest.approx(0.45)
+        assert spec.left.evaluate(0.25) == pytest.approx(0.25)
+        assert spec.right.evaluate(-0.5) == pytest.approx(0.45)
         assert_scalar_matches_vector(spec, rng)
 
     def test_table_interpolation(self, rng):
         table = TabulatedBoundary([0.1, 1.0], [0.0, 0.9])
         right = TabulatedBoundary([-0.9, -0.3, -0.1], [0.2, 1.3, 0.7])
         spec = BoundarySpec(table, right)
-        assert eval_boundary(spec, 0.55) == pytest.approx(0.45, rel=1e-12)
-        assert eval_boundary(spec, -0.6) == pytest.approx(0.75, rel=1e-12)
+        assert spec.left.evaluate(0.55) == pytest.approx(0.45, rel=1e-12)
+        assert spec.right.evaluate(-0.6) == pytest.approx(0.75, rel=1e-12)
         assert_scalar_matches_vector(spec, rng)
 
     def test_table_clamps_outside_range(self):
         table = TabulatedBoundary([0.2, 0.8], [1.0, 3.0])
-        spec = BoundarySpec(table, ConstantBoundary(0.0))
-        assert eval_boundary(spec, 0.05) == pytest.approx(1.0)
-        assert eval_boundary(spec, 0.95) == pytest.approx(3.0)
-
-    def test_wrong_half(self):
-        spec = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.0))
-        with pytest.raises(WrongHalf):
-            eval_boundary(spec, 0.0)
-        with pytest.raises(WrongHalf):
-            eval_boundary(spec, -0.0)
+        np.testing.assert_allclose(table.evaluate([0.05, 0.95]), [1.0, 3.0])
 
     def test_table_validation(self):
         with pytest.raises(ValueError):

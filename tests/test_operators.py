@@ -28,7 +28,7 @@ from romlab import (
     weighted_adjoint,
     weighted_operator_norm,
 )
-from romlab.medium import inflow_values, weighted_norm_of
+from romlab.medium import weighted_norm_of
 from romlab.sweep import batched_sweep
 from conftest import random_medium
 
@@ -365,8 +365,7 @@ class TestMatrixSolveCrossCheck:
             assert report.converged
 
             top = iteration_matrix(medium, quad)
-            inflows = inflow_values(bc, quad.mus)
-            avg, _ = batched_sweep(medium, quad.mus, medium.q, inflows)
+            avg, _ = batched_sweep(medium, quad.mus, medium.q, bc)
             const = quad.weights @ avg
             direct = np.linalg.solve(
                 np.eye(medium.ncells) - medium.lam * top, const

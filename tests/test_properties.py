@@ -7,8 +7,9 @@ delta sees a depth above the guard, so the exp-product restarts in several
 blocks and single cells can be deeper than the guard) or mixed (per-cell
 sigma_t spanning both, so blocks can have unequal lengths).  Ordinate sets
 are all positive, all negative, or mixed, and always hold one ordinate a
-hair above the truncation delta.  A deterministic case puts every cell
-deeper than the guard.
+hair above the truncation delta.  Each case draws its inflow data, a
+constant, linear or tabulated side on each half, nonnegative there.  A
+deterministic case puts every cell deeper than the guard.
 """
 import numpy as np
 import pytest
@@ -18,15 +19,17 @@ from hypothesis import strategies as st
 from romlab import (
     BoundarySpec,
     ConstantBoundary,
+    LinearBoundary,
     QuadratureSet,
     SpatialGrid,
+    TabulatedBoundary,
     make_medium,
     reference_quadrature,
     solve,
     sweep_direction,
 )
 from romlab.defaults import EXP_PRODUCT_GUARD
-from romlab.medium import inflow_values, weighted_norm_of
+from romlab.medium import weighted_norm_of
 from romlab.operators import gram_trace, iteration_matrix, transport_matrix, weighted_adjoint
 from romlab.sweep import (
     _sweep_factors,
@@ -35,7 +38,7 @@ from romlab.sweep import (
     batched_sweep,
     transmission_averages,
 )
-from conftest import source_iteration
+from conftest import source_iteration, upwind_inflow
 
 DELTA = 0.05
 # sigma_t ranges: thin keeps sigma_t / delta below the guard on the unit slab,
@@ -49,6 +52,20 @@ def _array(draw, lo, hi, size):
     tolerances assume normal-range data."""
     return np.array(draw(st.lists(st.floats(lo, hi, allow_subnormal=False),
                                   min_size=size, max_size=size)))
+
+
+@st.composite
+def sides(draw, sign):
+    """Inflow data on the half of cosines of this sign, nonnegative there."""
+    kind = draw(st.sampled_from(["constant", "linear", "table"]))
+    at_0, at_1 = _array(draw, 0.0, 3.0, 2)  # values at |mu| = 0 and 1
+    if kind == "constant":
+        return ConstantBoundary(at_0)
+    if kind == "linear":
+        return LinearBoundary(sign * (at_1 - at_0), at_0)
+    nodes = draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=4,
+                          unique=True))
+    return TabulatedBoundary(np.sort(sign * np.array(nodes)), _array(draw, 0.0, 3.0, len(nodes)))
 
 
 @st.composite
@@ -74,8 +91,7 @@ def cases(draw, regime):
         flips[1] = not flips[0]
         mus = np.where(flips, -mus, mus)
     weights = _array(draw, 0.01, 1.0, mus.size)
-    inflows = _array(draw, 0.0, 3.0, mus.size)
-    return medium, mus, weights, inflows
+    return medium, mus, weights, BoundarySpec(draw(sides(1.0)), draw(sides(-1.0)))
 
 
 def _check_regime(medium, mus, regime):
@@ -93,11 +109,11 @@ def _close(actual, expected):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_batched_sweep_matches_march(regime, data):
-    medium, mus, _, inflows = data.draw(cases(regime))
+    medium, mus, _, boundary = data.draw(cases(regime))
     _check_regime(medium, mus, regime)
-    avg, edges = batched_sweep(medium, mus, medium.q, inflows)
-    for row, (mu, inflow) in enumerate(zip(mus, inflows)):
-        ref_avg, ref_edges = sweep_direction(medium, mu, medium.q, inflow)
+    avg, edges = batched_sweep(medium, mus, medium.q, boundary)
+    for row, mu in enumerate(mus):
+        ref_avg, ref_edges = sweep_direction(medium, mu, medium.q, upwind_inflow(boundary, mu))
         _close(avg[row], ref_avg)
         _close(edges[row], ref_edges)
     assert np.all(avg >= 0) and np.all(edges >= 0)
@@ -136,11 +152,11 @@ def test_response_matrix_matches_march(regime, data):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_averaged_sweep_is_weighted_batched_sweep(regime, data):
-    medium, mus, weights, inflows = data.draw(cases(regime))
+    medium, mus, weights, boundary = data.draw(cases(regime))
     _check_regime(medium, mus, regime)
     for source in (medium.q, np.zeros(medium.ncells)):
-        expected = weights @ batched_sweep(medium, mus, source, inflows)[0]
-        _close(averaged_sweep(medium, mus, weights, source, inflows), expected)
+        expected = weights @ batched_sweep(medium, mus, source, boundary)[0]
+        _close(averaged_sweep(medium, mus, weights, source, boundary), expected)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -192,16 +208,19 @@ def test_cells_deeper_than_the_guard_match_march():
     medium = _deep_medium()
     mus = np.array([0.0125, -0.0125, 0.3, -0.9])
     weights = np.array([0.4, 0.3, 0.2, 0.1])
-    inflows = np.array([1.0, 2.0, 0.5, 0.0])
+    # inflows 1, 2, 0.5 and 0 at the four ordinates
+    boundary = BoundarySpec(TabulatedBoundary([0.0125, 0.3], [1.0, 0.5]),
+                            TabulatedBoundary([-0.9, -0.0125], [0.0, 2.0]))
     assert all(len(f.blocks) == 10 for f in _sweep_factors(medium, mus))
     with np.errstate(over="raise", invalid="raise"):
-        avg, edges = batched_sweep(medium, mus, medium.q, inflows)
+        avg, edges = batched_sweep(medium, mus, medium.q, boundary)
         matrix = averaged_response_matrix(medium, mus, weights, medium.sigma_s)
         transmitted = transmission_averages(medium, mus)
-        boundary_average = averaged_sweep(medium, mus, weights, np.zeros(10), inflows)
+        boundary_average = averaged_sweep(medium, mus, weights, np.zeros(10), boundary)
     expected = np.zeros((10, 10))
     expected_boundary = np.zeros(10)
-    for row, (mu, w, inflow) in enumerate(zip(mus, weights, inflows)):
+    for row, (mu, w) in enumerate(zip(mus, weights)):
+        inflow = upwind_inflow(boundary, mu)
         ref_avg, ref_edges = sweep_direction(medium, mu, medium.q, inflow)
         _close(avg[row], ref_avg)
         _close(edges[row], ref_edges)
@@ -224,11 +243,10 @@ def test_solve_on_cells_deeper_than_the_guard_matches_march(nodes):
     with np.errstate(over="raise", invalid="raise"):
         phi, report = solve(medium, boundary, quad, tol=1e-10)
     assert report.converged
-    inflows = inflow_values(boundary, quad.mus)
 
     def march(source):
-        return sum(w * sweep_direction(medium, mu, source, inflow)[0]
-                   for mu, w, inflow in zip(quad.mus, quad.weights, inflows))
+        return sum(w * sweep_direction(medium, mu, source, upwind_inflow(boundary, mu))[0]
+                   for mu, w in zip(quad.mus, quad.weights))
 
     np.testing.assert_allclose(phi, source_iteration(medium, march, 1e-14), rtol=1e-12)
 
@@ -237,16 +255,14 @@ def test_solve_on_cells_deeper_than_the_guard_matches_march(nodes):
 @settings(max_examples=10)
 @given(data=st.data())
 def test_sweep_path_solve_matches_public_sweep_loop(regime, data):
-    medium, _, _, inflows = data.draw(cases(regime))
+    medium, _, _, boundary = data.draw(cases(regime))
     quad = reference_quadrature(DELTA, 160)  # 320 ordinates
     _check_regime(medium, quad.mus, regime)
-    boundary = BoundarySpec(ConstantBoundary(inflows[0]), ConstantBoundary(inflows[-1]))
     phi, report = solve(medium, boundary, quad, tol=1e-9)
     assert report.converged and report.error_bound <= 1e-9
-    sweep_inflows = inflow_values(boundary, quad.mus)
     expected = source_iteration(
         medium,
-        lambda source: quad.weights @ batched_sweep(medium, quad.mus, source, sweep_inflows)[0],
+        lambda source: quad.weights @ batched_sweep(medium, quad.mus, source, boundary)[0],
         1e-11,
     )
     assert weighted_norm_of(phi - expected, medium) <= 1e-9

@@ -17,15 +17,17 @@ from romlab import (
     build_partition,
     dom_quadrature,
     make_medium,
+    reference_boundary_average,
     reference_quadrature,
     rom_pair_block,
     rom_sample,
     solve,
     sweep_direction,
 )
-from romlab.medium import inflow_values, weighted_norm_of
+from romlab.medium import weighted_norm_of
 from romlab.sweep import _sweep_factors, averaged_response_matrix, averaged_sweep, batched_sweep
-from conftest import BAD_ORDINATES, random_medium, small_config, source_iteration
+import romlab.angular
+from conftest import BAD_ORDINATES, UNEVALUATED, random_medium, small_config, source_iteration
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
 
@@ -74,12 +76,9 @@ class TestSolve:
         bc = BoundarySpec(ConstantBoundary(0.5), ConstantBoundary(0.2))
         phi, report = solve(medium, bc, quad, tol=1e-13)
         assert report.converged
-        inflows = inflow_values(bc, quad.mus)
         previous = np.zeros(12)
         for _ in range(6):
-            avg, _ = batched_sweep(
-                medium, quad.mus, medium.sigma_s * previous + medium.q, inflows
-            )
+            avg, _ = batched_sweep(medium, quad.mus, medium.sigma_s * previous + medium.q, bc)
             iterate = quad.weights @ avg
             assert np.all(iterate >= previous - 1e-15)
             assert np.all(iterate <= phi + 1e-13)
@@ -93,10 +92,7 @@ class TestSolve:
             bc = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(0.5))
             phi, report = solve(medium, bc, quad, tol=tol)
             assert report.converged
-            inflows = inflow_values(bc, quad.mus)
-            avg, _ = batched_sweep(
-                medium, quad.mus, medium.sigma_s * phi + medium.q, inflows
-            )
+            avg, _ = batched_sweep(medium, quad.mus, medium.sigma_s * phi + medium.q, bc)
             recomposed = quad.weights @ avg
             assert weighted_norm_of(recomposed - phi, medium) <= 2 * tol
 
@@ -124,7 +120,7 @@ class TestSolve:
         grid = SpatialGrid.uniform(0.0, 1.0, 2)
         medium = make_medium(grid, np.ones(2), 0.5 * np.ones(2), np.ones(2))
         quad = QuadratureSet(np.array([-0.5, 0.5, bad]), np.full(3, 1 / 3), "bad")
-        with pytest.raises(ValueError, match=rf"ordinate \[0, 2\] is {bad}"):  # row 0 of a block of one
+        with pytest.raises(ValueError, match=rf"ordinate \[2\] is {bad}"):  # the caller's index
             solve(medium, ZERO_BC, quad)
         block = rom_pair_block(build_partition(4, 0.05), 17, 0, 2)
         mus = block.mus.copy()
@@ -204,7 +200,7 @@ def test_peak_memory_does_not_grow_with_ordinates(kind):
     medium, bc = config.medium, config.boundary
     calls = {
         "solve": lambda q: solve(medium, bc, q),
-        "averaged_sweep": lambda q: averaged_sweep(medium, q.mus, q.weights, medium.q, 1.0),
+        "averaged_sweep": lambda q: averaged_sweep(medium, q.mus, q.weights, medium.q, bc),
         "averaged_response_matrix": lambda q: averaged_response_matrix(
             medium, q.mus, q.weights, medium.sigma_s),
     }
@@ -290,10 +286,9 @@ class TestErrorBound:
             quad = reference_quadrature(0.05, 160)  # 320 ordinates
         phi, report = solve(medium, bc, quad, tol=self.TOL)
         assert report.converged and report.error_bound <= self.TOL
-        inflows = inflow_values(bc, quad.mus)
         exact = source_iteration(
             medium,
-            lambda source: quad.weights @ batched_sweep(medium, quad.mus, source, inflows)[0],
+            lambda source: quad.weights @ batched_sweep(medium, quad.mus, source, bc)[0],
             self.TOL / 100,
         )
         assert weighted_norm_of(phi - exact, medium) <= self.TOL
@@ -319,13 +314,13 @@ class TestAngularFluxes:
         block = rom_pair_block(build_partition(4, 0.05), 17, 3, 5)
         assert block.mus.shape == (4, 4)
         phi = rng.uniform(0.5, 1.5, 20)
-        source, inflows = medium.sigma_s * phi + medium.q, inflow_values(bc, block.mus)
-        sweeps = batched_sweep(medium, block.mus, source, inflows)
+        source = medium.sigma_s * phi + medium.q
+        sweeps = batched_sweep(medium, block.mus, source, bc)
         fluxes = angular_fluxes(medium, bc, block, phi)
         for avg, edges in (sweeps, fluxes):
             assert avg.shape == (4, 4, 20) and edges.shape == (4, 4, 21)
             for b, mus in enumerate(block.mus):
-                row_avg, row_edges = batched_sweep(medium, mus, source, inflows[b])
+                row_avg, row_edges = batched_sweep(medium, mus, source, bc)
                 np.testing.assert_array_equal(avg[b], row_avg)
                 np.testing.assert_array_equal(edges[b], row_edges)
 
@@ -336,6 +331,15 @@ class TestAngularFluxes:
         for phi in ([1.0], np.ones(4)):
             with pytest.raises(LengthMismatch):
                 angular_fluxes(medium, ZERO_BC, quad, phi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_flux_rejected(self, bad):
+        # the frozen source sigma_s * phi + q was swept into NaN fluxes without a word
+        grid = SpatialGrid.uniform(0.0, 1.0, 3)
+        medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.ones(3))
+        quad = dom_quadrature(build_partition(4, 0.1))
+        with pytest.raises(ValueError, match="cell_source must be finite"):
+            angular_fluxes(medium, ZERO_BC, quad, np.full(3, bad))
 
     def test_pure_absorber_decouples(self):
         grid = SpatialGrid.uniform(0.0, 1.0, 6)
@@ -363,3 +367,34 @@ class TestAngularFluxes:
         n = quad.n
         for l in range(n):
             np.testing.assert_allclose(avg[l], avg[n - 1 - l][::-1], rtol=1e-10)
+
+
+def _bad_ordinate_paths(monkeypatch, medium, bad):
+    """Each public path that takes inflow data, at ordinates (0.5, bad, -0.5)."""
+    mus = np.array([0.5, bad, -0.5])
+    quad = QuadratureSet(mus, np.full(3, 1 / 3), "bad")
+    # the certified boundary average draws its quadratures from the reference rule
+    monkeypatch.setattr(romlab.angular, "reference_quadrature", lambda delta, nodes: quad)
+    source = np.ones(medium.ncells)
+    return {
+        "solve": lambda: solve(medium, UNEVALUATED, quad),
+        "angular_fluxes": lambda: angular_fluxes(medium, UNEVALUATED, quad, source),
+        "reference_boundary_average": lambda: reference_boundary_average(
+            medium, UNEVALUATED, 0.05, 4),
+        "batched_sweep": lambda: batched_sweep(medium, mus, source, UNEVALUATED),
+        "averaged_sweep": lambda: averaged_sweep(medium, mus, quad.weights, source, UNEVALUATED),
+    }
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, *BAD_ORDINATES])
+def test_bad_ordinate_raises_before_any_inflow_is_evaluated(monkeypatch, bad):
+    # mu = 0 raised WrongHalf from the paths that evaluated inflows first,
+    # and a NaN ordinate reached the right-hand inflow before the check
+    grid = SpatialGrid.uniform(0.0, 1.0, 3)
+    medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.ones(3))
+    error = ZeroMu if bad == 0 else ValueError
+    for call in _bad_ordinate_paths(monkeypatch, medium, bad).values():
+        with pytest.raises(error, match=rf"ordinate \[1\] is {bad}: sweeps need 0 < \|mu\| <= 1"):
+            call()
+    with pytest.raises(error, match=rf"ordinate \[0\] is {bad}: sweeps need 0 < \|mu\| <= 1"):
+        boundary_term(medium, bad, UNEVALUATED)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,9 @@ from romlab.sweep import (
     batched_sweep,
     transmission_averages,
 )
-from conftest import BAD_ORDINATES, random_medium
+from conftest import BAD_ORDINATES, random_medium, upwind_inflow
+
+UNIT_BC = BoundarySpec(ConstantBoundary(1.0), ConstantBoundary(1.0))
 
 
 def unit_absorber(ncells=1):
@@ -122,7 +126,7 @@ class TestEscapeFactor:
                                  np.zeros(taus.size))
             tau = medium.cell_weights / abs(mu)
             march = sweep_direction(medium, mu, np.zeros(taus.size), 1.0)
-            avg, edges = batched_sweep(medium, [mu], np.zeros(taus.size), 1.0)
+            avg, edges = batched_sweep(medium, [mu], np.zeros(taus.size), UNIT_BC)
             for cell_avg, cell_edges in (march, (avg[0], edges[0])):
                 entry = cell_edges[:-1] if mu > 0 else cell_edges[1:]
                 compare(cell_avg, entry * oracle(tau))
@@ -149,8 +153,8 @@ class TestOrdinateCheck:
         mus, w, s = np.array([0.5, bad, -0.3]), np.full(3, 1 / 3), np.ones(3)
         message = rf"ordinate \[1\] is {bad}: sweeps need 0 < \|mu\| <= 1"
         for call in (
-            lambda: batched_sweep(medium, mus, s, 1.0),
-            lambda: averaged_sweep(medium, mus, w, s, 1.0),
+            lambda: batched_sweep(medium, mus, s, UNIT_BC),
+            lambda: averaged_sweep(medium, mus, w, s, UNIT_BC),
             lambda: averaged_response_matrix(medium, mus, w, s),
         ):
             with pytest.raises(ValueError, match=message):
@@ -161,15 +165,38 @@ class TestOrdinateCheck:
     def test_block_names_row_and_column(self, no_factor_builds):
         mus = np.array([[0.5, -0.5], [0.25, np.nan]])
         with pytest.raises(ValueError, match=r"ordinate \[1, 1\] is nan"):
-            batched_sweep(unit_absorber(2), mus, np.ones(2), 1.0)
+            batched_sweep(unit_absorber(2), mus, np.ones(2), UNIT_BC)
 
     def test_zero_named_as_zero_mu(self, no_factor_builds):
         with pytest.raises(ZeroMu, match=r"ordinate \[2\]"):
-            batched_sweep(unit_absorber(2), [0.5, -1.0, 0.0], np.ones(2), 1.0)
+            batched_sweep(unit_absorber(2), [0.5, -1.0, 0.0], np.ones(2), UNIT_BC)
 
     def test_unit_ordinates_accepted(self):
-        avg, _ = batched_sweep(unit_absorber(2), [1.0, -1.0], np.zeros(2), 1.0)
+        avg, _ = batched_sweep(unit_absorber(2), [1.0, -1.0], np.zeros(2), UNIT_BC)
         assert np.all(np.isfinite(avg))
+
+    def test_tiny_ordinates_match_march_without_warning(self):
+        # cell depths 0.05 to 3: tau = depth / |mu| overflows in every cell at
+        # 1e-320, and at 1e-308 in the cells deeper than 1.8 and in its running sum
+        grid = SpatialGrid.uniform(0.0, 1.0, 20)
+        sigma_t = np.linspace(1.0, 60.0, 20)
+        medium = make_medium(grid, sigma_t, 0.5 * sigma_t, np.linspace(0.5, 1.5, 20))
+        bc = BoundarySpec(ConstantBoundary(2.0), LinearBoundary(-1.0, 0.5))
+        mus = np.array([1e-320, -1e-320, 1e-308, -1e-308, 0.5])
+        w = np.full(5, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            avg, edges = batched_sweep(medium, mus, medium.q, bc)
+            average = averaged_sweep(medium, mus, w, medium.q, bc)
+            matrix = averaged_response_matrix(medium, mus, w, medium.sigma_s)
+            march = [sweep_direction(medium, mu, medium.q, upwind_inflow(bc, mu)) for mu in mus]
+            columns = [sum(wk * sweep_direction(medium, mu, medium.sigma_s * e, 0.0)[0]
+                           for wk, mu in zip(w, mus)) for e in np.eye(20)]
+        for k, (row_avg, row_edges) in enumerate(march):
+            np.testing.assert_allclose(avg[k], row_avg, rtol=1e-13)
+            np.testing.assert_allclose(edges[k], row_edges, rtol=1e-13)
+        np.testing.assert_allclose(average, w @ np.array([a for a, _ in march]), rtol=1e-13)
+        np.testing.assert_allclose(matrix, np.array(columns).T, rtol=1e-12, atol=1e-300)
 
 
 class TestApplyTransport:
@@ -242,6 +269,13 @@ class TestBoundaryTerm:
             np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-300)
 
 
+def random_boundary(rng):
+    """Distinct linear inflow data on each side, nonnegative on its half."""
+    left, right = rng.uniform(0.0, 2.0, 2), rng.uniform(0.0, 2.0, 2)  # values at |mu| = 0, 1
+    return BoundarySpec(LinearBoundary(left[1] - left[0], left[0]),
+                        LinearBoundary(right[0] - right[1], right[0]))
+
+
 class TestBatchKernels:
     def test_batched_sweep_matches_march(self, rng):
         for _ in range(25):
@@ -251,10 +285,10 @@ class TestBatchKernels:
                 [-rng.uniform(0.01, 1.0, 3), rng.uniform(0.01, 1.0, 3)]
             )
             s = rng.uniform(0.0, 2.0, m)
-            inflows = rng.uniform(0.0, 2.0, 6)
-            avg, edges = batched_sweep(medium, mus, s, inflows)
+            bc = random_boundary(rng)
+            avg, edges = batched_sweep(medium, mus, s, bc)
             for k, mu in enumerate(mus):
-                single_avg, single_edges = sweep_direction(medium, mu, s, inflows[k])
+                single_avg, single_edges = sweep_direction(medium, mu, s, upwind_inflow(bc, mu))
                 np.testing.assert_allclose(avg[k], single_avg, rtol=1e-13, atol=1e-300)
                 np.testing.assert_allclose(edges[k], single_edges, rtol=1e-13, atol=1e-300)
 
@@ -274,19 +308,44 @@ class TestBatchKernels:
         if thick:
             assert len({len(f.blocks) for f in chunks}) > 1
         s = rng.uniform(0.0, 2.0, medium.ncells)
-        inflows = rng.uniform(0.0, 2.0, mus.size)
-        avg, edges = batched_sweep(medium, mus, s, inflows)
+        bc = random_boundary(rng)
+        avg, edges = batched_sweep(medium, mus, s, bc)
         for k, mu in enumerate(mus):
-            single_avg, single_edges = sweep_direction(medium, mu, s, inflows[k])
+            single_avg, single_edges = sweep_direction(medium, mu, s, upwind_inflow(bc, mu))
             np.testing.assert_allclose(avg[k], single_avg, rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(edges[k], single_edges, rtol=1e-12, atol=1e-300)
+
+    def test_left_data_reach_positive_and_right_data_negative_ordinates(self):
+        # left 1 + 2 mu on mu > 0, right 5 - 3 mu on mu < 0: distinct at every |mu|
+        medium = unit_absorber(4)
+        bc = BoundarySpec(LinearBoundary(2.0, 1.0), LinearBoundary(-3.0, 5.0))
+        mus = np.array([0.25, -0.25, 0.75, -0.75, 1.0, -1.0])
+        avg, edges = batched_sweep(medium, mus, np.ones(4), bc)
+        np.testing.assert_array_equal(edges[::2, 0], [1.5, 2.5, 3.0])  # the entry at x_left
+        np.testing.assert_array_equal(edges[1::2, -1], [5.75, 7.25, 8.0])  # the entry at x_right
+        for k, mu in enumerate(mus):
+            single_avg, single_edges = sweep_direction(medium, mu, np.ones(4), upwind_inflow(bc, mu))
+            np.testing.assert_allclose(avg[k], single_avg, rtol=1e-14)
+            np.testing.assert_allclose(edges[k], single_edges, rtol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_source_rejected(self, bad):
+        medium, mus = unit_absorber(3), np.array([-0.5, 0.5])
+        source = np.array([1.0, bad, 1.0])
+        for call in (
+            lambda: batched_sweep(medium, mus, source, UNIT_BC),
+            lambda: averaged_sweep(medium, mus, np.full(2, 0.5), source, UNIT_BC),
+            lambda: sweep_direction(medium, 0.5, source, 1.0),
+        ):
+            with pytest.raises(ValueError, match="cell_source must be finite"):
+                call()
 
     @pytest.mark.parametrize("nweights", [1, 3])
     def test_weights_not_matching_ordinates_rejected(self, nweights):
         medium = unit_absorber(2)
         mus, w = np.array([-0.5, 0.5]), np.full(nweights, 0.5)
         with pytest.raises(LengthMismatch, match=rf"\({nweights},\).*\(2,\)"):
-            averaged_sweep(medium, mus, w, np.ones(2), 1.0)
+            averaged_sweep(medium, mus, w, np.ones(2), UNIT_BC)
         with pytest.raises(LengthMismatch, match=rf"\({nweights},\).*\(2,\)"):
             averaged_response_matrix(medium, mus, w, np.ones(2))
 
@@ -321,7 +380,7 @@ class TestBatchKernels:
         medium = make_medium(grid, sigma, 0.5 * sigma, np.ones(40))
         mus = np.array([-0.03, 0.03])  # depth 1000 per traversal
         s = np.linspace(0.5, 1.5, 40)
-        avg, edges = batched_sweep(medium, mus, s, np.array([1.0, 1.0]))
+        avg, edges = batched_sweep(medium, mus, s, UNIT_BC)
         for k, mu in enumerate(mus):
             single, _ = sweep_direction(medium, mu, s, 1.0)
             np.testing.assert_allclose(avg[k], single, rtol=1e-12, atol=1e-300)
