@@ -3,10 +3,11 @@
 The scalar flux solves phi = S phi + c for whatever quadrature set is
 supplied: S is the ordinate-weighted zero-inflow sweep of sigma_s * phi,
 and c the weighted sweep of q with the inflow data, which each chunk
-evaluates at its own ordinates after the one ordinate check.  A block stacks B
-quadratures of one partition as rows of (B, L) arrays, so the random
-studies pay the sweep-factor build (one exponential per chunk of a sign
-group's ordinates) once per block instead of once per sample.  ``solve``
+evaluates at its own ordinates.  Bad ordinates, weights, inflows or tol
+raise, the quadrature's by the caller's index before any factor is built.
+A block stacks B quadratures of one partition as rows of (B, L) arrays, so
+the random studies pay the sweep-factor build (one exponential per chunk of
+a sign group's ordinates) once per block, not once per sample.  ``solve``
 builds the factors chunk by chunk, at most max(64, M) ordinates each, and
 forms every row's c from them; then, row by row, it assembles S from the
 row's slices of the chunks into one reused M x M array and solves
@@ -29,10 +30,9 @@ import numpy as np
 
 from . import defaults
 from .angular import QuadratureSet
-from .errors import LengthMismatch
 from .medium import BoundarySpec, MediumProfile, weighted_norm_of
-from .sweep import (_check_ordinates, _factor_chunks, _inflows, _ordinate_weights, _response_half,
-                    _swept_half, batched_sweep)
+from .sweep import (_factor_chunks, _inflows, _per_cell, _quadrature, _response_half, _swept_half,
+                    batched_sweep)
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,9 @@ def solve(
     row bound; converged is error_bound <= tol.  The fluxes are returned
     either way.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    mus, weights = np.asarray(quad.mus, dtype=float), _ordinate_weights(quad.mus, quad.weights)
-    _check_ordinates(mus)  # names the caller's index, before anything is built or evaluated
-    mus, weights = np.atleast_2d(mus), np.atleast_2d(weights)
+    mus, weights = np.atleast_2d(*_quadrature(quad.mus, quad.weights))  # by the caller's index
     sat = medium.q / medium.sigma_t
     ratio = medium.sigma_s / medium.sigma_t
     rows, m = mus.shape[0], medium.ncells
@@ -86,7 +84,7 @@ def solve(
     for f in _factor_chunks(medium, mus):
         per_row = np.bincount(f.sel[0], minlength=rows)  # the chunk's ordinates in each row
         w, ends = weights[f.sel], np.concatenate([[0], np.cumsum(per_row)])
-        avg = _swept_half(f, sat[f.flip], _inflows(boundary, f, mus))[0]
+        avg = _swept_half(f, sat[f.flip], _inflows(boundary, f.side, mus[f.sel]))[0]
         for b in range(rows):
             const[b, f.flip] += w[ends[b] : ends[b + 1]] @ avg[ends[b] : ends[b + 1]]
         del avg
@@ -124,6 +122,5 @@ def angular_fluxes(
     mus.shape + (M+1,), also for a block.  quad.weights @ avg reproduces phi
     to within the solver tolerance.
     """
-    if np.shape(phi) != (medium.ncells,):
-        raise LengthMismatch(f"phi has length {np.size(phi)}, grid has {medium.ncells} cells")
-    return batched_sweep(medium, quad.mus, medium.sigma_s * phi + medium.q, boundary)
+    source = medium.sigma_s * _per_cell(medium, phi, "phi") + medium.q
+    return batched_sweep(medium, quad.mus, source, boundary)

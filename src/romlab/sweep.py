@@ -9,9 +9,11 @@ tau = sigma_t * h / |mu| and saturation value sat = s / sigma_t:
 
 marched in the upwind direction.  The escape factor is -expm1(-tau) / tau at
 every depth, within 1.5 ulp for tau > 0, which make_medium (sigma_t * h > 0)
-and one ordinate check per sweep (0 < |mu| <= 1) ensure.  A sweep returns
-plain arrays (avg, edges) of cell averages and edge values.  Batched calls
-take the inflow BoundarySpec; after that check, each chunk reads its upwind side.
+and one ordinate check per sweep (0 < |mu| <= 1) ensure.  That check, the
+weights' (``_quadrature``) and the per-cell arrays' (``_per_cell``: shape and
+finite values) run once per call, before any factor is built.  Batched calls
+take the inflow BoundarySpec; each chunk evaluates its upwind side through
+``_inflows``, which rejects non-finite values.
 ``sweep_direction`` is the plain scalar march of one ordinate and serves as
 the reference route; the batched helpers below compute the same arrays for
 many ordinates at once via cumulative optical depths, one path for every
@@ -36,23 +38,43 @@ from .medium import BoundarySpec, ConstantBoundary, MediumProfile
 _EXP_GUARD = defaults.EXP_PRODUCT_GUARD
 
 
-def _check_ordinates(mus: np.ndarray) -> None:
-    """Raise ZeroMu, or else ValueError, naming the first ordinate outside 0 < |mu| <= 1."""
+def _check_ordinates(mus) -> np.ndarray:
+    """``mus`` as a float array, or ZeroMu / ValueError naming the first outside 0 < |mu| <= 1."""
+    mus = np.asarray(mus, dtype=float)
     ok = (mus != 0) & (np.abs(mus) <= 1.0)
     if not ok.all():
         first = np.unravel_index(np.argmin(ok), mus.shape)
         error = ZeroMu if mus[first] == 0 else ValueError
         raise error(f"ordinate {list(map(int, first))} is {mus[first]}: sweeps need 0 < |mu| <= 1")
+    return mus
 
 
-def _cell_source(medium: MediumProfile, cell_source) -> np.ndarray:
-    """``cell_source`` as a float array, checked to hold one finite value per cell."""
-    s = np.asarray(cell_source, dtype=float)
-    if s.shape != (medium.ncells,):
-        raise LengthMismatch(f"cell_source has length {s.size}, grid has {medium.ncells} cells")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("cell_source must be finite")
-    return s
+def _per_cell(medium: MediumProfile, values, name: str) -> np.ndarray:
+    """``values`` as a float array, checked to hold one finite value per cell; errors name it."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (medium.ncells,):
+        raise LengthMismatch(f"{name} has length {v.size}, grid has {medium.ncells} cells")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
+def _quadrature(mus, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(mus, weights) as float arrays: checked ordinates, and one finite weight each."""
+    mus, w = _check_ordinates(mus), np.asarray(weights, dtype=float)
+    if w.shape != mus.shape:
+        raise LengthMismatch(f"weights have shape {w.shape}, ordinates {mus.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    return mus, w
+
+
+def _inflows(boundary: BoundarySpec, side: str, mus) -> np.ndarray:
+    """``boundary``'s ``side`` data at the checked ordinates ``mus``, checked to be finite."""
+    values = getattr(boundary, side).evaluate(mus)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{side} inflow values must be finite")
+    return values
 
 
 def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float):
@@ -63,8 +85,8 @@ def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float
     Returns read-only (avg, edges) of shapes (M,) and (M+1,): the cell
     averages and edge values of psi(., mu), one row of batched_sweep.
     """
-    _check_ordinates(np.array([mu], dtype=float))
-    s = _cell_source(medium, cell_source)
+    _check_ordinates([mu])
+    s = _per_cell(medium, cell_source, "cell_source")
     m = medium.ncells
     order = range(m) if mu > 0 else range(m - 1, -1, -1)
     # in Python floats, a depth that overflows is inf (fully absorbed) without a warning
@@ -97,9 +119,7 @@ def apply_transport(medium: MediumProfile, mu: float, phi: np.ndarray) -> np.nda
     """
     if medium.lam == 0:
         raise PureAbsorber("apply_transport needs lambda > 0; sweep the source directly")
-    if np.shape(phi) != (medium.ncells,):
-        raise LengthMismatch(f"phi has length {np.size(phi)}, grid has {medium.ncells} cells")
-    return sweep_direction(medium, mu, medium.sigma_r * phi, 0.0)[0]
+    return sweep_direction(medium, mu, medium.sigma_r * _per_cell(medium, phi, "phi"), 0.0)[0]
 
 
 def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> np.ndarray:
@@ -108,8 +128,8 @@ def boundary_term(medium: MediumProfile, mu: float, boundary: BoundarySpec) -> n
     The profile is the zero-source sweep carrying only the inflow value, so
     cell i averages to inflow * (exp(-tau_entry) - exp(-tau_exit)) * |mu| / (sigma_t h).
     """
-    _check_ordinates(np.array([mu], dtype=float))  # before any inflow is evaluated
-    value = (boundary.left if mu > 0 else boundary.right).evaluate(mu)
+    _check_ordinates([mu])  # before any inflow is evaluated
+    value = _inflows(boundary, "left" if mu > 0 else "right", mu)
     return sweep_direction(medium, mu, np.zeros(medium.ncells), value)[0]
 
 
@@ -186,18 +206,13 @@ def _half_factors(sel, side, flip, depth_up, mu_abs) -> _Half:
     return _Half(sel, side, flip, G, one_minus_e, decay, exp_c, blocks)
 
 
-def _sweep_factors(medium: MediumProfile, mus: np.ndarray):
-    """Check the ordinates, then build the _Half of each chunk of each sign group lazily.
+def _factor_chunks(medium: MediumProfile, mus: np.ndarray):
+    """Build the _Half of each chunk of each sign group of checked ordinates lazily.
 
     mu > 0 comes first.  A chunk is at most max(64, M) consecutive ordinates
     of its group in row-major order, so a block's rows stay in order; its
     factors take about four M x M arrays' memory at any ordinate count.
     """
-    _check_ordinates(mus)
-    return _factor_chunks(medium, mus)
-
-
-def _factor_chunks(medium: MediumProfile, mus: np.ndarray):
     size = max(_CHUNK_FLOOR, medium.ncells)
     for sign, side, flip in ((mus > 0, "left", slice(None)),
                              (mus < 0, "right", slice(None, None, -1))):
@@ -208,30 +223,17 @@ def _factor_chunks(medium: MediumProfile, mus: np.ndarray):
             yield _half_factors(sel, side, flip, medium.cell_weights[flip], np.abs(mus[sel]))
 
 
-def _inflows(boundary: BoundarySpec, f: _Half, mus: np.ndarray) -> np.ndarray:
-    """Chunk f's inflow values: its upwind side's data at its (checked) ordinates."""
-    return getattr(boundary, f.side).evaluate(mus[f.sel])
-
-
-def _ordinate_weights(mus: np.ndarray, weights) -> np.ndarray:
-    """``weights`` as a float array, checked to hold one weight per ordinate of ``mus``."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != np.shape(mus):
-        raise LengthMismatch(f"weights have shape {w.shape}, ordinates {np.shape(mus)}")
-    return w
-
-
 def batched_sweep(medium: MediumProfile, mus, cell_source, boundary: BoundarySpec):
     """Sweeps of one source vector at many ordinates, with the inflow data ``boundary``.
 
     Returns (avg, edges) of shapes mus.shape + (M,) and mus.shape + (M+1,),
     each ordinate's entry its sweep_direction result; mus may be a (B, L) block.
     """
-    mus, sat = np.asarray(mus, dtype=float), _cell_source(medium, cell_source) / medium.sigma_t
+    mus, sat = _check_ordinates(mus), _per_cell(medium, cell_source, "cell_source") / medium.sigma_t
     avg = np.empty(mus.shape + (medium.ncells,))
     edges = np.empty(mus.shape + (medium.ncells + 1,))
-    for f in _sweep_factors(medium, mus):
-        a_up, e_up = _swept_half(f, sat[f.flip], _inflows(boundary, f, mus))
+    for f in _factor_chunks(medium, mus):
+        a_up, e_up = _swept_half(f, sat[f.flip], _inflows(boundary, f.side, mus[f.sel]))
         avg[f.sel] = a_up[:, f.flip]
         edges[f.sel] = e_up[:, f.flip]
         del f, a_up, e_up  # free this chunk's arrays before the next chunk's are built
@@ -241,11 +243,11 @@ def batched_sweep(medium: MediumProfile, mus, cell_source, boundary: BoundarySpe
 def averaged_sweep(medium: MediumProfile, mus, weights, cell_source, boundary) -> np.ndarray:
     """sum_l weights[l] * (cell averages of the sweep at mus[l]) with the inflow
     BoundarySpec: the weighted batched_sweep averages, without the (L, M) arrays."""
-    mus, sat = np.asarray(mus, dtype=float), _cell_source(medium, cell_source) / medium.sigma_t
-    w = _ordinate_weights(mus, weights)
+    sat = _per_cell(medium, cell_source, "cell_source") / medium.sigma_t
     out = np.zeros(medium.ncells)
-    for f in _sweep_factors(medium, mus):
-        out[f.flip] += w[f.sel] @ _swept_half(f, sat[f.flip], _inflows(boundary, f, mus))[0]
+    mus, w = _quadrature(mus, weights)
+    for f in _factor_chunks(medium, mus):
+        out[f.flip] += w[f.sel] @ _swept_half(f, sat[f.flip], _inflows(boundary, f.side, mus[f.sel]))[0]
         del f  # free this chunk's factors before the next chunk's are built
     return out
 
@@ -284,16 +286,11 @@ def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) ->
     the returned matrix is sum_l quad_weights[l] * R(mus[l]).  For a single
     ordinate pass weights = [1.0].
     """
-    mus = np.asarray(mus, dtype=float)
-    w = _ordinate_weights(mus, quad_weights)
-    scale = np.asarray(scale, dtype=float)
-    m = medium.ncells
-    if scale.shape != (m,):
-        raise LengthMismatch(f"scale has length {scale.size}, grid has {m} cells")
-    r = scale / medium.sigma_t
+    mus, w = _quadrature(mus, quad_weights)
+    r, m = _per_cell(medium, scale, "scale") / medium.sigma_t, medium.ncells
     out = np.zeros((m, m))
     full = np.empty((m, m))
-    for f in _sweep_factors(medium, mus):
+    for f in _factor_chunks(medium, mus):
         out[f.flip, f.flip] += _response_half(f, r[f.flip], w[f.sel], full)
         del f  # free this chunk's factors before the next chunk's are built
     return out

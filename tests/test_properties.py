@@ -32,7 +32,7 @@ from romlab.defaults import EXP_PRODUCT_GUARD
 from romlab.medium import weighted_norm_of
 from romlab.operators import gram_trace, iteration_matrix, transport_matrix, weighted_adjoint
 from romlab.sweep import (
-    _sweep_factors,
+    _factor_chunks,
     averaged_response_matrix,
     averaged_sweep,
     batched_sweep,
@@ -168,7 +168,7 @@ def test_factor_set_is_one_allocation_per_group(regime, data):
     # fragmented the heap, and peak memory varied from run to run
     medium, mus, _, _ = data.draw(cases(regime))
     _check_regime(medium, mus, regime)
-    for f in _sweep_factors(medium, mus):
+    for f in _factor_chunks(medium, mus):
         arrays = [f.decay, f.G, f.one_minus_e, f.exp_c]
         assert all(a.flags.c_contiguous for a in arrays)
         block = arrays[0].base
@@ -184,7 +184,7 @@ def test_factor_set_is_one_allocation_per_group(regime, data):
 def test_blocks_cover_the_cells_within_the_guard(regime, data):
     medium, mus, _, _ = data.draw(cases(regime))
     _check_regime(medium, mus, regime)
-    for f in _sweep_factors(medium, mus):
+    for f in _factor_chunks(medium, mus):
         tau = (medium.sigma_t * medium.grid.widths)[f.flip] / np.abs(mus[f.sel])[:, None]
         starts, stops = zip(*f.blocks)
         assert starts[0] == 0 and stops[-1] == medium.ncells and starts[1:] == stops[:-1]
@@ -211,7 +211,7 @@ def test_cells_deeper_than_the_guard_match_march():
     # inflows 1, 2, 0.5 and 0 at the four ordinates
     boundary = BoundarySpec(TabulatedBoundary([0.0125, 0.3], [1.0, 0.5]),
                             TabulatedBoundary([-0.9, -0.0125], [0.0, 2.0]))
-    assert all(len(f.blocks) == 10 for f in _sweep_factors(medium, mus))
+    assert all(len(f.blocks) == 10 for f in _factor_chunks(medium, mus))
     with np.errstate(over="raise", invalid="raise"):
         avg, edges = batched_sweep(medium, mus, medium.q, boundary)
         matrix = averaged_response_matrix(medium, mus, weights, medium.sigma_s)

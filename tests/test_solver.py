@@ -25,7 +25,7 @@ from romlab import (
     sweep_direction,
 )
 from romlab.medium import weighted_norm_of
-from romlab.sweep import _sweep_factors, averaged_response_matrix, averaged_sweep, batched_sweep
+from romlab.sweep import _factor_chunks, averaged_response_matrix, averaged_sweep, batched_sweep
 import romlab.angular
 from conftest import BAD_ORDINATES, UNEVALUATED, random_medium, small_config, source_iteration
 
@@ -129,12 +129,33 @@ class TestSolve:
             solve(medium, ZERO_BC, QuadratureSet(mus, block.weights, "bad block"))
 
     @pytest.mark.parametrize("nweights", [1, 3])
-    def test_weights_not_matching_ordinates_rejected(self, nweights):
+    def test_weights_not_matching_ordinates_rejected(self, no_factor_builds, nweights):
         grid = SpatialGrid.uniform(0.0, 1.0, 2)
         medium = make_medium(grid, np.ones(2), 0.5 * np.ones(2), np.ones(2))
         bad = QuadratureSet(np.array([-0.5, 0.5]), np.full(nweights, 0.5), "bad")
         with pytest.raises(LengthMismatch, match=rf"\({nweights},\).*\(2,\)"):
             solve(medium, ZERO_BC, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_raise_before_any_factor_is_built(self, no_factor_builds, bad):
+        # a NaN weight gave a NaN flux with error_bound nan, and no error
+        grid = SpatialGrid.uniform(0.0, 1.0, 2)
+        medium = make_medium(grid, np.ones(2), 0.5 * np.ones(2), np.ones(2))
+        single = QuadratureSet(np.array([-0.5, 0.5]), np.array([bad, 0.5]), "bad")
+        block = rom_pair_block(build_partition(4, 0.05), 17, 0, 2)
+        weights = block.weights.copy()
+        weights[1, 3] = bad
+        for quad in (single, QuadratureSet(block.mus, weights, "bad block")):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                solve(medium, ZERO_BC, quad)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-10])
+    def test_tol_not_positive_rejected(self, no_factor_builds, tol):
+        # tol = nan passed the tol <= 0 check, and no bound could meet it
+        grid = SpatialGrid.uniform(0.0, 1.0, 2)
+        medium = make_medium(grid, np.ones(2), 0.5 * np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(medium, ZERO_BC, pair_quad(), tol=tol)
 
     def test_neumann_series_cross_check(self):
         # phi0 = 0 makes iterates the partial sums of the scattering series;
@@ -227,8 +248,8 @@ class TestBlockSolve:
     def check_rows(self, case, medium, bc, block):
         rows = block.mus.shape[0]
         if case == "thick":  # the block restarts rows that alone would need no restart
-            assert all(len(f.blocks) > 1 for f in _sweep_factors(medium, block.mus))
-            assert any(len(f.blocks) == 1 for mus in block.mus for f in _sweep_factors(medium, mus))
+            assert all(len(f.blocks) > 1 for f in _factor_chunks(medium, block.mus))
+            assert any(len(f.blocks) == 1 for mus in block.mus for f in _factor_chunks(medium, mus))
         phis, report = solve(medium, bc, block, tol=self.TOL)
         assert phis.shape == (rows, 20) and not phis.flags.writeable
         assert report.iterations == rows
@@ -249,7 +270,7 @@ class TestBlockSolve:
         # 20 pairs at n = 6: 120 ordinates per sign group, so chunks of 64 split a row
         medium, bc = _block_medium(case, rng)
         block = rom_pair_block(build_partition(6, 0.05), 17, 3, 23)
-        chunks = list(_sweep_factors(medium, block.mus))
+        chunks = list(_factor_chunks(medium, block.mus))
         assert len(chunks) == 4
         assert any(0 < np.sum(f.sel[0] == b) < 3 for f in chunks for b in range(40))
         self.check_rows(case, medium, bc, block)
@@ -324,21 +345,21 @@ class TestAngularFluxes:
                 np.testing.assert_array_equal(avg[b], row_avg)
                 np.testing.assert_array_equal(edges[b], row_edges)
 
-    def test_wrong_length_rejected(self):
+    def test_wrong_length_rejected(self, no_factor_builds):
         grid = SpatialGrid.uniform(0.0, 1.0, 3)
         medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.ones(3))
         quad = dom_quadrature(build_partition(4, 0.1))
         for phi in ([1.0], np.ones(4)):
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(LengthMismatch, match="phi has length"):
                 angular_fluxes(medium, ZERO_BC, quad, phi)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_flux_rejected(self, bad):
+    def test_non_finite_flux_rejected(self, no_factor_builds, bad):
         # the frozen source sigma_s * phi + q was swept into NaN fluxes without a word
         grid = SpatialGrid.uniform(0.0, 1.0, 3)
         medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.ones(3))
         quad = dom_quadrature(build_partition(4, 0.1))
-        with pytest.raises(ValueError, match="cell_source must be finite"):
+        with pytest.raises(ValueError, match="phi must be finite"):
             angular_fluxes(medium, ZERO_BC, quad, np.full(3, bad))
 
     def test_pure_absorber_decouples(self):
@@ -369,20 +390,19 @@ class TestAngularFluxes:
             np.testing.assert_allclose(avg[l], avg[n - 1 - l][::-1], rtol=1e-10)
 
 
-def _bad_ordinate_paths(monkeypatch, medium, bad):
-    """Each public path that takes inflow data, at ordinates (0.5, bad, -0.5)."""
-    mus = np.array([0.5, bad, -0.5])
-    quad = QuadratureSet(mus, np.full(3, 1 / 3), "bad")
+def _inflow_paths(monkeypatch, medium, mus, boundary):
+    """Each public path that takes inflow data, at ordinates ``mus`` with equal weights."""
+    quad = QuadratureSet(mus, np.full(mus.size, 1 / mus.size), "paths")
     # the certified boundary average draws its quadratures from the reference rule
     monkeypatch.setattr(romlab.angular, "reference_quadrature", lambda delta, nodes: quad)
     source = np.ones(medium.ncells)
     return {
-        "solve": lambda: solve(medium, UNEVALUATED, quad),
-        "angular_fluxes": lambda: angular_fluxes(medium, UNEVALUATED, quad, source),
+        "solve": lambda: solve(medium, boundary, quad),
+        "angular_fluxes": lambda: angular_fluxes(medium, boundary, quad, source),
         "reference_boundary_average": lambda: reference_boundary_average(
-            medium, UNEVALUATED, 0.05, 4),
-        "batched_sweep": lambda: batched_sweep(medium, mus, source, UNEVALUATED),
-        "averaged_sweep": lambda: averaged_sweep(medium, mus, quad.weights, source, UNEVALUATED),
+            medium, boundary, 0.05, 4),
+        "batched_sweep": lambda: batched_sweep(medium, mus, source, boundary),
+        "averaged_sweep": lambda: averaged_sweep(medium, mus, quad.weights, source, boundary),
     }
 
 
@@ -393,8 +413,39 @@ def test_bad_ordinate_raises_before_any_inflow_is_evaluated(monkeypatch, bad):
     grid = SpatialGrid.uniform(0.0, 1.0, 3)
     medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.ones(3))
     error = ZeroMu if bad == 0 else ValueError
-    for call in _bad_ordinate_paths(monkeypatch, medium, bad).values():
+    for call in _inflow_paths(monkeypatch, medium, np.array([0.5, bad, -0.5]), UNEVALUATED).values():
         with pytest.raises(error, match=rf"ordinate \[1\] is {bad}: sweeps need 0 < \|mu\| <= 1"):
             call()
     with pytest.raises(error, match=rf"ordinate \[0\] is {bad}: sweeps need 0 < \|mu\| <= 1"):
         boundary_term(medium, bad, UNEVALUATED)
+
+
+class Infinite:
+    """A boundary side whose evaluation gives inf at every cosine."""
+
+    def evaluate(self, mu):
+        return np.full(np.shape(mu), np.inf)
+
+
+NON_FINITE_SIDES = {
+    "constant-nan": ConstantBoundary(np.nan),
+    "linear-inf": LinearBoundary(np.inf, 0.0),
+    "evaluate-inf": Infinite(),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("kind", list(NON_FINITE_SIDES))
+@pytest.mark.parametrize("path", ["solve", "angular_fluxes", "reference_boundary_average",
+                                  "batched_sweep", "averaged_sweep", "boundary_term"])
+def test_non_finite_inflow_rejected(monkeypatch, path, kind, side):
+    # a NaN or infinite inflow was swept into the fluxes, and solve certified
+    # nothing (error_bound nan) without an error
+    grid = SpatialGrid.uniform(0.0, 1.0, 3)
+    medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.ones(3))
+    sides = {"left": ConstantBoundary(1.0), "right": ConstantBoundary(1.0), side: NON_FINITE_SIDES[kind]}
+    boundary = BoundarySpec(sides["left"], sides["right"])
+    paths = _inflow_paths(monkeypatch, medium, np.array([0.5, -0.25, 0.25, -0.5]), boundary)
+    paths["boundary_term"] = lambda: boundary_term(medium, 0.5 if side == "left" else -0.5, boundary)
+    with pytest.raises(ValueError, match=f"{side} inflow values must be finite"):
+        paths[path]()

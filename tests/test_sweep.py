@@ -18,7 +18,7 @@ from romlab import (
     weighted_norm_of,
 )
 from romlab.sweep import (
-    _sweep_factors,
+    _factor_chunks,
     averaged_response_matrix,
     averaged_sweep,
     batched_sweep,
@@ -223,8 +223,16 @@ class TestApplyTransport:
         grid = SpatialGrid.uniform(0.0, 1.0, 3)
         medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.zeros(3))
         for phi in ([1.0], np.ones(4)):
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(LengthMismatch, match="phi has length"):
                 apply_transport(medium, 0.5, phi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi_rejected(self, bad):
+        # the check named the scaled source sigma_r * phi, not the caller's phi
+        grid = SpatialGrid.uniform(0.0, 1.0, 3)
+        medium = make_medium(grid, np.ones(3), 0.5 * np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError, match="phi must be finite"):
+            apply_transport(medium, 0.5, np.array([1.0, bad, 1.0]))
 
     def test_nonexpansive(self, rng):
         for _ in range(200):
@@ -303,7 +311,7 @@ class TestBatchKernels:
             medium = random_medium(rng, ncells=12)
         mus = np.concatenate([rng.uniform(0.02, 1.0, 150), -rng.uniform(0.02, 1.0, 5)])
         rng.shuffle(mus)
-        chunks = list(_sweep_factors(medium, mus))
+        chunks = list(_factor_chunks(medium, mus))
         assert len(chunks) == 4
         if thick:
             assert len({len(f.blocks) for f in chunks}) > 1
@@ -329,7 +337,7 @@ class TestBatchKernels:
             np.testing.assert_allclose(edges[k], single_edges, rtol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_cell_source_rejected(self, bad):
+    def test_non_finite_cell_source_rejected(self, no_factor_builds, bad):
         medium, mus = unit_absorber(3), np.array([-0.5, 0.5])
         source = np.array([1.0, bad, 1.0])
         for call in (
@@ -341,13 +349,39 @@ class TestBatchKernels:
                 call()
 
     @pytest.mark.parametrize("nweights", [1, 3])
-    def test_weights_not_matching_ordinates_rejected(self, nweights):
+    def test_weights_not_matching_ordinates_rejected(self, no_factor_builds, nweights):
         medium = unit_absorber(2)
         mus, w = np.array([-0.5, 0.5]), np.full(nweights, 0.5)
         with pytest.raises(LengthMismatch, match=rf"\({nweights},\).*\(2,\)"):
             averaged_sweep(medium, mus, w, np.ones(2), UNIT_BC)
         with pytest.raises(LengthMismatch, match=rf"\({nweights},\).*\(2,\)"):
             averaged_response_matrix(medium, mus, w, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("path", ["averaged_sweep", "averaged_response_matrix"])
+    def test_non_finite_weights_rejected(self, no_factor_builds, path, bad):
+        # a NaN weight gave all-NaN averages and matrix entries without an error
+        medium = unit_absorber(2)
+        mus, w = np.array([-0.5, 0.5]), np.array([bad, 0.5])
+        call = {
+            "averaged_sweep": lambda: averaged_sweep(medium, mus, w, np.ones(2), UNIT_BC),
+            "averaged_response_matrix": lambda: averaged_response_matrix(medium, mus, w, np.ones(2)),
+        }[path]
+        with pytest.raises(ValueError, match="weights must be finite"):
+            call()
+
+    def test_scale_not_matching_cells_rejected(self, no_factor_builds):
+        medium, mus, w = unit_absorber(2), np.array([-0.5, 0.5]), np.full(2, 0.5)
+        for scale in ([1.0], np.ones(3)):
+            with pytest.raises(LengthMismatch, match="scale has length"):
+                averaged_response_matrix(medium, mus, w, scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, no_factor_builds, bad):
+        # a NaN scale gave an all-NaN matrix without an error
+        medium, mus, w = unit_absorber(2), np.array([-0.5, 0.5]), np.full(2, 0.5)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            averaged_response_matrix(medium, mus, w, np.array([bad, 1.0]))
 
     def test_response_matrix_matches_columns(self, rng):
         for _ in range(10):
