@@ -52,8 +52,8 @@ from .operators import (
     weighted_adjoint,
     weighted_operator_norm,
 )
-from .solver import SolveReport, angular_fluxes, solve
-from .sweep import apply_transport, boundary_term, sweep_direction
+from .solver import SolveReport, solve
+from .sweep import angular_fluxes, apply_transport, boundary_term, sweep_direction
 from .experiments import (
     ErrorRow,
     ErrorTable,

@@ -125,6 +125,7 @@ class StudyConfig:
     ref_nodes: int = defaults.REF_INITIAL_NODES
 
     def __post_init__(self):
+        _truncation(self.delta, "/delta")
         n_list = tuple(_even_n(n, f"/study/n_list/{i}") for i, n in enumerate(self.n_list))
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("/study/n_list", "must be a strictly increasing list")
@@ -146,7 +147,7 @@ class StudyConfig:
             raise ConfigError("/study/reference_delta", "must be below every entry of delta_list")
         cap = defaults.SOLVER_TOL_COEFF * max(n_list) ** -3
         tol = min(defaults.SOLVER_TOL, cap) if self.solver_tol is None else float(self.solver_tol)
-        if tol <= 0:
+        if not tol > 0:
             raise ConfigError("/solver/tol", "must be positive")
         if tol > cap:
             raise ConfigError(

@@ -13,14 +13,15 @@ and one ordinate check per sweep (0 < |mu| <= 1) ensure.  That check, the
 weights' (``_quadrature``) and the per-cell arrays' (``_per_cell``: shape and
 finite values) run once per call, before any factor is built.  Batched calls
 take the inflow BoundarySpec; each chunk evaluates its upwind side through
-``_inflows``, which rejects non-finite values.
-``sweep_direction`` is the plain scalar march of one ordinate and serves as
-the reference route; the batched helpers below compute the same arrays for
-many ordinates at once via cumulative optical depths, one path for every
-depth, cross-checked against the march in the tests.  Each batched call
-builds the exponentials of one chunk of at most max(64, M) ordinates of one
-sign group at a time (``_half_factors``) and runs one source kernel over
+``_inflows``, which rejects non-finite values, as ``sweep_direction`` rejects
+a non-finite inflow.  That plain scalar march of one ordinate is the
+reference route; the batched helpers below compute the same arrays for many
+ordinates at once via cumulative optical depths, one path for every depth.
+Each builds the exponentials of one chunk of at most max(64, M) ordinates of
+one sign group at a time (``_half_factors``) and runs one source kernel over
 them (``_swept_half``), so its memory does not grow with the ordinate count.
+``_row_systems`` builds ``solver.solve``'s systems from the same chunks: the
+chunk layout is known in this module alone.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import defaults
+from .angular import QuadratureSet
 from .errors import LengthMismatch, PureAbsorber, ZeroMu
 from .medium import BoundarySpec, ConstantBoundary, MediumProfile
 
@@ -86,6 +88,8 @@ def sweep_direction(medium: MediumProfile, mu: float, cell_source, inflow: float
     averages and edge values of psi(., mu), one row of batched_sweep.
     """
     _check_ordinates([mu])
+    if not math.isfinite(inflow):
+        raise ValueError(f"inflow must be finite, got {inflow}")
     s = _per_cell(medium, cell_source, "cell_source")
     m = medium.ncells
     order = range(m) if mu > 0 else range(m - 1, -1, -1)
@@ -165,11 +169,6 @@ class _Half(NamedTuple):
     exp_c: np.ndarray
     blocks: list[tuple[int, int]]
 
-    def rows(self, start: int, stop: int) -> "_Half":
-        """Views of ordinates start..stop-1 of this chunk; ``sel`` stays the whole chunk's."""
-        return self._replace(G=self.G[start:stop], one_minus_e=self.one_minus_e[start:stop],
-                             decay=self.decay[start:stop], exp_c=self.exp_c[start:stop])
-
 
 # tau, or its running sum, is inf below |mu| ~ depth / 1.8e308: G = 0, fully absorbed
 @np.errstate(over="ignore")
@@ -240,6 +239,19 @@ def batched_sweep(medium: MediumProfile, mus, cell_source, boundary: BoundarySpe
     return avg, edges
 
 
+def angular_fluxes(medium: MediumProfile, boundary: BoundarySpec, quad: QuadratureSet,
+                   phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ordinate fluxes recovered from one converged (M,) scalar flux ``phi``.
+
+    Every ordinate of ``quad``, each row of a block alike, is swept with the
+    one frozen source sigma_s * phi + q: (avg, edges) of shapes mus.shape + (M,)
+    and mus.shape + (M+1,); quad.weights @ avg reproduces phi to within the
+    solver tolerance.  A block's (B, M) flux raises LengthMismatch naming phi.
+    """
+    source = medium.sigma_s * _per_cell(medium, phi, "phi") + medium.q
+    return batched_sweep(medium, quad.mus, source, boundary)
+
+
 def averaged_sweep(medium: MediumProfile, mus, weights, cell_source, boundary) -> np.ndarray:
     """sum_l weights[l] * (cell averages of the sweep at mus[l]) with the inflow
     BoundarySpec: the weighted batched_sweep averages, without the (L, M) arrays."""
@@ -291,27 +303,74 @@ def averaged_response_matrix(medium: MediumProfile, mus, quad_weights, scale) ->
     out = np.zeros((m, m))
     full = np.empty((m, m))
     for f in _factor_chunks(medium, mus):
-        out[f.flip, f.flip] += _response_half(f, r[f.flip], w[f.sel], full)
+        out[f.flip, f.flip] += _response_half(f, slice(None), r[f.flip], w[f.sel], full)
         del f  # free this chunk's factors before the next chunk's are built
     return out
 
 
-def _response_half(f: _Half, r_up, w, full: np.ndarray) -> np.ndarray:
-    """Chunk f's weighted response matrix in upwind order, written into ``full``."""
+def _row_systems(medium: MediumProfile, mus, weights, boundary: BoundarySpec):
+    """Yield (c, I - S) of each row of one quadrature or a (B, L) block, in row order.
+
+    Ordinates and weights are checked, by the caller's index, before any
+    factor is built.  The factors are built chunk by chunk, once for all
+    rows, and every row's c is formed from them; row 0's S too, while each
+    chunk is live, so a single quadrature holds one chunk's factors at a
+    time and a block keeps only the chunks holding later rows.  Each later
+    row's S is assembled from its slices of those chunks.  All rows share
+    one M x M array, so a yielded I - S is valid until the next row (stacked
+    systems would stay in a worker thread's heap after its block ends).
+    """
+    mus, weights = np.atleast_2d(*_quadrature(mus, weights))  # by the caller's index
+    sat = medium.q / medium.sigma_t
+    ratio = medium.sigma_s / medium.sigma_t
+    rows, m = mus.shape[0], medium.ncells
+    const = np.zeros((rows, m))
+    system = np.zeros((m, m))  # -S, then I - S, of one row at a time
+    response = np.empty((m, m))  # one chunk's share of S
+
+    def subtract_s(b, f, w, ends):  # row b's ordinates are ends[b]..ends[b+1]-1 of chunk f
+        start, stop = ends[b], ends[b + 1]
+        if start < stop:
+            system[f.flip, f.flip] -= _response_half(f, slice(start, stop), ratio[f.flip],
+                                                     w[start:stop], response)
+
+    chunks = []
+    for f in _factor_chunks(medium, mus):
+        w, ends = weights[f.sel], np.searchsorted(f.sel[0], np.arange(rows + 1))
+        avg = _swept_half(f, sat[f.flip], _inflows(boundary, f.side, mus[f.sel]))[0]
+        for b in range(rows):
+            const[b, f.flip] += w[ends[b] : ends[b + 1]] @ avg[ends[b] : ends[b + 1]]
+        del avg
+        subtract_s(0, f, w, ends)
+        if ends[-1] > ends[1]:  # the chunk holds ordinates of later rows
+            chunks.append((f, w, ends))
+        del f  # free this chunk's factors before the next chunk's are built
+    for b in range(rows):
+        if b:
+            system.fill(0.0)
+            for chunk in chunks:
+                subtract_s(b, *chunk)
+        system.flat[:: m + 1] += 1.0  # the diagonal
+        yield const[b], system
+
+
+def _response_half(f: _Half, rows: slice, r_up, w, full: np.ndarray) -> np.ndarray:
+    """Weighted response matrix of chunk f's ordinates ``rows``, upwind order, in ``full``."""
+    G, decay, one_minus_e, exp_c = f.G[rows], f.decay[rows], f.one_minus_e[rows], f.exp_c[rows]
     # products formed in place, so no (L, M) temporary outlives its line
-    wu = f.G * f.decay[:, :-1]
+    wu = G * decay[:, :-1]
     wu *= w[:, None]
     # column j: exit value of a unit source in cell j, carried to the entry
     # of the block of rows being filled; the unfilled upper part is zeroed
-    v = r_up[None, :] * f.one_minus_e
-    v *= f.exp_c
+    v = r_up[None, :] * one_minus_e
+    v *= exp_c
     for start, stop in f.blocks:
         if start:
-            v[:, :start] /= f.exp_c[:, start - 1 : start]
+            v[:, :start] /= exp_c[:, start - 1 : start]
         np.matmul(wu[:, start:stop].T, v[:, :stop], out=full[start:stop, :stop])
     # in place: np.tril would copy the M x M array
     np.copyto(full, 0.0, where=_on_or_above_diagonal(r_up.size))
-    full.flat[:: r_up.size + 1] = r_up * (w.sum() - w @ f.G)  # the diagonal
+    full.flat[:: r_up.size + 1] = r_up * (w.sum() - w @ G)  # the diagonal
     return full
 
 

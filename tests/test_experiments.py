@@ -106,6 +106,12 @@ class TestStudyConfig:
         ({"reference_delta": -0.01}, "/study/reference_delta"),
         ({"solver_tol": -1.0}, "/solver/tol"),
         ({"solver_tol": 0.0}, "/solver/tol"),
+        ({"solver_tol": np.nan}, "/solver/tol"),
+        ({"delta": 0.0}, "/delta"),
+        ({"delta": 1.0}, "/delta"),
+        ({"delta": 1.5}, "/delta"),
+        ({"delta": -0.1}, "/delta"),
+        ({"delta": np.nan}, "/delta"),
     ])
     def test_bad_value_rejected_when_built(self, overrides, path):
         # rejected when built, before any reference is certified or any row solved

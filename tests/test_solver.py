@@ -25,7 +25,8 @@ from romlab import (
     sweep_direction,
 )
 from romlab.medium import weighted_norm_of
-from romlab.sweep import _factor_chunks, averaged_response_matrix, averaged_sweep, batched_sweep
+from romlab.sweep import (_factor_chunks, _row_systems, averaged_response_matrix, averaged_sweep,
+                          batched_sweep)
 import romlab.angular
 from conftest import BAD_ORDINATES, UNEVALUATED, random_medium, small_config, source_iteration
 
@@ -275,6 +276,22 @@ class TestBlockSolve:
         assert any(0 < np.sum(f.sel[0] == b) < 3 for f in chunks for b in range(40))
         self.check_rows(case, medium, bc, block)
 
+    @pytest.mark.parametrize("pairs", [7, 23], ids=["one-chunk", "chunked"])
+    def test_row_systems_are_the_rows_public_sweeps(self, rng, pairs):
+        # c is the weighted sweep of q with the inflow data, and S the weighted
+        # response to sigma_s * phi, of the row's ordinates alone
+        medium, bc = _block_medium("inflow", rng)
+        block = rom_pair_block(build_partition(6, 0.05), 17, 3, pairs)
+        systems = []
+        for b, (c, system) in enumerate(_row_systems(medium, block.mus, block.weights, bc)):
+            mus, w = block.mus[b], block.weights[b]
+            np.testing.assert_allclose(c, averaged_sweep(medium, mus, w, medium.q, bc), rtol=1e-14)
+            s = averaged_response_matrix(medium, mus, w, medium.sigma_s)
+            np.testing.assert_allclose(system, np.eye(20) - s, rtol=1e-14, atol=1e-16)
+            systems.append(system)
+        assert len(systems) == block.mus.shape[0]
+        assert all(system is systems[0] for system in systems)  # one M x M array serves every row
+
     def test_block_of_one_row_is_the_single_solve(self, rng):
         medium, bc = _block_medium("mixed", rng)
         quad = rom_sample(build_partition(8, 0.05), 17, 3)
@@ -352,6 +369,14 @@ class TestAngularFluxes:
         for phi in ([1.0], np.ones(4)):
             with pytest.raises(LengthMismatch, match="phi has length"):
                 angular_fluxes(medium, ZERO_BC, quad, phi)
+
+    def test_block_flux_rejected(self, no_factor_builds):
+        # every row of a block sweeps the one (M,) flux; the (B, M) flux solve returns does not fit
+        grid = SpatialGrid.uniform(0.0, 1.0, 4)
+        medium = make_medium(grid, np.ones(4), 0.5 * np.ones(4), np.ones(4))
+        block = rom_pair_block(build_partition(4, 0.05), 17, 0, 2)
+        with pytest.raises(LengthMismatch, match="phi has length 16, grid has 4 cells"):
+            angular_fluxes(medium, ZERO_BC, block, np.ones((4, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_flux_rejected(self, no_factor_builds, bad):

@@ -6,8 +6,9 @@ field with a default: each is a knob that callers can turn and that tests
 and benchmarks must cover.  A change that adds or removes one updates
 SETTABLE_VALUES in the same diff.  SOURCE_LINES is the line count of
 src/romlab/*.py (the total of ``wc -l``), tracked like a benchmark; a change
-that moves it updates SOURCE_LINES in the same diff.  The private kernels
-of sweep.py are for solver.py alone; every other module sweeps through the
+that moves it updates SOURCE_LINES in the same diff.  sweep.py alone knows
+its chunk layout: solver.py imports one private of it, _row_systems, which
+yields each row's linear system, and every other module sweeps through the
 public batched calls.  operators.py assembles every transport and iteration
 matrix through one call of averaged_response_matrix, so that assembly and
 its lambda > 0 check cannot fork.  experiments.STUDIES is the one table of
@@ -36,7 +37,7 @@ from romlab import experiments
 from conftest import small_config
 
 SETTABLE_VALUES = 12
-SOURCE_LINES = 2317
+SOURCE_LINES = 2320
 
 # Public names that nothing in src/romlab reads, each with the reason it stays.
 UNREAD_PUBLIC_NAMES = {
@@ -100,13 +101,16 @@ def test_source_line_count_is_pinned():
 
 def test_only_the_solver_imports_sweep_privates():
     package_dir = Path(romlab.__file__).parent
-    found = []
+    imported = {}  # module file: the names it imports from sweep.py
     for path in sorted(package_dir.glob("*.py")):
-        if path.name in ("sweep.py", "solver.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module in ("sweep", "romlab.sweep"):
-                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+                imported.setdefault(path.name, set()).update(a.name for a in node.names)
+    assert imported.pop("solver.py") == {"_row_systems"}, (
+        "solver.py takes each row's system from sweep._row_systems and imports nothing else of sweep.py"
+    )
+    found = sorted(f"{module}: {name}" for module, names in imported.items()
+                   for name in names if name.startswith("_"))
     assert not found, f"modules other than solver.py import sweep privates: {found}"
 
 

@@ -70,6 +70,16 @@ class TestSweepDirection:
         with pytest.raises(ZeroMu):
             sweep_direction(unit_absorber(), 0.0, [1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inflow_rejected(self, bad):
+        # a NaN inflow was marched into all-NaN averages without an error
+        medium = unit_absorber(3)
+        for mu in (0.5, -0.5):
+            with pytest.raises(ValueError, match="inflow must be finite"):
+                sweep_direction(medium, mu, np.ones(3), bad)
+        with pytest.raises(ZeroMu):  # the ordinate is checked first
+            sweep_direction(medium, 0.0, np.ones(3), bad)
+
     def test_inflow_edge_recorded(self):
         medium = unit_absorber(3)
         _, fwd_edges = sweep_direction(medium, 0.9, np.zeros(3), 1.5)
