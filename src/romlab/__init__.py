@@ -16,6 +16,7 @@ from .angular import (
     rom_sample,
     uniform_stream,
 )
+from .config import StudyConfig
 from .errors import (
     AlphaUnbounded,
     ConfigError,
@@ -60,7 +61,6 @@ from .experiments import (
     RegularizationRow,
     RegularizationTable,
     SlopeFit,
-    StudyConfig,
     bias_study,
     certified_reference,
     deviation_study,

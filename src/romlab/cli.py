@@ -9,12 +9,12 @@ Commands
 --------
 ``romlab validate --config c.json``
     Checks the config and prints derived values, then one ``cannot run KIND``
-    line per study-kind rule it breaks (StudyConfig.check_kind); exit 0.
+    line per study-kind rule it breaks (experiments.unmet_rules); exit 0.
 ``romlab solve --config c.json --out phi.csv [--seed S]``
     One solve; writes the flux CSV, a report JSON, and a manifest.
 ``romlab study --config c.json --study KIND --out DIR [--seed S] [--jobs K] [--force]``
     KIND is a key of experiments.STUDIES: single-run, bias, dom, delta-t,
-    delta-b or regularization.  Its rules (StudyConfig.check_kind) are
+    delta-b or regularization.  Its rules (experiments.check_kind) are
     checked before DIR is made.
     Writes the result table CSV, a summary JSON with slope fits and
     timings, and a manifest.
@@ -44,7 +44,7 @@ from . import __version__
 from .config import LoadedConfig, build_quadrature, config_hash, load_config, study_config
 from .errors import NoConvergence, ReferenceNotConverged, RomlabError, TooFewPoints
 from .experiments import (STUDIES, STUDY_KINDS, ErrorRow, ErrorTable, RegularizationRow,
-                          RegularizationTable, fit_slope)
+                          RegularizationTable, check_kind, fit_slope, unmet_rules)
 from .solver import solve
 
 
@@ -109,7 +109,7 @@ def _cmd_validate(args) -> int:
     print(f"solver_tol (study) = {sc.solver_tol:.6g}")
     print(f"config_hash = {config_hash(cfg)}")
     for kind in STUDY_KINDS:
-        for error in sc.unmet_rules(kind):
+        for error in unmet_rules(sc, kind):
             print(f"cannot run {kind}: {error}")
     return 0
 
@@ -151,7 +151,7 @@ def _cmd_study(args) -> int:
     started = _utcnow()
     cfg = _load(args)
     sc = study_config(cfg)
-    sc.check_kind(args.study)  # before mkdir: an unmet rule leaves no directory behind
+    check_kind(sc, args.study)  # before mkdir: an unmet rule leaves no directory behind
     out_dir = Path(args.out)
     if out_dir.exists():
         if not out_dir.is_dir():

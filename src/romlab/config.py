@@ -5,15 +5,17 @@ Validation failures raise ConfigError carrying a JSON-pointer-style path
 loads through load_config, which parses what every command reads: medium,
 boundary, delta, seed and /solver/tol.  ``merged`` is the document
 config_hash hashes, and each remaining section has one reader: study_config
-types /study into a StudyConfig, which checks every study value (an
-explicit /solver/tol above the study cap included), and build_quadrature
-builds and checks the solve's quadrature from /quadrature.
+maps /study onto a StudyConfig, which types and checks every study value
+(an explicit /solver/tol above the study cap included) whoever builds it,
+and build_quadrature builds and checks the solve's quadrature from
+/quadrature.  It imports no study, operator, solver, sweep or CLI code.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -26,7 +28,6 @@ from .errors import (
     LambdaAtLeastOne,
     NonPositiveSigmaT,
 )
-from .experiments import StudyConfig, _even_n, _truncation
 from .medium import (
     BoundarySpec,
     ConstantBoundary,
@@ -101,6 +102,98 @@ def _nodes_per_half(value, path: str) -> int:
         raise ConfigError(path, f"must be at most {defaults.REF_MAX_NODES} "
                                 f"(reference.max_nodes_per_half in defaults.json), got {nodes}")
     return nodes
+
+
+def _even_n(value, path: str) -> int:
+    """An ordinate count: an even integer from 2 to twice the reference cap (both
+    halves of its largest rule), else ConfigError at ``path``."""
+    n = _integer(value, path)
+    cap = 2 * defaults.REF_MAX_NODES
+    if n < 2 or n % 2 != 0 or n > cap:
+        raise ConfigError(path, f"ordinate count must be an even integer in [2, {cap}], got {n}")
+    return n
+
+
+def _truncation(value, path: str) -> float:
+    """A velocity truncation: a number strictly inside (0, 1), else ConfigError at ``path``."""
+    delta = _number(value, path)
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(path, f"truncation must lie strictly inside (0, 1), got {delta}")
+    return delta
+
+
+def _entries(value, path: str, entry) -> tuple:
+    """A nonempty list, tuple or 1-D array, each entry read by ``entry(v, f"{path}/{i}")``."""
+    if not (isinstance(value, (list, tuple)) or np.ndim(value) == 1) or len(value) == 0:
+        raise ConfigError(path, "must be a nonempty list")
+    return tuple(entry(v, f"{path}/{i}") for i, v in enumerate(value))
+
+
+@dataclass(frozen=True, eq=False)
+class StudyConfig:
+    """Everything a convergence study needs; types and checks each study value once.
+
+    When built it types each value (an integer, a finite number, or a
+    nonempty list of them) and checks its range, raising ConfigError at its
+    JSON path, for a library caller as for a JSON config.  The solver
+    tolerance must sit at least three orders below the cubic velocity-error
+    scale of the largest n, so measured errors are purely velocity
+    discretization; None takes the default solver tolerance, tightened to
+    that cap.  ``ref_target`` is the certification gap for the reference
+    solution, one hundredth of that same scale.  ``dom_rule`` is the dom
+    study's rule; ``delta_list`` and ``reference_delta`` are the
+    regularization study's truncations.
+    """
+
+    medium: MediumProfile
+    boundary: BoundarySpec
+    delta: float
+    n_list: tuple[int, ...]
+    sample_count: int
+    master_seed: int
+    dom_rule: str
+    delta_list: tuple[float, ...]
+    reference_delta: float
+    solver_tol: float | None = None
+    ref_nodes: int = defaults.REF_INITIAL_NODES
+
+    def __post_init__(self):
+        store = partial(object.__setattr__, self)
+        store("delta", _truncation(self.delta, "/delta"))
+        n_list = _entries(self.n_list, "/study/n_list", _even_n)
+        if any(b <= a for a, b in zip(n_list, n_list[1:])):
+            raise ConfigError("/study/n_list", "must be a strictly increasing list")
+        store("n_list", n_list)
+        store("sample_count", _positive(self.sample_count, "/study/samples"))
+        store("master_seed", _integer(self.master_seed, "/seed"))
+        if self.dom_rule not in ("midpoint", "gauss"):
+            raise ConfigError("/study/dom_rule", "must be midpoint or gauss")
+        store("ref_nodes", _positive(self.ref_nodes, "/study/ref_nodes"))
+        if self.ref_nodes > defaults.REF_MAX_NODES // 2:
+            raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
+        store("delta_list", _entries(self.delta_list, "/study/delta_list", _truncation))
+        store("reference_delta", _truncation(self.reference_delta, "/study/reference_delta"))
+        if any(self.reference_delta >= d for d in self.delta_list):
+            raise ConfigError("/study/reference_delta", "must be below every entry of delta_list")
+        cap = defaults.SOLVER_TOL_COEFF * max(n_list) ** -3
+        tol = min(defaults.SOLVER_TOL, cap) if self.solver_tol is None else _number(self.solver_tol, "/solver/tol")
+        if tol <= 0:
+            raise ConfigError("/solver/tol", "must be positive")
+        if tol > cap:
+            raise ConfigError(
+                "/solver/tol",
+                f"must be <= {defaults.SOLVER_TOL_COEFF:g} * n_max^-3 = {cap:.3g} to keep "
+                f"solver error below the velocity errors measured, got {tol:.3g}",
+            )
+        store("solver_tol", tol)
+
+    @property
+    def n_max(self) -> int:
+        return max(self.n_list)
+
+    @property
+    def ref_target(self) -> float:
+        return defaults.REF_TARGET_COEFF * self.n_max**-3
 
 
 def _per_cell(value, cells: int, path: str) -> np.ndarray:
@@ -210,7 +303,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         _build_boundary_side(_get(bsec, "left", "/boundary"), "/boundary/left"),
         _build_boundary_side(_get(bsec, "right", "/boundary"), "/boundary/right"),
     )
-    delta = _truncation(_number(merged["delta"], "/delta"), "/delta")
+    delta = _truncation(merged["delta"], "/delta")
     seed = _integer(merged["seed"], "/seed")
 
     solver = _require_object(merged["solver"], "/solver")
@@ -248,7 +341,7 @@ def build_quadrature(cfg: LoadedConfig) -> QuadratureSet:
     if kind == "reference":
         nodes = _nodes_per_half(_get(section, "nodes_per_half", "/quadrature"), "/quadrature/nodes_per_half")
         return reference_quadrature(cfg.delta, nodes)
-    n = _even_n(_integer(_get(section, "n", "/quadrature"), "/quadrature/n"), "/quadrature/n")
+    n = _even_n(_get(section, "n", "/quadrature"), "/quadrature/n")
     if kind == "rom":
         index = _integer(section.get("sample_index", 0), "/quadrature/sample_index")
         if index < 0:
@@ -263,28 +356,14 @@ def build_quadrature(cfg: LoadedConfig) -> QuadratureSet:
 def study_config(cfg: LoadedConfig) -> StudyConfig:
     """StudyConfig from /study, with cfg.seed as the master seed.
 
-    Turns the JSON into typed values (integers, numbers, lists);
-    StudyConfig checks the values themselves.  A defaulted /solver/tol
-    passes None, which StudyConfig tightens to the study cap; an explicit
-    one must respect that cap.
+    Maps each /study key to its field; StudyConfig types and checks the
+    values.  A defaulted /solver/tol passes None, which StudyConfig tightens
+    to the study cap; an explicit one must respect that cap.
     """
     study = _require_object(cfg.merged["study"], "/study")
-    n_list = study["n_list"]
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigError("/study/n_list", "must be a nonempty list")
-    delta_list = study["delta_list"]
-    if not isinstance(delta_list, list):
-        raise ConfigError("/study/delta_list", "must be a nonempty list")
     return StudyConfig(
-        medium=cfg.medium,
-        boundary=cfg.boundary,
-        delta=cfg.delta,
-        n_list=tuple(_integer(v, f"/study/n_list/{i}") for i, v in enumerate(n_list)),
-        sample_count=_integer(study["samples"], "/study/samples"),
-        master_seed=cfg.seed,
-        dom_rule=study["dom_rule"],
-        delta_list=tuple(_number(d, f"/study/delta_list/{i}") for i, d in enumerate(delta_list)),
-        reference_delta=_number(study["reference_delta"], "/study/reference_delta"),
+        medium=cfg.medium, boundary=cfg.boundary, delta=cfg.delta, master_seed=cfg.seed,
+        n_list=study["n_list"], sample_count=study["samples"], ref_nodes=study["ref_nodes"],
+        dom_rule=study["dom_rule"], delta_list=study["delta_list"], reference_delta=study["reference_delta"],
         solver_tol=cfg.solver_tol if cfg.tol_explicit else None,
-        ref_nodes=_integer(study["ref_nodes"], "/study/ref_nodes"),
     )

@@ -26,8 +26,9 @@ from .angular import (
     rom_pair_block,
     rom_sample,
 )
+from .config import StudyConfig
 from .errors import ConfigError, NoConvergence, PureAbsorber, RomlabError, TooFewPoints
-from .medium import BoundarySpec, MediumProfile, weighted_norm_of
+from .medium import weighted_norm_of
 from .operators import (boundary_deviation_stats, iteration_deviation_stats,
                         reference_boundary_average, reference_iteration_matrix)
 from .solver import solve
@@ -83,106 +84,6 @@ class RegularizationTable:
     rows: tuple[RegularizationRow, ...]
 
 
-def _even_n(n: int, path: str) -> int:
-    """An ordinate count: even, from 2 to twice the reference cap (both halves of
-    its largest rule), else ConfigError at ``path``."""
-    cap = 2 * defaults.REF_MAX_NODES
-    if n < 2 or n % 2 != 0 or n > cap:
-        raise ConfigError(path, f"ordinate count must be an even integer in [2, {cap}], got {n}")
-    return int(n)
-
-
-def _truncation(delta: float, path: str) -> float:
-    """A velocity truncation: strictly inside (0, 1), else ConfigError at ``path``."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(path, f"truncation must lie strictly inside (0, 1), got {delta}")
-    return float(delta)
-
-
-@dataclass(frozen=True, eq=False)
-class StudyConfig:
-    """Everything a convergence study needs, and the one check of each study value.
-
-    The solver tolerance must sit at least three orders below the cubic
-    velocity-error scale of the largest n, so measured errors are purely
-    velocity discretization; None takes the default solver tolerance,
-    tightened to that cap.  ``ref_target`` is the certification gap for the
-    reference solution, one hundredth of that same scale.  ``dom_rule`` is
-    the dom study's rule; ``delta_list`` and ``reference_delta`` are the
-    regularization study's truncations.
-    """
-
-    medium: MediumProfile
-    boundary: BoundarySpec
-    delta: float
-    n_list: tuple[int, ...]
-    sample_count: int
-    master_seed: int
-    dom_rule: str
-    delta_list: tuple[float, ...]
-    reference_delta: float
-    solver_tol: float | None = None
-    ref_nodes: int = defaults.REF_INITIAL_NODES
-
-    def __post_init__(self):
-        _truncation(self.delta, "/delta")
-        n_list = tuple(_even_n(n, f"/study/n_list/{i}") for i, n in enumerate(self.n_list))
-        if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError("/study/n_list", "must be a strictly increasing list")
-        object.__setattr__(self, "n_list", n_list)
-        if self.sample_count < 1:
-            raise ConfigError("/study/samples", "must be at least 1")
-        if self.dom_rule not in ("midpoint", "gauss"):
-            raise ConfigError("/study/dom_rule", "must be midpoint or gauss")
-        if self.ref_nodes < 1:
-            raise ConfigError("/study/ref_nodes", "must be at least 1")
-        if self.ref_nodes > defaults.REF_MAX_NODES // 2:
-            raise ConfigError("/study/ref_nodes", f"must be at most half the {defaults.REF_MAX_NODES}-node cap")
-        if not self.delta_list:
-            raise ConfigError("/study/delta_list", "must be a nonempty list")
-        object.__setattr__(self, "delta_list", tuple(
-            _truncation(d, f"/study/delta_list/{i}") for i, d in enumerate(self.delta_list)))
-        _truncation(self.reference_delta, "/study/reference_delta")
-        if any(self.reference_delta >= d for d in self.delta_list):
-            raise ConfigError("/study/reference_delta", "must be below every entry of delta_list")
-        cap = defaults.SOLVER_TOL_COEFF * max(n_list) ** -3
-        tol = min(defaults.SOLVER_TOL, cap) if self.solver_tol is None else float(self.solver_tol)
-        if not tol > 0:
-            raise ConfigError("/solver/tol", "must be positive")
-        if tol > cap:
-            raise ConfigError(
-                "/solver/tol",
-                f"must be <= {defaults.SOLVER_TOL_COEFF:g} * n_max^-3 = {cap:.3g} to keep "
-                f"solver error below the velocity errors measured, got {tol:.3g}",
-            )
-        object.__setattr__(self, "solver_tol", tol)
-
-    def unmet_rules(self, kind: str) -> list[RomlabError]:
-        """One error per rule of study ``kind`` that this config breaks; [] if it can run."""
-        if kind not in STUDIES:
-            raise ValueError(f"unknown study kind {kind!r}")
-        _, min_samples, needs_scattering = STUDIES[kind]
-        unmet = []
-        if self.sample_count < min_samples:
-            unmet.append(ConfigError("/study/samples", f"{kind} study needs at least {min_samples} samples"))
-        if needs_scattering and self.medium.lam == 0:
-            unmet.append(PureAbsorber(f"{kind} study needs lambda > 0"))
-        return unmet
-
-    def check_kind(self, kind: str) -> None:
-        """Raise the first unmet rule of study ``kind``; each study calls this before any solve."""
-        for error in self.unmet_rules(kind):
-            raise error
-
-    @property
-    def n_max(self) -> int:
-        return max(self.n_list)
-
-    @property
-    def ref_target(self) -> float:
-        return defaults.REF_TARGET_COEFF * self.n_max**-3
-
-
 def _solved(medium, boundary, quad, tol) -> np.ndarray:
     """Flux values of a certified solve of a quadrature or a block; raises
     NoConvergence, naming the quadrature or block, if its bound exceeds tol."""
@@ -227,7 +128,7 @@ def _error_rows(n_list, delta: float, measure) -> tuple[ErrorRow, ...]:
 
 def single_run_error_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     """Mean single-sample error against the certified reference, per n."""
-    config.check_kind("single-run")
+    check_kind(config, "single-run")
     ref, _, _ = certified_reference(config)
 
     def measure(partition):
@@ -279,7 +180,7 @@ def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
     smaller n may draw up to sample_count * (n_max / n)**3, rounded down to
     whole pairs.
     """
-    config.check_kind("bias")
+    check_kind(config, "bias")
     ref, _, _ = certified_reference(config)
     weights = config.medium.cell_weights
     initial = defaults.BIAS_INITIAL_SAMPLES
@@ -313,7 +214,7 @@ def bias_study(config: StudyConfig, jobs: int = 1) -> ErrorTable:
 
 def dom_error_study(config: StudyConfig) -> ErrorTable:
     """Error of the config's deterministic rule against the same reference, per n."""
-    config.check_kind("dom")
+    check_kind(config, "dom")
     ref, _, _ = certified_reference(config)
 
     def measure(partition):
@@ -332,7 +233,7 @@ def deviation_study(config: StudyConfig, kind: str, jobs: int) -> ErrorTable:
     """
     if kind not in ("delta-t", "delta-b"):
         raise ValueError(f"unknown deviation study {kind!r}")
-    config.check_kind(kind)
+    check_kind(config, kind)
     if kind == "delta-t":
         reference, _, _ = reference_iteration_matrix(config.medium, config.delta, config.ref_nodes)
         stats_of = partial(iteration_deviation_stats, config.medium)
@@ -381,7 +282,7 @@ def regularization_study(config: StudyConfig) -> RegularizationTable:
     and each certified solve refines its quadrature to a gap of
     defaults.REGULARIZATION_TARGET.
     """
-    config.check_kind("regularization")
+    check_kind(config, "regularization")
     medium, boundary, ref_nodes = config.medium, config.boundary, config.ref_nodes
 
     ref_flux, ref_nodes_used, ref_gap = _certified_solve(
@@ -441,3 +342,22 @@ STUDIES = {
     "regularization": StudyKind(lambda sc, jobs: regularization_study(sc), 1, True),
 }
 STUDY_KINDS = tuple(STUDIES)
+
+
+def unmet_rules(config: StudyConfig, kind: str) -> list[RomlabError]:
+    """One error per rule of study ``kind`` that ``config`` breaks; [] if it can run."""
+    if kind not in STUDIES:
+        raise ValueError(f"unknown study kind {kind!r}")
+    _, min_samples, needs_scattering = STUDIES[kind]
+    unmet = []
+    if config.sample_count < min_samples:
+        unmet.append(ConfigError("/study/samples", f"{kind} study needs at least {min_samples} samples"))
+    if needs_scattering and config.medium.lam == 0:
+        unmet.append(PureAbsorber(f"{kind} study needs lambda > 0"))
+    return unmet
+
+
+def check_kind(config: StudyConfig, kind: str) -> None:
+    """Raise the first unmet rule of study ``kind``; each study calls this before any solve."""
+    for error in unmet_rules(config, kind):
+        raise error

@@ -18,7 +18,7 @@ import numpy as np
 from . import defaults
 from ._parallel import indexed_map
 from .angular import QuadratureSet, VelocityPartition, certify_by_doubling, rom_sample
-from .errors import ConfigError, LengthMismatch, PureAbsorber
+from .errors import LengthMismatch, PureAbsorber
 from .medium import BoundarySpec, MediumProfile, weighted_norm_of
 from .sweep import averaged_response_matrix, averaged_sweep
 
@@ -127,7 +127,7 @@ def _deviation_stats(deviation, partition: VelocityPartition, master_seed: int, 
     so memory does not grow with S and ``jobs`` never changes a number.
     """
     if sample_count < 2:
-        raise ConfigError("/study/samples", "deviation statistics need at least 2 samples")
+        raise ValueError("deviation statistics need at least 2 samples")
     norms = np.empty(sample_count)
     mean = sum_sq = 0.0
     results = indexed_map(lambda i: deviation(rom_sample(partition, master_seed, i)),

@@ -20,6 +20,7 @@ from romlab.experiments import (
     RegularizationRow,
     RegularizationTable,
     StudyConfig,
+    check_kind,
 )
 from romlab.medium import BoundarySpec, ConstantBoundary, LinearBoundary, SpatialGrid, make_medium
 from romlab.solver import SolveReport, solve
@@ -275,9 +276,9 @@ class TestValidate:
     def test_check_kind_knows_only_study_kinds(self, tmp_path):
         sc = study_config(load_config(write_config(tmp_path)))
         for kind in STUDY_KINDS:
-            sc.check_kind(kind)
+            check_kind(sc, kind)
         with pytest.raises(ValueError, match="unknown study kind"):
-            sc.check_kind("delta-x")
+            check_kind(sc, "delta-x")
 
     def test_same_diagnostics_as_solve(self, tmp_path, capsys):
         cfg = write_config(tmp_path, delta=0.0)

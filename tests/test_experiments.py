@@ -112,12 +112,34 @@ class TestStudyConfig:
         ({"delta": 1.5}, "/delta"),
         ({"delta": -0.1}, "/delta"),
         ({"delta": np.nan}, "/delta"),
+        ({"sample_count": 16.5}, "/study/samples"),
+        ({"sample_count": np.nan}, "/study/samples"),
+        ({"sample_count": True}, "/study/samples"),
+        ({"ref_nodes": 2.5}, "/study/ref_nodes"),
+        ({"ref_nodes": np.nan}, "/study/ref_nodes"),
+        ({"master_seed": 1.5}, "/seed"),
+        ({"n_list": (True, 8)}, "/study/n_list/0"),
+        ({"n_list": ()}, "/study/n_list"),
+        ({"n_list": 8}, "/study/n_list"),
+        ({"delta_list": "0.2"}, "/study/delta_list"),
+        ({"reference_delta": "0.01"}, "/study/reference_delta"),
     ])
     def test_bad_value_rejected_when_built(self, overrides, path):
         # rejected when built, before any reference is certified or any row solved
         with pytest.raises(ConfigError) as caught:
             small_config(**overrides)
         assert caught.value.path == path
+
+    @pytest.mark.parametrize("entries", [tuple, list, np.array])
+    def test_numpy_values_and_any_sequence_accepted(self, entries):
+        # numpy integers and floats, in a tuple, list or array, are typed to plain values
+        cfg = small_config(n_list=entries([np.int64(4), np.int64(8)]), sample_count=np.int64(16),
+                           ref_nodes=np.int32(64), master_seed=np.uint8(3),
+                           delta_list=entries([np.float64(0.2)]), reference_delta=np.float32(0.01))
+        assert cfg.n_list == (4, 8) and all(type(n) is int for n in cfg.n_list)
+        assert (cfg.sample_count, cfg.ref_nodes, cfg.master_seed) == (16, 64, 3)
+        assert all(type(v) is int for v in (cfg.sample_count, cfg.ref_nodes, cfg.master_seed))
+        assert cfg.delta_list == (0.2,) and type(cfg.reference_delta) is float
 
 
 class TestUncertifiedSolve:

@@ -5,7 +5,6 @@ import pytest
 
 from romlab import (
     BoundarySpec,
-    ConfigError,
     ConstantBoundary,
     LengthMismatch,
     PureAbsorber,
@@ -280,7 +279,7 @@ class TestDeviationStats:
     def test_sample_count_guard(self):
         medium = scattering_medium(8)
         ref, _, _ = reference_iteration_matrix(medium, 0.1, 256)
-        with pytest.raises(ConfigError, match="/study/samples"):
+        with pytest.raises(ValueError, match="at least 2 samples"):
             iteration_deviation_stats(medium, build_partition(4, 0.1), ref, 0, 1)
 
     def test_jobs_do_not_change_statistics(self):

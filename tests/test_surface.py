@@ -1,5 +1,6 @@
 """Pin the number of settable values and of source lines in romlab, the
-layering of its sweep kernels, and that every public name has a reader.
+layering of its sweep kernels and of its configuration, and that every
+public name has a reader.
 
 A settable value is a function parameter with a default or a dataclass
 field with a default: each is a knob that callers can turn and that tests
@@ -12,7 +13,11 @@ yields each row's linear system, and every other module sweeps through the
 public batched calls.  operators.py assembles every transport and iteration
 matrix through one call of averaged_response_matrix, so that assembly and
 its lambda > 0 check cannot fork.  experiments.STUDIES is the one table of
-study kinds, so the CLI imports no study function.  The benchmark's tracer
+study kinds, so the CLI imports no study function.  config.py types and
+checks every configured value, StudyConfig's included, and imports nothing
+of the study, operator, solver, sweep or CLI layers it feeds; ConfigError is
+raised there and by experiments.unmet_rules, a study kind's rules, alone,
+so the other layers raise errors that name no JSON path.  The benchmark's tracer
 (perfbench/tracing.py) reads SolveReport.iterations and the rows of a bias
 table, so a traced bias and regularization run still records those, and
 its rom_sample count still means one draw per antithetic pair.
@@ -37,7 +42,7 @@ from romlab import experiments
 from conftest import small_config
 
 SETTABLE_VALUES = 12
-SOURCE_LINES = 2320
+SOURCE_LINES = 2319
 
 # Public names that nothing in src/romlab reads, each with the reason it stays.
 UNREAD_PUBLIC_NAMES = {
@@ -134,6 +139,28 @@ def test_cli_imports_no_study_function():
         if alias.name.endswith("_study")
     ]
     assert not found, f"cli.py imports study functions {found}; call them through experiments.STUDIES"
+
+
+def test_config_imports_no_layer_it_feeds():
+    tree = ast.parse((Path(romlab.__file__).parent / "config.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    fed = {f"{prefix}{layer}" for prefix in ("", "romlab.") for layer in
+           ("experiments", "operators", "solver", "sweep", "cli")}
+    assert not imported & fed, f"config.py imports {sorted(imported & fed)}; it feeds those layers"
+
+
+def test_config_errors_are_raised_by_config_and_kind_rules_only():
+    package_dir = Path(romlab.__file__).parent
+    found = []  # (module file, enclosing top-level def) of each ConfigError(...) call
+    for path in sorted(package_dir.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"]
+    outside = sorted({site for site in found if site[0] != "config.py"})
+    assert outside == [("experiments.py", "unmet_rules")], (
+        f"ConfigError is built at {outside}; only config.py and experiments.unmet_rules name config paths"
+    )
 
 
 def test_tracer_reads_bias_and_regularization_studies():
