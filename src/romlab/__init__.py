@@ -59,7 +59,6 @@ from .experiments import (
     ErrorRow,
     ErrorTable,
     RegularizationRow,
-    RegularizationTable,
     SlopeFit,
     bias_study,
     certified_reference,

@@ -1,9 +1,9 @@
 """Command-line front end: validate configs, run solves, run studies.
 
-It does I/O only, the bias summary's ``sampling`` and ``pairs`` fields aside:
-it loads the config, with ``--seed`` replacing its seed once (config_hash
-still hashes the file), makes one solve or experiments.STUDIES call, and
-writes the outputs.
+It does I/O only: it loads the config, with ``--seed`` replacing its seed
+once (config_hash still hashes the file), makes one solve or
+experiments.STUDIES call, and writes the outputs; experiments.study_summary
+decides what a study's summary says.
 
 Commands
 --------
@@ -16,8 +16,8 @@ Commands
     KIND is a key of experiments.STUDIES: single-run, bias, dom, delta-t,
     delta-b or regularization.  Its rules (experiments.check_kind) are
     checked before DIR is made.
-    Writes the result table CSV, a summary JSON with slope fits and
-    timings, and a manifest.
+    Writes the result table CSV, a summary JSON with the rows, their slope
+    fit (or regularization's all_satisfied) and timings, and a manifest.
 
 Exit codes: 0 success, 1 usage/config error, 2 uncertified computation
 (a solve whose error bound exceeds its tolerance, or a reference that
@@ -42,9 +42,8 @@ import numpy as np
 
 from . import __version__
 from .config import LoadedConfig, build_quadrature, config_hash, load_config, study_config
-from .errors import NoConvergence, ReferenceNotConverged, RomlabError, TooFewPoints
-from .experiments import (STUDIES, STUDY_KINDS, ErrorRow, ErrorTable, RegularizationRow,
-                          RegularizationTable, check_kind, fit_slope, unmet_rules)
+from .errors import NoConvergence, ReferenceNotConverged, RomlabError
+from .experiments import STUDIES, ErrorTable, check_kind, study_summary, unmet_rules
 from .solver import solve
 
 
@@ -55,12 +54,12 @@ def _fmt(x: float) -> str:
 _CELL_FORMATS = {int: str, float: _fmt, bool: lambda flag: "true" if flag else "false"}
 
 
-def table_to_csv(table: ErrorTable | RegularizationTable) -> str:
-    """Serialize a study table, one column per row field; deterministic.
+def table_to_csv(table: ErrorTable) -> str:
+    """Serialize a study table, one column per field of its row type; deterministic.
 
     The wall_time field goes to a wall_time_s column that always reads 0.
     """
-    row_type = ErrorRow if isinstance(table, ErrorTable) else RegularizationRow
+    row_type = type(table.rows[0])  # no study returns an empty table
     hints = get_type_hints(row_type)
     columns = [(f.name, hints[f.name]) for f in fields(row_type)]
     lines = [",".join(name + "_s" if name == "wall_time" else name for name, _ in columns)]
@@ -108,7 +107,7 @@ def _cmd_validate(args) -> int:
     print(f"n_list = {list(sc.n_list)}")
     print(f"solver_tol (study) = {sc.solver_tol:.6g}")
     print(f"config_hash = {config_hash(cfg)}")
-    for kind in STUDY_KINDS:
+    for kind in STUDIES:
         for error in unmet_rules(sc, kind):
             print(f"cannot run {kind}: {error}")
     return 0
@@ -125,8 +124,11 @@ def _cmd_solve(args) -> int:
     cfg = _load(args)
     quad = build_quadrature(cfg)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        return _fail(f"output directory {out.parent} does not exist")
+    if not out.parent.is_dir():  # checked before the solve, which a failed write would waste
+        problem = "is not a directory" if out.parent.exists() else "does not exist"
+        return _fail(f"output directory {out.parent} {problem}")
+    if out.is_dir():
+        return _fail(f"{out} is a directory")
     phi, report = solve(cfg.medium, cfg.boundary, quad, cfg.solver_tol)
     out.write_text(flux_to_csv(phi, cfg.medium.grid.edges))
     report_path = out.with_suffix(".report.json")
@@ -167,21 +169,8 @@ def _cmd_study(args) -> int:
     csv_path = out_dir / f"{args.study}.csv"
     summary_path = out_dir / f"{args.study}_summary.json"
     csv_path.write_text(table_to_csv(table))
-    summary: dict = {"study": args.study, "config_hash": config_hash(cfg), "master_seed": cfg.seed,
-                     "elapsed_s": elapsed, "rows": [asdict(r) for r in table.rows]}
-    if args.study == "bias":  # bias_study draws antithetic pairs, two samples each
-        summary["sampling"] = "antithetic-pairs"
-        for row in summary["rows"]:
-            row["pairs"] = row["samples"] // 2
-    if isinstance(table, RegularizationTable):
-        summary["all_satisfied"] = all(r.satisfied for r in table.rows)
-    else:
-        try:
-            fit = fit_slope(table)
-            summary["slope_fit"] = asdict(fit)
-        except TooFewPoints as exc:
-            summary["slope_fit"] = None
-            summary["slope_fit_error"] = str(exc)
+    summary = {"study": args.study, "config_hash": config_hash(cfg), "master_seed": cfg.seed,
+               "elapsed_s": elapsed, **study_summary(args.study, table)}
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     _write_manifest(
         out_dir / "manifest.json", cfg,
@@ -209,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_study = sub.add_parser("study", help="run a convergence study")
     p_study.add_argument("--config", required=True)
-    p_study.add_argument("--study", required=True, choices=STUDY_KINDS)
+    p_study.add_argument("--study", required=True, choices=STUDIES)
     p_study.add_argument("--out", required=True, help="output directory")
     p_study.add_argument("--seed", type=int, default=None, help="override config seed")
     p_study.add_argument("--jobs", type=int, default=1, help="sample-level parallelism")

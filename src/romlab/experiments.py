@@ -10,7 +10,7 @@ parallelism degree.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -49,7 +49,7 @@ class ErrorRow:
 
 @dataclass(frozen=True, eq=False)
 class ErrorTable:
-    rows: tuple[ErrorRow, ...]
+    rows: tuple[ErrorRow | RegularizationRow, ...]
 
     def unflagged(self) -> tuple[ErrorRow, ...]:
         return tuple(r for r in self.rows if not r.flagged)
@@ -77,11 +77,6 @@ class RegularizationRow:
     bound: float
     satisfied: bool
     wall_time: float
-
-
-@dataclass(frozen=True, eq=False)
-class RegularizationTable:
-    rows: tuple[RegularizationRow, ...]
 
 
 def _solved(medium, boundary, quad, tol) -> np.ndarray:
@@ -269,8 +264,8 @@ def fit_slope(table: ErrorTable) -> SlopeFit:
     return SlopeFit(float(slope), float(intercept), r_sq, float(np.sqrt(((c * rel_se) ** 2).sum())))
 
 
-def regularization_study(config: StudyConfig) -> RegularizationTable:
-    """Truncation error against the stability bound, per entry of delta_list.
+def regularization_study(config: StudyConfig) -> ErrorTable:
+    """Truncation error against the stability bound, a RegularizationRow per delta_list entry.
 
     Reads the config's medium, boundary, delta_list, reference_delta and
     ref_nodes.  The near-untruncated model at reference_delta stands in for
@@ -318,13 +313,13 @@ def regularization_study(config: StudyConfig) -> RegularizationTable:
                 wall_time=time.perf_counter() - start,
             )
         )
-    return RegularizationTable(tuple(rows))
+    return ErrorTable(tuple(rows))
 
 
 class StudyKind(NamedTuple):
     """A study kind: its call, the fewest samples it can use, whether it needs lambda > 0."""
 
-    run: Callable[[StudyConfig, int], ErrorTable | RegularizationTable]
+    run: Callable[[StudyConfig, int], ErrorTable]
     min_samples: int
     needs_scattering: bool
 
@@ -341,7 +336,6 @@ STUDIES = {
     "delta-b": StudyKind(lambda sc, jobs: deviation_study(sc, "delta-b", jobs), 2, False),
     "regularization": StudyKind(lambda sc, jobs: regularization_study(sc), 1, True),
 }
-STUDY_KINDS = tuple(STUDIES)
 
 
 def unmet_rules(config: StudyConfig, kind: str) -> list[RomlabError]:
@@ -361,3 +355,21 @@ def check_kind(config: StudyConfig, kind: str) -> None:
     """Raise the first unmet rule of study ``kind``; each study calls this before any solve."""
     for error in unmet_rules(config, kind):
         raise error
+
+
+def study_summary(kind: str, table: ErrorTable) -> dict:
+    """Study ``kind``'s summary keys, in order: ``rows``, bias's ``sampling``, then ``slope_fit``
+    (None plus ``slope_fit_error`` if no fit can be made) or regularization's ``all_satisfied``."""
+    summary: dict = {"rows": [asdict(r) for r in table.rows]}
+    if kind == "bias":  # bias_study draws antithetic pairs, two samples each
+        summary["sampling"] = "antithetic-pairs"
+        for row in summary["rows"]:
+            row["pairs"] = row["samples"] // 2
+    if kind == "regularization":
+        summary["all_satisfied"] = all(r.satisfied for r in table.rows)
+        return summary
+    try:
+        summary["slope_fit"] = asdict(fit_slope(table))
+    except TooFewPoints as exc:
+        summary.update(slope_fit=None, slope_fit_error=str(exc))
+    return summary

@@ -14,11 +14,10 @@ from romlab.angular import build_partition, certify_by_doubling, dom_quadrature,
 from romlab.cli import flux_to_csv, main, table_to_csv
 from romlab.config import config_hash, load_config, study_config
 from romlab.experiments import (
-    STUDY_KINDS,
+    STUDIES,
     ErrorRow,
     ErrorTable,
     RegularizationRow,
-    RegularizationTable,
     StudyConfig,
     check_kind,
 )
@@ -275,7 +274,7 @@ class TestValidate:
 
     def test_check_kind_knows_only_study_kinds(self, tmp_path):
         sc = study_config(load_config(write_config(tmp_path)))
-        for kind in STUDY_KINDS:
+        for kind in STUDIES:
             check_kind(sc, kind)
         with pytest.raises(ValueError, match="unknown study kind"):
             check_kind(sc, "delta-x")
@@ -356,6 +355,28 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"output directory {out.parent} does not exist" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_out_naming_a_directory(self, tmp_path, capsys, monkeypatch):
+        # the unwritable path is found before the solve, not after it
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "phi"
+        out.mkdir()
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out} is a directory\n"
+        assert calls == [] and not any(out.iterdir())
+
+    def test_out_under_a_file(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path)
+        parent = tmp_path / "afile"
+        parent.write_text("kept\n")
+        out = parent / "phi.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: output directory {parent} is not a directory\n"
+        assert calls == [] and parent.read_text() == "kept\n"
 
     def test_quadrature_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -612,8 +633,8 @@ class TestStudy:
 
     @pytest.mark.parametrize(
         "command",
-        [["validate"]] + [["study", "--study", kind] for kind in STUDY_KINDS],
-        ids=["validate", *STUDY_KINDS],
+        [["validate"]] + [["study", "--study", kind] for kind in STUDIES],
+        ids=["validate", *STUDIES],
     )
     def test_tolerance_above_study_cap_rejected(self, tmp_path, capsys, command):
         # 1e-5 is above the cap 1e-3 * n_max^-3 = 1.95e-6 for n_list [4, 8]
@@ -658,7 +679,7 @@ class TestStudy:
         "regularization": "regularization_study",
     }
 
-    @pytest.mark.parametrize("study", STUDY_KINDS)
+    @pytest.mark.parametrize("study", list(STUDIES))
     def test_study_kind_calls_its_function(self, tmp_path, monkeypatch, study):
         # each kind's run looks its function up in romlab.experiments when it
         # is called, so a replacement set there (as a tracer does) is the one called
@@ -667,7 +688,7 @@ class TestStudy:
         def fake(config, *args):
             calls.append((config, *args))
             if study == "regularization":
-                return RegularizationTable((RegularizationRow(0.1, 0.0, 0.0, 0.0, True, 0.0),))
+                return ErrorTable((RegularizationRow(0.1, 0.0, 0.0, 0.0, True, 0.0),))
             return ErrorTable((ErrorRow(4, 1.0, 0.0, 1, False, 0.0),))
 
         monkeypatch.setattr(experiments, self._STUDY_FUNCTIONS[study], fake)
@@ -767,7 +788,7 @@ class TestRoundTrip:
             RegularizationRow(0.2, 1.5e-2, 1.1e-2, 2.2e-2, True, 0.7),
             RegularizationRow(0.1, 6.5e-3, 4.9e-3, 9.8e-3, True, 0.8),
         )
-        table = RegularizationTable(rows)
+        table = ErrorTable(rows)
         text = table_to_csv(table)
         assert text.splitlines()[0] == "delta,error,f_norm,bound,satisfied,wall_time_s"
         assert text.splitlines()[1] == "0.20000000000000001,0.014999999999999999,0.010999999999999999,0.021999999999999999,true,0"

@@ -27,7 +27,7 @@ from romlab import (
     single_run_error_study,
     solve,
 )
-from romlab.experiments import _jackknife_norm_se, _solved
+from romlab.experiments import RegularizationRow, _jackknife_norm_se, _solved, study_summary
 from conftest import shipped_config, small_config
 
 ZERO_BC = BoundarySpec(ConstantBoundary(0.0), ConstantBoundary(0.0))
@@ -71,6 +71,44 @@ class TestFitSlope:
         )
         with pytest.raises(TooFewPoints):
             fit_slope(ErrorTable(rows))
+
+
+
+class TestStudySummary:
+    # the kind-specific keys of every *_summary.json, pinned in order
+    ROWS = tuple(ErrorRow(n, n**-3.0, 0.1 * n**-3.0, 2 * n + 1, False, 0.5) for n in (4, 8, 16))
+
+    @pytest.mark.parametrize("kind", ["single-run", "dom", "delta-t", "delta-b"])
+    def test_error_kinds(self, kind):
+        summary = study_summary(kind, ErrorTable(self.ROWS))
+        assert list(summary) == ["rows", "slope_fit"]
+        assert [list(row) for row in summary["rows"]] == [
+            ["n", "estimate", "se", "samples", "flagged", "wall_time"]] * 3
+        assert list(summary["slope_fit"]) == ["slope", "intercept", "r_squared", "slope_se"]
+        assert summary["slope_fit"]["slope"] == pytest.approx(-3.0, abs=1e-12)
+
+    def test_bias_records_sampling_and_pairs(self):
+        summary = study_summary("bias", ErrorTable(self.ROWS))
+        assert list(summary) == ["rows", "sampling", "slope_fit"]
+        assert summary["sampling"] == "antithetic-pairs"
+        assert [list(row)[-1] for row in summary["rows"]] == ["pairs"] * 3
+        assert all(row["pairs"] == row["samples"] // 2 for row in summary["rows"])
+
+    def test_no_fit_records_the_reason(self):
+        rows = self.ROWS[:2] + (ErrorRow(16, 0.0, 0.0, 1, True, 0.0),)
+        summary = study_summary("single-run", ErrorTable(rows))
+        assert list(summary) == ["rows", "slope_fit", "slope_fit_error"]
+        assert summary["slope_fit"] is None
+        assert summary["slope_fit_error"] == "slope fit needs >= 3 unflagged rows, got 2"
+
+    @pytest.mark.parametrize("satisfied", [(True, True), (True, False)])
+    def test_regularization_records_all_satisfied(self, satisfied):
+        rows = tuple(RegularizationRow(0.1, 0.01, 0.02, 0.03, flag, 0.5) for flag in satisfied)
+        summary = study_summary("regularization", ErrorTable(rows))
+        assert list(summary) == ["rows", "all_satisfied"]
+        assert summary["all_satisfied"] is all(satisfied)
+        assert [list(row) for row in summary["rows"]] == [
+            ["delta", "error", "f_norm", "bound", "satisfied", "wall_time"]] * 2
 
 
 class TestStudyConfig:

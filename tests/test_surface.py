@@ -13,11 +13,15 @@ yields each row's linear system, and every other module sweeps through the
 public batched calls.  operators.py assembles every transport and iteration
 matrix through one call of averaged_response_matrix, so that assembly and
 its lambda > 0 check cannot fork.  experiments.STUDIES is the one table of
-study kinds, so the CLI imports no study function.  config.py types and
-checks every configured value, StudyConfig's included, and imports nothing
-of the study, operator, solver, sweep or CLI layers it feeds; ConfigError is
-raised there and by experiments.unmet_rules, a study kind's rules, alone,
-so the other layers raise errors that name no JSON path.  The benchmark's tracer
+study kinds, every kind's run returns an ErrorTable, and
+experiments.study_summary decides what a study's summary says: cli.py
+imports STUDIES, ErrorTable, check_kind, study_summary and unmet_rules of
+the study layer and nothing else, so no study function, row type or slope
+fit.  config.py types and checks every configured value, StudyConfig's
+included, and imports nothing of the study, operator, solver, sweep or CLI
+layers it feeds; ConfigError is raised there and by
+experiments.unmet_rules, a study kind's rules, alone, so the other layers
+raise errors that name no JSON path.  The benchmark's tracer
 (perfbench/tracing.py) reads SolveReport.iterations and the rows of a bias
 table, so a traced bias and regularization run still records those, and
 its rom_sample count still means one draw per antithetic pair.
@@ -35,6 +39,8 @@ import ast
 import importlib.util
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import romlab
 import romlab.cli  # noqa: F401  (the tracer wraps cli.main, so the module must be loaded)
@@ -131,14 +137,22 @@ def test_operators_assemble_transport_once():
 
 def test_cli_imports_no_study_function():
     cli_path = Path(romlab.__file__).parent / "cli.py"
-    found = [
+    found = {
         alias.name
         for node in ast.walk(ast.parse(cli_path.read_text()))
         if isinstance(node, ast.ImportFrom) and node.module in ("experiments", "romlab.experiments")
         for alias in node.names
-        if alias.name.endswith("_study")
-    ]
-    assert not found, f"cli.py imports study functions {found}; call them through experiments.STUDIES"
+    }
+    assert found == {"STUDIES", "ErrorTable", "check_kind", "study_summary", "unmet_rules"}, (
+        f"cli.py imports {sorted(found)} from experiments; it calls studies through "
+        "experiments.STUDIES and takes each summary's study keys from experiments.study_summary"
+    )
+
+
+@pytest.mark.parametrize("kind", list(experiments.STUDIES))
+def test_every_study_kind_returns_an_error_table(kind):
+    config = small_config(ncells=8, n_list=(4, 8), sample_count=16)
+    assert type(experiments.STUDIES[kind].run(config, 1)) is experiments.ErrorTable
 
 
 def test_config_imports_no_layer_it_feeds():
